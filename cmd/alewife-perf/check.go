@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
 	"strings"
 )
 
@@ -25,6 +26,11 @@ import (
 // are re-run and each bucket's cycle share compared within attribTol
 // (absolute). Shares are deterministic, so drift is a behavioral change in
 // the simulator, not noise — there is no retry.
+//
+// Wall-clock from a host of a different shape (CPU count or GOMAXPROCS) is
+// not comparable — goroutine handoffs, GC workers and the parallel
+// harness all scale with it — so then the ns/op gate is skipped with a
+// note, and only allocs/op and attribution decide.
 func runCheck(path string, tol, allocTol, attribTol float64, stdout, stderr io.Writer) int {
 	blob, err := os.ReadFile(path)
 	if err != nil {
@@ -37,6 +43,11 @@ func runCheck(path string, tol, allocTol, attribTol float64, stdout, stderr io.W
 		return 1
 	}
 	s := sizesFor(base.Quick)
+	if cpus, procs := runtime.NumCPU(), runtime.GOMAXPROCS(0); base.CPUs != cpus || base.GoMaxProcs != procs {
+		fmt.Fprintf(stdout, "host shape differs: snapshot cpus=%d gomaxprocs=%d, this host cpus=%d gomaxprocs=%d; ns/op not gated, allocs/op and attribution are\n",
+			base.CPUs, base.GoMaxProcs, cpus, procs)
+		tol = math.Inf(1)
+	}
 
 	baseline := make(map[string]Metric, len(base.Workloads))
 	for _, m := range base.Workloads {

@@ -63,8 +63,10 @@ func TestSnapshotRoundTripAndCheck(t *testing.T) {
 	}
 
 	// A fresh run checked against its own snapshot must pass: allocs are
-	// deterministic and attribution shares exactly reproducible.
-	checkOut, checkErr, code := runPerf(t, "-check", path)
+	// deterministic and attribution shares exactly reproducible. Wall-clock
+	// at these sizes swings tens of percent run to run, so a huge ns/op
+	// tolerance leaves allocs and attribution to decide.
+	checkOut, checkErr, code := runPerf(t, "-check", path, "-tolerance", "1000")
 	if code != 0 {
 		t.Fatalf("self-check failed (exit %d):\n%s%s", code, checkOut, checkErr)
 	}
@@ -134,6 +136,50 @@ func TestCheckFlagsRegression(t *testing.T) {
 	}
 	if !strings.Contains(out, "REGRESSED") || !strings.Contains(errOut, "regressed against") {
 		t.Errorf("regression report malformed:\n%s%s", out, errOut)
+	}
+}
+
+// A snapshot from a host of another shape must not gate wall-clock — but
+// allocs/op still must.
+func TestCheckSkipsTimingAcrossHostShapes(t *testing.T) {
+	tinySizes(t)
+	path := filepath.Join(t.TempDir(), "BENCH_sim.json")
+	if _, errOut, code := runPerf(t, "-quick", "-parallel", "1", "-out", path); code != 0 {
+		t.Fatalf("baseline run failed: %s", errOut)
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(blob, &snap); err != nil {
+		t.Fatal(err)
+	}
+	snap.CPUs++
+	for i := range snap.Workloads {
+		snap.Workloads[i].NSPerOp = 1e-9 // any real run is slower
+	}
+	write := func() {
+		t.Helper()
+		doctored, _ := json.Marshal(snap)
+		if err := os.WriteFile(path, doctored, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write()
+	out, errOut, code := runPerf(t, "-check", path)
+	if code != 0 {
+		t.Fatalf("timing gated across host shapes (exit %d):\n%s%s", code, out, errOut)
+	}
+	if !strings.Contains(out, "host shape differs") {
+		t.Errorf("no host-shape note:\n%s", out)
+	}
+
+	snap.Workloads[0].AllocsPerOp = -1
+	write()
+	out, errOut, code = runPerf(t, "-check", path)
+	if code != 1 || !strings.Contains(errOut, snap.Workloads[0].Name) {
+		t.Fatalf("allocs not gated across host shapes (exit %d):\n%s%s", code, out, errOut)
 	}
 }
 

@@ -17,8 +17,9 @@ import (
 //     host state into simulated behavior;
 //   - no goroutine spawns inside the confined engine packages
 //     (internal/{sim,mem,cmmu,mesh,machine,core} and their subpackages):
-//     one engine is one logical thread of control, and every legitimate
-//     concurrency point (the context baton, the fanout pool) carries an
+//     one engine is one logical thread of control (context bodies are
+//     iter.Pull coroutines, which switch without a go statement), and the
+//     one legitimate spawn site, the fanout pool, carries an
 //     //alewife:allow suppression explaining its synchronization;
 //   - no `range` over a map whose loop body emits output (fmt calls,
 //     io.Writer-style Write* methods, encoders): map order is random per

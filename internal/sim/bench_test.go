@@ -75,9 +75,8 @@ func BenchmarkScheduleFar(b *testing.B) {
 }
 
 // BenchmarkContextPingPong measures a context-to-context transfer: two
-// contexts whose sleeps interleave, so every wake hands the baton directly
-// from one context goroutine to the other (no hop through the Run
-// goroutine, one channel operation per switch).
+// contexts whose sleeps interleave, so every wake is a coroutine switch
+// from the parking context through the driver to the other one.
 func BenchmarkContextPingPong(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
@@ -88,6 +87,22 @@ func BenchmarkContextPingPong(b *testing.B) {
 	}
 	e.Spawn("ping", 0, body)
 	e.Spawn("pong", 1, body)
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkSpawnFinish measures a context's whole life: spawned by a
+// running context, one sleep, return. Runtime threads are contexts, so this
+// is the per-thread engine cost; coroutine reuse keeps it to one allocation.
+func BenchmarkSpawnFinish(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	e.Spawn("spawner", 0, func(c *Context) {
+		for i := 0; i < b.N; i++ {
+			e.Spawn("t", c.Now(), func(t *Context) { t.Sleep(1) })
+			c.Sleep(2)
+		}
+	})
 	b.ResetTimer()
 	e.Run()
 }

@@ -1,21 +1,29 @@
+//go:build go1.23
+
+// iter is Go 1.23; the constraint lets this file use it while go.mod stays
+// at go 1.22 (see the package comment).
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 )
 
 // Context is a simulated sequential agent (a processor, a thread). Its body
-// runs on its own goroutine but only one goroutine holds the baton at a
-// time: the body runs only between a resume and the next call into
-// WaitUntil/Sleep/Block, during which no other context or event runs. While
-// parked, a context may itself run the dispatch loop (advance) and hand the
-// baton to whichever activity is due next.
+// is a coroutine resumed by the Run goroutine: it runs only between a
+// resume and the next call into WaitUntil/Sleep/Block, during which no
+// other context or event runs. While parked, a context runs the dispatch
+// loop (advance) itself and yields to the driver only when another context
+// is due next or the run stops.
 type Context struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
-	done   bool
+	eng  *Engine
+	name string
+	// co runs the body. Once the body returns, co may serve another
+	// context; a finished context never touches it again.
+	co   *coroutine
+	done bool
 	// gen counts resumptions; wake events capture the generation at which
 	// they were armed so a stale wake (context already resumed by another
 	// path) is dropped instead of corrupting the park/resume protocol.
@@ -50,71 +58,78 @@ func (c *Context) Done() bool { return c.done }
 
 // Spawn creates a context whose body starts running at time `at`. The body
 // executes in simulation order; fn returning ends the context.
+//
 //alewife:engine-only
 func (e *Engine) Spawn(name string, at Time, fn func(*Context)) *Context {
-	c := &Context{eng: e, name: name, resume: make(chan struct{}, 1), Node: -1}
+	c := &Context{eng: e, name: name, Node: -1}
 	e.nlive++
 	e.ctxs = append(e.ctxs, c)
-	//alewife:allow determinism context bodies run one-at-a-time under the baton protocol; the spawn is ordered by the resume channel
-	go func() {
-		c.park() // the start event below is an ordinary wake (gen 0)
-		defer func() {
-			// Record a panic from the body so the Run goroutine can
-			// re-raise it where callers (and tests) can observe it instead
-			// of crashing the process from an anonymous goroutine.
-			if r := recover(); r != nil {
-				e.ctxPanic = &panicValue{ctx: name, val: r, stack: string(debug.Stack())}
-			}
-			c.done = true
-			e.nlive--
-			e.retire()
-			// The finishing goroutine still holds the baton: keep
-			// dispatching until it hands off, returning the baton to the
-			// Run goroutine on a stop condition — or immediately on a
-			// recorded panic, so the panic re-raises there and no further
-			// event runs after it (a dispatched event that panics out of
-			// advance here is recorded the same way).
-			e.exitDispatch(name)
-		}()
-		fn(c)
-	}()
-	e.atWake(at, c, 0)
+	co := e.idleCoroutine()
+	co.ctx, co.body = c, fn
+	c.co = co
+	e.atWake(at, c, 0) // the start event is an ordinary wake (gen 0)
 	return c
 }
 
-// exitDispatch runs the dispatch loop from a finishing context's goroutine
-// and returns the baton to Run when the loop stops or an event panics.
-func (e *Engine) exitDispatch(name string) {
+// coroutine runs context bodies one after another. When a body returns, the
+// coroutine parks on Engine.idle instead of exiting, and the next Spawn in
+// the same run reuses it: the goroutine and iter.Pull's allocations are paid
+// per coroutine, not per context. drive stops the idle ones when the run
+// ends, so no goroutine outlives the contexts it served.
+type coroutine struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	ctx   *Context       // the body's context; nil while idle
+	body  func(*Context) // nil while idle
+}
+
+// idleCoroutine returns a parked coroutine, starting one if none is idle.
+func (e *Engine) idleCoroutine() *coroutine {
+	if n := len(e.idle); n > 0 {
+		co := e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+		return co
+	}
+	co := &coroutine{}
+	co.next, co.stop = iter.Pull(func(yield func(struct{}) bool) {
+		co.yield = yield
+		for {
+			co.run(e)
+			e.idle = append(e.idle, co)
+			if !yield(struct{}{}) {
+				return // stopped by drive at the end of a run
+			}
+		}
+	})
+	return co
+}
+
+// run executes the assigned body to completion. A panic from the body is
+// recorded so the driver re-raises it from Run with the context's name and
+// stack, where callers (and tests) can observe it.
+func (co *coroutine) run(e *Engine) {
+	c := co.ctx
 	defer func() {
 		if r := recover(); r != nil {
-			e.ctxPanic = &panicValue{ctx: name, val: r, stack: string(debug.Stack())}
-			e.baton <- struct{}{}
+			e.ctxPanic = &panicValue{ctx: c.name, val: r, stack: string(debug.Stack())}
 		}
+		c.done = true
+		co.ctx, co.body = nil, nil // an idle coroutine must not pin the body
+		e.nlive--
+		e.retire()
 	}()
-	if e.ctxPanic != nil || e.advance(nil) == batonStop {
-		e.baton <- struct{}{}
-	}
+	co.body(c)
 }
 
-// park waits for this context's wake handoff and opens a new resume
-// generation, invalidating any wake still queued for the old one.
-func (c *Context) park() {
-	<-c.resume
-	c.gen++
-}
-
-// parkAndDispatch yields the baton: the parking context runs the dispatch
-// loop itself, and either its own wake comes up (continue inline, no channel
-// operation), the baton moves to another context (park until resumed), or
-// the run stops (return the baton to Run, then park).
+// parkAndDispatch parks the context: it runs the dispatch loop itself, and
+// either its own wake comes up (continue inline, no switch) or it yields to
+// the driver, which resumes whichever context is due next or ends the run.
 func (c *Context) parkAndDispatch() {
-	switch c.eng.advance(c) {
-	case batonSelf:
-		return
-	case batonStop:
-		c.eng.baton <- struct{}{}
+	if !c.eng.advance(c) {
+		c.co.yield(struct{}{})
 	}
-	c.park()
 }
 
 // wakeAt arms a wake event at absolute time t for the current park
@@ -142,9 +157,9 @@ func (c *Context) WaitUntil(t Time) {
 	e.q.push(r)
 	// Solo-wake fast path: if our own wake is the next due event and the
 	// run's bounds allow dispatching it now, consume it inline — advance
-	// the clock and keep running with zero channel operations. Dispatch
-	// order is unchanged: the record was the exact next pop, so this is the
-	// same transfer the loop would have performed, minus the park. Disabled
+	// the clock and keep running with no switch. Dispatch order is
+	// unchanged: the record was the exact next pop, so this is the same
+	// transfer the loop would have performed, minus the park. Disabled
 	// under a chooser: other events ready at the same cycle must be offered
 	// as alternatives, so every dispatch has to go through the loop.
 	if e.chooser == nil && !e.halted && !(e.bounded && t > e.bound) && !(e.budgeted && e.budget == 0) && e.q.peek() == r {
@@ -255,7 +270,7 @@ func (g *Gate) Reset() {
 // returned. Useful for deadlock diagnostics.
 func (e *Engine) Live() int { return e.nlive }
 
-// retire is called by a finishing context (which still holds the baton).
+// retire is called for a finishing context, from coroutine.run's defer.
 // Pruning ctxs is amortized: once finished contexts make up half the slice,
 // one O(len) compaction reclaims them, keeping ctxs within a constant factor
 // of the live count instead of growing with every context ever spawned.

@@ -7,26 +7,38 @@
 // state never needs locking and runs are fully deterministic: events at equal
 // times fire in scheduling order.
 //
-// Control transfer is baton-passing: the dispatch loop is not pinned to the
-// goroutine that called Run. Whichever goroutine holds the baton — the Run
-// caller initially, then a parking or finishing context — pops the next due
-// event itself, runs callbacks and sinks inline, and hands the baton directly
-// to the next context's resume channel. A context-to-context switch therefore
-// costs one channel operation instead of two (there is no hop through a
-// central engine goroutine), and a context whose own wake is the next due
-// event consumes it inline with zero channel operations (the solo-wake fast
-// path in WaitUntil). The baton returns to the Run goroutine only when a stop
-// condition is reached: queue drained, Halt, a RunUntil bound or a RunLimit
-// budget.
+// Control transfer is coroutine switching. Context bodies run on runtime
+// coroutines (iter.Pull): resuming one is a direct goroutine switch on the
+// same OS thread, with no run queue, no idle-P wakeup and no futex, so a
+// serial simulation never enters the Go scheduler and runs as fast on N
+// cores as on one. A coroutine whose body returned waits on Engine.idle
+// for the next Spawn of the run, and the run's end stops the idle ones.
+// The Run caller is the driver: it runs the dispatch loop (advance) and
+// resumes the context whose wake comes up. A parking context runs the same
+// loop inline; if its own wake comes up first it continues without
+// switching, otherwise it records the next context to run (Engine.handoff)
+// and yields back to the driver, which resumes that one. A context whose
+// own wake is the next due event consumes it inline with no switch at all
+// (the solo-wake fast path in WaitUntil). Run returns when a stop condition
+// is reached: queue drained, Halt, a RunUntil bound or a RunLimit budget.
+//
+// Dispatch order does not depend on which of these paths runs an event:
+// every path pops the same ladder in (at, seq) order, and the fast path
+// consumes a wake only when it is the queue head. A panic in a context
+// body, or in an event its dispatch loop ran, is recovered on the
+// coroutine and re-raised from Run with the context's name and stack.
+// context.go, which imports iter, is built for go1.23 and later while
+// go.mod stays at go 1.22, which the benchmark module's build requires.
 //
 // Scheduling is a pooled two-level ladder queue (see ladder.go): typed event
 // records from a free list, time-indexed buckets for the near future, a
 // sorted overflow tier for far-future timers. Steady-state scheduling is
 // allocation-free. One engine belongs to one driving goroutine (the one that
-// calls Run); within a run its state migrates with the baton, and every
-// handoff is a channel operation, so the migration is race-free. Independent
-// engines driven from separate goroutines share nothing, which is the
-// confinement rule the fanout package's parallel harness relies on.
+// calls Run); its contexts run only inside that goroutine's resume calls, so
+// exactly one of them touches engine state at a time and every switch is a
+// happens-before edge. Independent engines driven from separate goroutines
+// share nothing, which is the confinement rule the fanout package's parallel
+// harness relies on.
 package sim
 
 import "fmt"
@@ -40,22 +52,23 @@ type Engine struct {
 	now Time
 	q   ladder
 	seq uint64
-	// baton returns control to the Run goroutine: whichever goroutine holds
-	// the baton when a stop condition is reached sends here and the Run
-	// caller resumes. Capacity 1 so the sender never blocks on the handback.
-	baton  chan struct{}
+	// handoff is the context a parked context's dispatch loop found due
+	// next: the parker yields to the driver, which resumes this one. A yield
+	// that leaves it nil means a stop condition ended the run.
+	handoff *Context
+	// idle holds coroutines whose body finished, for Spawn to reuse
+	// until the run ends.
+	idle   []*coroutine
 	nlive  int // live (un-finished) contexts
 	halted bool
-	// Bounds of the current run, consulted by the baton holder on every
-	// dispatch. Exactly one goroutine holds the baton at a time and every
-	// handoff synchronizes through a channel, so these fields — like now, q
-	// and seq — migrate across goroutines without locks.
+	// Bounds of the current run, consulted by whichever loop dispatches
+	// (the driver's or a parked context's); only one runs at a time.
 	bounded  bool
 	bound    Time // no event after bound fires while bounded (RunUntil)
 	budgeted bool
 	budget   uint64 // events left to dispatch while budgeted (RunLimit)
-	// ctxPanic carries a panic out of a context goroutine so the Run
-	// goroutine can re-raise it where callers can see it.
+	// ctxPanic carries a panic out of a context body so the driver can
+	// re-raise it from Run where callers can see it.
 	ctxPanic *panicValue
 	// ctxs tracks spawned contexts for deadlock diagnostics. Finished
 	// contexts are pruned by amortized compaction (retire) and by Stuck.
@@ -77,7 +90,7 @@ type panicValue struct {
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	return &Engine{baton: make(chan struct{}, 1), q: newLadder()}
+	return &Engine{q: newLadder()}
 }
 
 // Now returns the current simulation time.
@@ -85,6 +98,7 @@ func (e *Engine) Now() Time { return e.now }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it would silently corrupt causality.
+//
 //alewife:engine-only
 func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
@@ -98,6 +112,7 @@ func (e *Engine) At(t Time, fn func()) {
 
 // atWake schedules a closure-free context wake-up record (the hot path of
 // Block/Unblock; WaitUntil arms its record inline for the solo-wake check).
+//
 //alewife:hotpath
 func (e *Engine) atWake(t Time, c *Context, gen uint64) {
 	if t < e.now {
@@ -110,6 +125,7 @@ func (e *Engine) atWake(t Time, c *Context, gen uint64) {
 }
 
 // After schedules fn to run d cycles from now.
+//
 //alewife:engine-only
 func (e *Engine) After(d uint64, fn func()) { e.At(e.now+d, fn) }
 
@@ -124,6 +140,7 @@ type Sink interface {
 
 // AtSink schedules s.Fire(op, p0, p1) at absolute time t using a pooled
 // record — the closure-free analogue of At for subsystem hot paths.
+//
 //alewife:engine-only
 func (e *Engine) AtSink(t Time, s Sink, op uint32, p0, p1 uint64) {
 	if t < e.now {
@@ -193,6 +210,7 @@ type SinkInfo interface {
 // changes which schedules run, never which schedules are possible: any
 // pick corresponds to a legal (at, seq)-respecting execution at that
 // cycle. Must not be called while a run is in progress.
+//
 //alewife:engine-only
 func (e *Engine) SetChooser(c Chooser) { e.chooser = c }
 
@@ -258,35 +276,20 @@ func (e *Engine) describe(r *event) Choice {
 
 // Halt stops the run loop after the current event completes. Used by drivers
 // that reached their measurement and do not care about draining the queue.
+//
 //alewife:engine-only
 func (e *Engine) Halt() { e.halted = true }
 
-// batonStatus is the outcome of one advance call: why the dispatch loop on
-// this goroutine ended.
-type batonStatus int
-
-const (
-	// batonSelf: the caller's own wake fired; it keeps the baton and
-	// continues inline (no channel operation happened).
-	batonSelf batonStatus = iota
-	// batonHanded: the baton was passed to another context's resume
-	// channel; the caller must park or exit.
-	batonHanded
-	// batonStop: a stop condition (drained queue, Halt, bound, budget) was
-	// reached; the caller still holds the baton and must return it to the
-	// Run goroutine.
-	batonStop
-)
-
-// advance is the dispatch loop, run by whichever goroutine holds the baton:
-// it pops events in (at, seq) order, runs callbacks and sinks inline, drops
-// stale wakes, and ends when control must move. self is the parked context
-// running the loop, or nil when the holder is the Run goroutine or a
-// finishing context (whose own wake can no longer fire).
-func (e *Engine) advance(self *Context) batonStatus {
+// advance is the dispatch loop: it pops events in (at, seq) order, runs
+// callbacks and sinks inline, drops stale wakes, and ends when control must
+// move. self is the parked context running the loop, or nil when the driver
+// runs it. It reports whether self's own wake fired; otherwise it ended with
+// the next context to resume in e.handoff, or with e.handoff nil on a stop
+// condition (drained queue, Halt, bound, budget).
+func (e *Engine) advance(self *Context) bool {
 	for {
 		if e.halted || (e.budgeted && e.budget == 0) {
-			return batonStop
+			return false
 		}
 		var r *event
 		if e.chooser != nil {
@@ -295,7 +298,7 @@ func (e *Engine) advance(self *Context) batonStatus {
 			r = e.q.next(e.bound, e.bounded)
 		}
 		if r == nil {
-			return batonStop
+			return false
 		}
 		if e.budgeted {
 			e.budget--
@@ -309,13 +312,15 @@ func (e *Engine) advance(self *Context) batonStatus {
 			if c.done || c.gen != gen {
 				continue
 			}
+			// Resuming opens a new generation, invalidating any other
+			// wake still queued for the old one.
 			c.blocked = false
+			c.gen++
 			if c == self {
-				c.gen++
-				return batonSelf
+				return true
 			}
-			c.resume <- struct{}{}
-			return batonHanded
+			e.handoff = c
+			return false
 		}
 		if s := r.sink; s != nil {
 			op, p0, p1 := r.op, r.p0, r.gen
@@ -329,43 +334,59 @@ func (e *Engine) advance(self *Context) batonStatus {
 	}
 }
 
-// runAsMain drives the loop from the Run goroutine: dispatch until the baton
-// leaves (then wait for it back) or a stop condition ends the run directly.
-func (e *Engine) runAsMain() {
-	if e.advance(nil) == batonHanded {
-		e.waitBaton()
+// drive runs the dispatch loop from the Run goroutine and resumes each
+// context it hands off to, until a stop condition ends the run. A resumed
+// context returns here when it parks on another context's wake (handoff
+// set: resume that one), parks on a stop condition (handoff nil: the run is
+// over), or finishes (keep dispatching here). A panic recorded by a body
+// re-raises as soon as that body has returned.
+func (e *Engine) drive() {
+	defer e.stopIdle()
+	e.advance(nil)
+	for c := e.handoff; c != nil; c = e.handoff {
+		e.handoff = nil
+		c.co.next()
+		if !c.done {
+			continue
+		}
+		if p := e.ctxPanic; p != nil {
+			e.ctxPanic = nil
+			panic(fmt.Sprintf("sim: context %s panicked: %v\n--- context stack ---\n%s", p.ctx, p.val, p.stack))
+		}
+		e.advance(nil)
 	}
 }
 
-// waitBaton parks the Run goroutine until a stop condition returns the
-// baton, re-raising any panic recorded by a context in the meantime.
-func (e *Engine) waitBaton() {
-	<-e.baton
-	if p := e.ctxPanic; p != nil {
-		e.ctxPanic = nil
-		panic(fmt.Sprintf("sim: context %s panicked: %v\n--- context stack ---\n%s", p.ctx, p.val, p.stack))
+// stopIdle ends the coroutines parked on Engine.idle.
+func (e *Engine) stopIdle() {
+	for i, co := range e.idle {
+		e.idle[i] = nil
+		co.stop()
 	}
+	e.idle = e.idle[:0]
 }
 
 // Run executes events in time order until the queue is empty or Halt is
 // called. It must be called from the goroutine that created the engine.
+//
 //alewife:engine-only
 func (e *Engine) Run() {
 	e.halted = false
 	e.bounded, e.budgeted = false, false
-	e.runAsMain()
+	e.drive()
 }
 
 // RunLimit executes at most max events in time order, stopping early on an
 // empty queue or Halt. It reports whether the queue drained: false means the
 // budget was exhausted first — the caller (e.g. the protocol fuzzer, whose
 // broken-protocol mutations can livelock) should treat the run as stuck.
+//
 //alewife:engine-only
 func (e *Engine) RunLimit(max uint64) bool {
 	e.halted = false
 	e.bounded = false
 	e.budgeted, e.budget = true, max
-	e.runAsMain()
+	e.drive()
 	e.budgeted = false
 	if e.budget == 0 {
 		return e.q.size == 0
@@ -375,12 +396,13 @@ func (e *Engine) RunLimit(max uint64) bool {
 
 // RunUntil executes events up to and including time t, leaving later events
 // queued. The clock ends at t even if the queue drains earlier.
+//
 //alewife:engine-only
 func (e *Engine) RunUntil(t Time) {
 	e.halted = false
 	e.budgeted = false
 	e.bounded, e.bound = true, t
-	e.runAsMain()
+	e.drive()
 	e.bounded = false
 	if e.now < t {
 		e.now = t

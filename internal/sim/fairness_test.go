@@ -13,9 +13,9 @@ import (
 // activities fire at the same cycle: contexts sleeping to a shared target,
 // gate releases, cross-context UnblockAt, plain callbacks, and contexts that
 // finish mid-run. The trace was captured from the pre-baton engine (the
-// central dispatch loop on the Run goroutine); the baton-passing scheduler
-// and its solo-wake fast path must reproduce it byte for byte, because both
-// dispatch strictly in (at, seq) order. Regenerate only when the intended
+// central dispatch loop on the Run goroutine); the coroutine scheduler, its
+// in-context dispatch and its solo-wake fast path must reproduce it byte for
+// byte, because all of them dispatch strictly in (at, seq) order. Regenerate only when the intended
 // ordering itself changes:
 //
 //	go test ./internal/sim -run TestSameTimeFairnessGolden -update-fairness

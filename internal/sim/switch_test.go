@@ -1,15 +1,18 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
-// The baton-passing scheduler moves the dispatch loop across goroutines.
-// These tests pin the behaviors that must survive the migration: panic
-// propagation to the Run caller, run bounds and budgets applied by whichever
-// goroutine holds the baton (including the solo-wake fast path), and the
-// amortized pruning of the finished-context roster.
+// Context bodies are coroutines resumed by the Run goroutine, and parked
+// contexts run the dispatch loop themselves. These tests pin what that must
+// preserve: panic propagation to the Run caller, run bounds and budgets
+// applied by whichever loop dispatches (including the solo-wake fast path),
+// finished bodies releasing their goroutine and closure, and the amortized
+// pruning of the finished-context roster.
 
 func TestContextPanicPropagatesToRun(t *testing.T) {
 	e := NewEngine()
@@ -34,8 +37,8 @@ func TestContextPanicPropagatesToRun(t *testing.T) {
 	e.Run()
 }
 
-// A context resumed by another context (not by the Run goroutine) panicking
-// must still re-raise from Run: the baton travels dying-context -> Run.
+// A context whose wake was found by another context's dispatch loop (not by
+// the driver's) panicking must still re-raise from Run.
 func TestPanicAfterContextToContextHandoff(t *testing.T) {
 	e := NewEngine()
 	var target *Context
@@ -46,7 +49,7 @@ func TestPanicAfterContextToContextHandoff(t *testing.T) {
 	e.Spawn("waker", 0, func(c *Context) {
 		c.Sleep(3)
 		target.Unblock()
-		// Finishing here makes this goroutine dispatch victim's wake.
+		// Finishing here hands the dispatch of victim's wake to the driver.
 	})
 	defer func() {
 		if r := recover(); r == nil || !strings.Contains(r.(string), "victim panicked") {
@@ -56,9 +59,8 @@ func TestPanicAfterContextToContextHandoff(t *testing.T) {
 	e.Run()
 }
 
-// A callback that panics while dispatched from a finishing context's
-// goroutine (the exitDispatch path) must be recorded and re-raised from Run,
-// not crash the process from an anonymous goroutine.
+// A callback that panics in the dispatch right after a context finishes
+// must surface from Run, not crash the process from another goroutine.
 func TestCallbackPanicOnFinishingContext(t *testing.T) {
 	e := NewEngine()
 	e.Spawn("finisher", 0, func(c *Context) { c.Sleep(1) })
@@ -195,7 +197,7 @@ func TestStuckAfterPruning(t *testing.T) {
 }
 
 // A context blocked with BlockNote must report the park and wake times even
-// when it is resumed through a baton handoff from another context.
+// when its wake is found by another context's dispatch loop.
 func TestBlockNoteAcrossHandoff(t *testing.T) {
 	e := NewEngine()
 	var parked, woke Time
@@ -213,4 +215,105 @@ func TestBlockNoteAcrossHandoff(t *testing.T) {
 	if parked != 5 || woke != 30 {
 		t.Fatalf("BlockNote(%d, %d), want (5, 30)", parked, woke)
 	}
+}
+
+// settledGoroutines returns the goroutine count once it stops exceeding
+// want, giving exiting goroutines a bounded number of scheduler turns.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100 && n > want; i++ {
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// Every finished body must release its goroutine, however the run that saw
+// it finish was bounded and however the body ended.
+func TestFinishedContextsLeaveNoGoroutines(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(t *testing.T, e *Engine)
+	}{
+		{"after-rununtil-stop", func(t *testing.T, e *Engine) {
+			e.Spawn("sleeper", 0, func(c *Context) { c.Sleep(100) })
+			e.RunUntil(50)
+			e.Run()
+		}},
+		{"after-runlimit-stop", func(t *testing.T, e *Engine) {
+			e.Spawn("stepper", 0, func(c *Context) {
+				for i := 0; i < 10; i++ {
+					c.Sleep(1)
+				}
+			})
+			if e.RunLimit(3) {
+				t.Fatal("RunLimit(3) drained a 10-step context")
+			}
+			e.RunLimit(1000)
+		}},
+		{"body-panic", func(t *testing.T, e *Engine) {
+			e.Spawn("later", 0, func(c *Context) { c.Sleep(10) })
+			e.Spawn("bomb", 0, func(c *Context) {
+				c.Sleep(5)
+				panic("boom")
+			})
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("body panic did not reach Run")
+					}
+				}()
+				e.Run()
+			}()
+			e.Run()
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			e := NewEngine()
+			tc.run(t, e)
+			if e.Live() != 0 {
+				t.Fatalf("%d contexts still live", e.Live())
+			}
+			if n := settledGoroutines(base); n != base {
+				t.Fatalf("%d goroutines after a drained run, want %d", n, base)
+			}
+		})
+	}
+}
+
+// A finished context must not pin its body closure (nor what the body
+// captured) while the Engine and the Context themselves are still reachable
+// — not even mid-run, while the body's coroutine waits idle for reuse.
+func TestFinishedContextReleasesBody(t *testing.T) {
+	e := NewEngine()
+	var freed atomic.Bool
+	spawn := func() *Context {
+		payload := new([64]uint64)
+		runtime.SetFinalizer(payload, func(*[64]uint64) { freed.Store(true) })
+		return e.Spawn("holder", 0, func(c *Context) {
+			c.Sleep(1)
+			payload[0]++
+		})
+	}
+	c := spawn()
+	awaitFreed := func() bool {
+		for i := 0; i < 100 && !freed.Load(); i++ {
+			runtime.GC()
+			runtime.Gosched()
+		}
+		return freed.Load()
+	}
+	var midRun bool
+	e.Spawn("watcher", 0, func(w *Context) {
+		w.Sleep(10) // the holder finished at cycle 1
+		midRun = awaitFreed()
+	})
+	e.Run()
+	if !midRun {
+		t.Fatal("finished context pinned its body's captures during the run")
+	}
+	runtime.KeepAlive(e)
+	runtime.KeepAlive(c)
 }
