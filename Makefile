@@ -1,14 +1,17 @@
 # Tier-1 verification: what CI (and the roadmap) gate on.
 #
-#   make check     build, vet, lint (the alewife-lint analyzer suite as
+#   make check     build, vet, gofmt (every Go file outside testdata/),
+#                  lint (the alewife-lint analyzer suite as
 #                  a go vet vettool: determinism, engine confinement,
 #                  pool discipline, hot-path allocs, counter registry,
 #                  nil-receiver guards — zero findings, no baseline),
-#                  full test suite under the race detector,
-#                  then protocol stress smokes (8 seeds, 2000 ops/node,
-#                  live invariants + per-location SC history checking) on
-#                  both perfect and lossy wires (seeded drop/dup/reorder
-#                  with reliable delivery recovering)
+#                  full test suite under the race detector, the e2ebench
+#                  module's own tests (tiny-scale sim_digests, metric
+#                  contract), then protocol stress smokes (8 seeds,
+#                  2000 ops/node, live invariants + per-location SC
+#                  history checking) on both perfect and lossy wires
+#                  (seeded drop/dup/reorder with reliable delivery
+#                  recovering)
 #   make explore-smoke  depth-bounded schedule-space exploration (model
 #                  checking) of a 4-node machine: every reachable
 #                  interleaving within bounds must pass every oracle
@@ -33,15 +36,21 @@ GO ?= go
 
 COVER_FLOOR ?= 60
 
-.PHONY: check build vet lint test cover stress-smoke stress-smoke-lossy explore-smoke stress bench perf perf-check perf-quick
+.PHONY: check build vet fmt lint test e2ebench-test cover stress-smoke stress-smoke-lossy explore-smoke stress bench perf perf-check perf-quick
 
-check: build vet lint test cover stress-smoke stress-smoke-lossy explore-smoke perf-check
+check: build vet fmt lint test e2ebench-test cover stress-smoke stress-smoke-lossy explore-smoke perf-check
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# gofmt gate. testdata/ is exempt: analyzer fixtures keep hand layouts
+# their // want comments are written against.
+fmt:
+	@bad=$$(gofmt -l . | grep -v -e '/testdata/' -e '^\.bench_build/'); \
+	if [ -n "$$bad" ]; then printf 'gofmt: unformatted files:\n%s\n' "$$bad"; exit 1; fi
 
 # The project's own analyzer suite (cmd/alewife-lint), run through go
 # vet's vettool protocol so the build cache keeps it incremental. Strict:
@@ -53,6 +62,12 @@ lint:
 
 test:
 	$(GO) test -race ./...
+
+# The e2ebench module pins the tiny-scale sim_digests and the
+# metric/unit contract; it is its own module, so the root ./... never
+# reaches it.
+e2ebench-test:
+	cd e2ebench && $(GO) test ./...
 
 # Per-package statement-coverage floor for the simulator internals. The
 # awk gate fails listing every package below $(COVER_FLOOR)%; FAIL lines

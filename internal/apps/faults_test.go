@@ -7,9 +7,11 @@ import (
 
 	"alewife/internal/core"
 	"alewife/internal/machine"
+	"alewife/internal/mesh"
 )
 
-// Timing-fault injection: deterministic per-packet jitter perturbs every
+// Timing-fault injection: deterministic per-packet jitter (a NetFault with
+// no drop, dup or reorder rate, so no reliability sublayer) perturbs every
 // network delivery while preserving the per-pair FIFO order the protocol
 // needs. Properly synchronized programs must produce bit-identical results
 // under any such perturbation — only their timing may move. These tests
@@ -18,8 +20,7 @@ import (
 
 func jitterRT(nodes int, mode core.Mode, maxJitter, seed uint64) *core.RT {
 	cfg := machine.DefaultConfig(nodes)
-	cfg.Net.MaxJitter = maxJitter
-	cfg.Net.JitterSeed = seed
+	cfg.Net.Fault = &mesh.NetFault{Seed: seed, Jitter: maxJitter}
 	return core.NewDefault(machine.New(cfg), mode)
 }
 

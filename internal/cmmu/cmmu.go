@@ -161,6 +161,7 @@ const opEnvArrive uint32 = 0
 
 // Fire implements sim.Sink: a packet arrival (or a port-free retry) for the
 // identified Env.
+//
 //alewife:hotpath
 func (c *CMMU) Fire(op uint32, p0, p1 uint64) {
 	c.arrive(c.envs[p0])
@@ -198,6 +199,7 @@ func New(node int, eng *sim.Engine, net mesh.Network, store *mem.Store,
 
 // Register installs the handler for a message type. Types are small ints
 // owned by the runtime system.
+//
 //alewife:engine-only
 func (c *CMMU) Register(msgType int, h Handler) {
 	if _, dup := c.handlers[msgType]; dup {
@@ -219,6 +221,7 @@ func (c *CMMU) sendCost(d Descriptor) uint64 {
 // the sender's current logical time plus SendCost). The packet gathers
 // region contents from memory at injection; source-coherence flush cycles
 // are charged to the injection time, not the processor.
+//
 //alewife:engine-only
 func (c *CMMU) Send(d Descriptor, at sim.Time) {
 	if len(d.Ops) > c.p.MaxOperands {
@@ -254,10 +257,12 @@ func (c *CMMU) inject(d Descriptor, at sim.Time) {
 
 // MaskInterrupts defers message delivery until UnmaskInterrupts; Alewife
 // software uses this around critical sections shared with handlers.
+//
 //alewife:engine-only
 func (c *CMMU) MaskInterrupts() { c.masked = true }
 
 // UnmaskInterrupts re-enables delivery and drains any queued messages.
+//
 //alewife:engine-only
 func (c *CMMU) UnmaskInterrupts() {
 	if !c.masked {

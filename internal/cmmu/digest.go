@@ -1,28 +1,22 @@
 package cmmu
 
+import "alewife/internal/sim"
+
 // State digests for the schedule explorer, mirroring mem's: fingerprints of
 // the protocol-visible message-layer state. Temporal fields (port-free
 // deadlines, retransmit deadlines, backoff magnitudes) are excluded — they
 // shift when transitions happen, not which transitions are possible.
 
-// dmix is splitmix64's finalizer (same scrambler the mem digests use).
-func dmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Digest fingerprints this message unit's protocol-visible state: the
 // interrupt mask and the queue of undelivered messages. Queue order is
 // delivery order, so it is folded in positionally.
 func (c *CMMU) Digest() uint64 {
-	h := dmix(uint64(c.node) ^ 0xc3301)
+	h := sim.SplitMix64(uint64(c.node) ^ 0xc3301)
 	if c.masked {
-		h = dmix(h ^ 1)
+		h = sim.SplitMix64(h ^ 1)
 	}
 	for i, env := range c.queued {
-		h = dmix(h ^ uint64(i)<<32 ^ uint64(uint32(env.Type))<<8 ^ uint64(uint32(env.Src)))
+		h = sim.SplitMix64(h ^ uint64(i)<<32 ^ uint64(uint32(env.Type))<<8 ^ uint64(uint32(env.Src)))
 	}
 	return h
 }
@@ -39,22 +33,22 @@ func (r *Reliable) Digest() uint64 {
 		if ps.nextSeq == 0 && ps.recvNext == 0 && len(ps.pending) == 0 && !ps.dead {
 			continue
 		}
-		x := dmix(uint64(pair) + 1)
-		x ^= dmix(ps.nextSeq<<20 ^ ps.base)
-		x ^= dmix(ps.recvNext<<8 ^ uint64(len(ps.pending))<<1 ^ uint64(uint32(ps.retries))<<32)
+		x := sim.SplitMix64(uint64(pair) + 1)
+		x ^= sim.SplitMix64(ps.nextSeq<<20 ^ ps.base)
+		x ^= sim.SplitMix64(ps.recvNext<<8 ^ uint64(len(ps.pending))<<1 ^ uint64(uint32(ps.retries))<<32)
 		if ps.dead {
-			x ^= dmix(0xdead)
+			x ^= sim.SplitMix64(0xdead)
 		}
 		var win uint64
 		for _, s := range ps.window {
 			if s.ok {
-				win += dmix(s.seq ^ 0x733a)
+				win += sim.SplitMix64(s.seq ^ 0x733a)
 			}
 		}
 		x ^= win
-		sum += dmix(x)
+		sum += sim.SplitMix64(x)
 	}
-	return dmix(sum ^ 0x4e1)
+	return sim.SplitMix64(sum ^ 0x4e1)
 }
 
 // EventInfo implements sim.SinkInfo. Acks and retransmit timers touch only

@@ -40,10 +40,10 @@ import (
 // therefore re-send the identical payload, and duplicate suppression is
 // exact.
 //
-// machine.New interposes a Reliable automatically whenever the mesh has a
-// NetFault configured; with faults off the layer is absent entirely, so
-// the fault-free data path is byte-for-byte the one the determinism
-// goldens pin.
+// machine.New interposes a Reliable automatically whenever the mesh's
+// NetFault can drop, duplicate or reorder packets; with faults off (or
+// jitter only) the layer is absent entirely, so the fault-free data path
+// is byte-for-byte the one the determinism goldens pin.
 type Reliable struct {
 	eng *sim.Engine
 	net mesh.Network
@@ -144,21 +144,14 @@ func (ft *RelFault) noRetransmit() bool  { return ft != nil && ft.NoRetransmit }
 // delivery event to fire at the receiver, retained until the cumulative
 // ack passes it.
 type pendMsg struct {
-	bytes   int
-	sink    sim.Sink
-	op      uint32
-	p0, p1  uint64
-	deliver func() // Send path; nil for SendMsg
+	bytes  int
+	sink   sim.Sink
+	op     uint32
+	p0, p1 uint64
 }
 
 // fire delivers the retained payload.
-func (m *pendMsg) fire() {
-	if m.deliver != nil {
-		m.deliver()
-		return
-	}
-	m.sink.Fire(m.op, m.p0, m.p1)
-}
+func (m *pendMsg) fire() { m.sink.Fire(m.op, m.p0, m.p1) }
 
 // relSlot is one reorder-buffer cell, keyed by the full sequence number so
 // ring aliasing cannot confuse distinct packets.
@@ -221,18 +214,9 @@ func (r *Reliable) Violations() []Violation { return r.violations }
 
 func (r *Reliable) pairNodes(pair int) (src, dst int) { return pair / r.n, pair % r.n }
 
-// Send implements mesh.Network: closure delivery with exactly-once FIFO
-// semantics over the lossy inner network.
-func (r *Reliable) Send(src, dst int, bytes int, at sim.Time, deliver func()) {
-	r.send(src, dst, at, pendMsg{bytes: bytes, deliver: deliver})
-}
-
-// SendMsg implements mesh.Network: pooled delivery, same guarantees.
+// SendMsg implements mesh.Network: exactly-once FIFO delivery over the
+// lossy inner network.
 func (r *Reliable) SendMsg(src, dst int, bytes int, at sim.Time, s sim.Sink, op uint32, p0, p1 uint64) {
-	r.send(src, dst, at, pendMsg{bytes: bytes, sink: s, op: op, p0: p0, p1: p1})
-}
-
-func (r *Reliable) send(src, dst int, at sim.Time, msg pendMsg) {
 	if src < 0 || src >= r.n || dst < 0 || dst >= r.n {
 		panic(fmt.Sprintf("reliable: send %d->%d outside 0..%d", src, dst, r.n-1))
 	}
@@ -240,8 +224,8 @@ func (r *Reliable) send(src, dst int, at sim.Time, msg pendMsg) {
 	ps := &r.pairs[pair]
 	seq := ps.nextSeq
 	ps.nextSeq++
-	ps.pending = append(ps.pending, msg)
-	r.net.SendMsg(src, dst, msg.bytes+r.p.SeqBytes, at, r, opRelData, uint64(pair), seq)
+	ps.pending = append(ps.pending, pendMsg{bytes: bytes, sink: s, op: op, p0: p0, p1: p1})
+	r.net.SendMsg(src, dst, bytes+r.p.SeqBytes, at, r, opRelData, uint64(pair), seq)
 	r.armTimer(pair, ps, at)
 }
 

@@ -14,6 +14,11 @@ type sinkFunc func(op uint32, p0, p1 uint64)
 
 func (f sinkFunc) Fire(op uint32, p0, p1 uint64) { f(op, p0, p1) }
 
+// send pushes one payload through r whose delivery runs f.
+func send(r *Reliable, src, dst, bytes int, at sim.Time, f func()) {
+	r.SendMsg(src, dst, bytes, at, sinkFunc(func(uint32, uint64, uint64) { f() }), 0, 0, 0)
+}
+
 // relHarness is a Reliable over a 2x1 lossy mesh.
 func relHarness(ft *mesh.NetFault, p RelParams) (*sim.Engine, *Reliable, *stats.Machine) {
 	eng := sim.NewEngine()
@@ -24,13 +29,13 @@ func relHarness(ft *mesh.NetFault, p RelParams) (*sim.Engine, *Reliable, *stats.
 	return eng, r, st
 }
 
-// sendBurst pushes n closure-delivered packets 0->1 spaced apart and
+// sendBurst pushes n packets 0->1 spaced apart and
 // returns the order their payloads fired in.
 func sendBurst(eng *sim.Engine, r *Reliable, n int) []int {
 	var order []int
 	for i := 0; i < n; i++ {
 		i := i
-		r.Send(0, 1, 16, sim.Time(i)*40, func() { order = append(order, i) })
+		send(r, 0, 1, 16, sim.Time(i)*40, func() { order = append(order, i) })
 	}
 	eng.Run()
 	return order
@@ -125,7 +130,7 @@ func TestReliableRetryBudgetViolation(t *testing.T) {
 	var seen []Violation
 	r.OnViolation = func(v Violation) { seen = append(seen, v) }
 	delivered := false
-	r.Send(0, 1, 16, 0, func() { delivered = true })
+	send(r, 0, 1, 16, 0, func() { delivered = true })
 	eng.Run()
 	if delivered {
 		t.Fatal("payload delivered over a 100%-loss network")
@@ -141,7 +146,7 @@ func TestReliableRetryBudgetViolation(t *testing.T) {
 func TestReliableBackoffDoubles(t *testing.T) {
 	eng, r, st := relHarness(&mesh.NetFault{Seed: 1, Drop: 1.0},
 		RelParams{RTO: 100, BackoffMax: 400, Retries: 4})
-	r.Send(0, 1, 16, 0, func() {})
+	send(r, 0, 1, 16, 0, func() {})
 	eng.Run()
 	// Timeouts at ~100, 300 (100+200), 700, 1100 (cap 400 twice): the run's
 	// final time reflects exponential backoff, not linear retry.
@@ -194,7 +199,7 @@ func TestReliableDeterministicUnderLoss(t *testing.T) {
 func TestReliableFaultDropAckCaught(t *testing.T) {
 	eng, r, _ := relHarness(nil, RelParams{RTO: 64, Retries: 3})
 	r.Fault = &RelFault{DropAck: true}
-	r.Send(0, 1, 16, 0, func() {})
+	send(r, 0, 1, 16, 0, func() {})
 	eng.Run()
 	if len(r.Violations()) == 0 {
 		t.Fatal("DropAck mutation survived: no retry-budget violation")
@@ -204,7 +209,7 @@ func TestReliableFaultDropAckCaught(t *testing.T) {
 func TestReliableFaultNoRetransmitCaught(t *testing.T) {
 	eng, r, st := relHarness(&mesh.NetFault{Seed: 1, Drop: 1.0}, RelParams{RTO: 64, Retries: 3})
 	r.Fault = &RelFault{NoRetransmit: true}
-	r.Send(0, 1, 16, 0, func() {})
+	send(r, 0, 1, 16, 0, func() {})
 	eng.Run()
 	if st.Global.Get(stats.RelRetransmits) != 0 {
 		t.Fatal("NoRetransmit mutation retransmitted anyway")
@@ -218,7 +223,7 @@ func TestReliableFaultDedupOffByOneCaught(t *testing.T) {
 	eng, r, _ := relHarness(nil, RelParams{RTO: 64, Retries: 3})
 	r.Fault = &RelFault{DedupOffByOne: true}
 	delivered := false
-	r.Send(0, 1, 16, 0, func() { delivered = true })
+	send(r, 0, 1, 16, 0, func() { delivered = true })
 	eng.Run()
 	if delivered {
 		t.Fatal("DedupOffByOne mutation delivered the packet it must eat")
@@ -236,7 +241,7 @@ func TestReliableFaultAcceptStaleCaught(t *testing.T) {
 	fired := 0
 	const n = 200
 	for i := 0; i < n; i++ {
-		r.Send(0, 1, 16, sim.Time(i)*40, func() { fired++ })
+		send(r, 0, 1, 16, sim.Time(i)*40, func() { fired++ })
 	}
 	eng.Run()
 	if fired <= n {

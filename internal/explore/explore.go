@@ -444,12 +444,12 @@ func (r *runner) stateDigest() uint64 {
 	m := r.m
 	h := m.Fab.Digest()
 	for _, n := range m.Nodes {
-		h = mix64(h ^ n.CMMU.Digest())
+		h = sim.SplitMix64(h ^ n.CMMU.Digest())
 	}
 	if m.Rel != nil {
-		h = mix64(h ^ m.Rel.Digest())
+		h = sim.SplitMix64(h ^ m.Rel.Digest())
 	}
-	return mix64(h ^ uint64(m.Eng.Pending())<<32 ^ uint64(m.Eng.Live()))
+	return sim.SplitMix64(h ^ uint64(m.Eng.Pending())<<32 ^ uint64(m.Eng.Live()))
 }
 
 // independent reports whether two candidate transitions commute: executing
@@ -500,12 +500,4 @@ func kindName(fault bool) string {
 		return "fault"
 	}
 	return "schedule"
-}
-
-// mix64 is splitmix64's finalizer.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

@@ -2,7 +2,10 @@ package explore
 
 import (
 	"bytes"
+	"slices"
 	"testing"
+
+	"alewife/internal/stress"
 )
 
 // FuzzDecodeTrace hammers the trace decoder with arbitrary bytes: it must
@@ -36,10 +39,11 @@ func FuzzDecodeTrace(f *testing.F) {
 	})
 }
 
-// FuzzShrinkSteps drives the pure reduction engine with a synthetic oracle
-// derived from the fuzz input, checking the shrinker's contract without a
-// simulator in the loop: the result still fails the oracle, never grows,
-// respects the re-execution budget, and is deterministic.
+// FuzzShrinkSteps drives the shared reduction loop (stress.Minimize, with
+// ShrinkTrace's default-pick edit) with a synthetic oracle derived from the
+// fuzz input, checking the shrinker's contract without a simulator in the
+// loop: the result still fails the oracle, never grows, respects the
+// re-execution budget, and is deterministic.
 func FuzzShrinkSteps(f *testing.F) {
 	f.Add([]byte{0x03, 0x81, 0x00, 0x47, 0x81}, 20)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, 50)
@@ -87,10 +91,10 @@ func FuzzShrinkSteps(f *testing.F) {
 				if !oracle(cand) {
 					return nil, false
 				}
-				return trimDefaults(clone(cand)), true
+				return trimDefaults(slices.Clone(cand)), true
 			}
 		}
-		got := shrinkSteps(clone(steps), mkTry(), budget)
+		got := stress.Minimize(slices.Clone(steps), defaultChunk, mkTry(), budget)
 		if !oracle(got) {
 			t.Fatalf("shrunk trace no longer fails the oracle: %v", got)
 		}
@@ -101,7 +105,7 @@ func FuzzShrinkSteps(f *testing.F) {
 			t.Fatalf("budget exceeded: %d tries, budget %d", tries, budget)
 		}
 		tries = 0
-		if again := shrinkSteps(clone(steps), mkTry(), budget); len(again) != len(got) {
+		if again := stress.Minimize(slices.Clone(steps), defaultChunk, mkTry(), budget); len(again) != len(got) {
 			t.Fatalf("shrink not deterministic: %d vs %d steps", len(got), len(again))
 		}
 	})

@@ -2,6 +2,8 @@ package explore
 
 import (
 	"testing"
+
+	"alewife/internal/stress"
 )
 
 // mutationBudget is one row of the regression table: the machine shape and
@@ -108,5 +110,43 @@ func TestWireFaultMutationsNeedFaultBranching(t *testing.T) {
 					name, out.Result.Report())
 			}
 		})
+	}
+}
+
+// Every registry mutation that fails on perfect wires at seeds 1-3 (8
+// nodes x 400 ops) must shrink, at budgets 60, 120 and 200, to a program
+// that still fails, and the repros must average under two ops. A shrinker
+// that cannot delete a node's last op leaves one op per node and averages
+// 5.75 here; EXPERIMENTS.md has the per-case table.
+func TestShrinkMutationTable(t *testing.T) {
+	cases, total := 0, 0
+	for _, name := range MutationNames() {
+		for seed := uint64(1); seed <= 3; seed++ {
+			cfg := stress.DefaultConfig(seed)
+			cfg.Ops = 400
+			Mutations[name](&cfg)
+			full := stress.Generate(cfg)
+			if res, err := stress.Execute(cfg, full); err != nil || !res.Failed() {
+				continue // accept-stale and no-retransmit need lossy wires
+			}
+			for _, budget := range []int{60, 120, 200} {
+				prog, res, err := stress.Shrink(cfg, full, budget)
+				if err != nil {
+					t.Fatal(err)
+				}
+				re, err := stress.Execute(cfg, prog)
+				if err != nil || !res.Failed() || !re.Failed() {
+					t.Errorf("%s seed %d budget %d: shrunk program no longer fails", name, seed, budget)
+				}
+				cases++
+				total += stress.CountOps(prog)
+			}
+		}
+	}
+	if cases != 81 {
+		t.Errorf("%d failing cases, want 81 (9 mutations x 3 seeds x 3 budgets)", cases)
+	}
+	if total >= 2*cases {
+		t.Errorf("shrunk repros sum to %d ops over %d cases, want under %d", total, cases, 2*cases)
 	}
 }

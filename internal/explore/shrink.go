@@ -2,22 +2,23 @@ package explore
 
 import (
 	"errors"
+	"slices"
 
 	"alewife/internal/stress"
 )
 
 var errNotFailing = errors.New("explore: trace to shrink does not replay to a failure")
 
-// ShrinkTrace minimizes a failing choice trace the way stress.Shrink
-// minimizes programs: it re-replays candidate reductions — tail truncation
-// at halving granularity, then rewriting chunks of picks to the default —
-// and keeps any candidate that still fails. A candidate whose replay
-// diverges (the shortened trace no longer aligns with the run's choice
-// points) is simply rejected, not an error; the trace being shrunk must
-// itself replay to a failure. Kept candidates are re-canonicalized from
-// the run's actual executed steps, so the result is always a valid,
-// trailing-default-free trace. budget caps re-executions (<=0 picks a
-// default).
+// ShrinkTrace minimizes a failing choice trace with the same loop
+// stress.Shrink uses (stress.Minimize): it re-replays candidate reductions —
+// tail truncation at halving granularity, then rewriting chunks of picks
+// to the default — and keeps any candidate that still fails. A candidate
+// whose replay diverges (the shortened trace no longer aligns with the
+// run's choice points) is simply rejected, not an error; the trace being
+// shrunk must itself replay to a failure. Kept candidates are
+// re-canonicalized from the run's actual executed steps, so the result is
+// always a valid, trailing-default-free trace. budget caps re-executions
+// (<=0 picks a default).
 func ShrinkTrace(cfg Config, steps []Step, budget int) ([]Step, stress.Result, error) {
 	if budget <= 0 {
 		budget = 150
@@ -29,8 +30,7 @@ func ShrinkTrace(cfg Config, steps []Step, budget int) ([]Step, stress.Result, e
 	if !bestRes.Failed() {
 		return nil, stress.Result{}, errNotFailing
 	}
-	best := trimDefaults(steps)
-	try := func(cand []Step) ([]Step, bool) {
+	fails := func(cand []Step) ([]Step, bool) {
 		res, got, err := Replay(cfg, cand)
 		if err != nil || !res.Failed() {
 			return nil, false
@@ -38,74 +38,19 @@ func ShrinkTrace(cfg Config, steps []Step, budget int) ([]Step, stress.Result, e
 		bestRes = res
 		return trimDefaults(got[:min(len(got), len(cand))]), true
 	}
-	return shrinkSteps(best, try, budget), bestRes, nil
-}
-
-// shrinkSteps is the pure reduction engine under ShrinkTrace, split out so
-// the fuzz harness can drive it with a synthetic oracle. try re-executes a
-// candidate and returns (canonicalized trace, true) when the failure
-// survives; shrinkSteps guarantees it only keeps candidates try accepted
-// and that the result never grows.
-func shrinkSteps(steps []Step, try func([]Step) ([]Step, bool), budget int) []Step {
-	best := steps
-	attempt := func(cand []Step) bool {
-		if budget <= 0 {
-			return false
-		}
-		budget--
-		if got, ok := try(cand); ok && len(got) <= len(best) {
-			best = got
-			return true
-		}
-		return false
-	}
-
-	// Phase 1: halve the tail while the failure survives — replay pads the
-	// truncated region with default picks.
-	for k := len(best) / 2; k >= 1 && k < len(best); k /= 2 {
-		if !attempt(clone(best[:k])) {
-			break
-		}
-	}
-
-	// Phase 2: rewrite chunks of picks to the default, chunk size halving
-	// down to 1.
-	for size := len(best) / 2; size >= 1 && budget > 0; size /= 2 {
-		for off := 0; off < len(best) && budget > 0; {
-			cand := defaultChunk(best, off, size)
-			if cand != nil && attempt(cand) {
-				continue // canonicalization may have shortened best; re-test the offset
-			}
-			off += size
-		}
-	}
-	return best
+	return stress.Minimize(trimDefaults(steps), defaultChunk, fails, budget), bestRes, nil
 }
 
 // defaultChunk returns a copy of steps with [off:off+size] forced to the
 // default pick, or nil when the chunk already is all defaults.
 func defaultChunk(steps []Step, off, size int) []Step {
-	end := off + size
-	if end > len(steps) {
-		end = len(steps)
-	}
-	changed := false
-	for _, s := range steps[off:end] {
-		if s.Pick != 0 {
-			changed = true
-			break
-		}
-	}
-	if !changed {
+	chunk := steps[off:min(off+size, len(steps))]
+	if !slices.ContainsFunc(chunk, func(s Step) bool { return s.Pick != 0 }) {
 		return nil
 	}
-	out := clone(steps)
-	for i := off; i < end; i++ {
-		out[i].Pick = 0
+	out := slices.Clone(steps)
+	for i := range chunk {
+		out[off+i].Pick = 0
 	}
 	return out
-}
-
-func clone(steps []Step) []Step {
-	return append([]Step(nil), steps...)
 }

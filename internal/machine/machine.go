@@ -47,11 +47,12 @@ type Config struct {
 	Net           mesh.Params
 	CMMU          cmmu.Params
 	// Reliable overrides the reliability sublayer's policy. The sublayer
-	// itself is interposed automatically whenever cfg.Net.Fault is set (a
-	// lossy mesh without recovery would corrupt the coherence protocol);
-	// setting Reliable with a fault-free mesh forces it on anyway, which is
-	// how its overhead is measured in isolation. Nil means: absent unless
-	// faults demand it, defaults when they do.
+	// itself is interposed automatically whenever cfg.Net.Fault can drop,
+	// duplicate or reorder packets (a lossy mesh without recovery would
+	// corrupt the coherence protocol; jitter alone keeps FIFO and needs
+	// none); setting Reliable with a fault-free mesh forces it on anyway,
+	// which is how its overhead is measured in isolation. Nil means: absent
+	// unless faults demand it, defaults when they do.
 	Reliable *cmmu.RelParams
 }
 
@@ -79,12 +80,13 @@ type Machine struct {
 	St    *stats.Machine
 	Rel   *cmmu.Reliable // nil unless the reliability sublayer is interposed
 	Nodes []*Node
-	Trace *trace.Buffer      // nil unless EnableTrace was called
-	Prof  *metrics.Profiler  // nil unless EnableMetrics was called
+	Trace *trace.Buffer     // nil unless EnableTrace was called
+	Prof  *metrics.Profiler // nil unless EnableMetrics was called
 }
 
 // EnableTrace attaches an event trace buffer keeping the most recent cap
 // events from the memory system, the network interfaces and the runtime.
+//
 //alewife:engine-only
 func (m *Machine) EnableTrace(cap int) *trace.Buffer {
 	m.Trace = trace.New(cap)
@@ -104,6 +106,7 @@ func (m *Machine) EnableTrace(cap int) *trace.Buffer {
 // single nil branch. Metrics are pure bookkeeping — enabling them never
 // changes simulated timing, so determinism goldens hold either way.
 // Finalize the profiler with the engine's final Now() after the run.
+//
 //alewife:engine-only
 func (m *Machine) EnableMetrics() *metrics.Profiler {
 	m.Prof = metrics.New(m.Cfg.Nodes)
@@ -143,6 +146,7 @@ type Node struct {
 
 // StealCycles implements mem.ProcSink and cmmu.ProcSink; cycles charged
 // through it directly carry no attribution origin (tests use this).
+//
 //alewife:engine-only
 func (m *Machine) StealCycles(node int, cycles uint64) {
 	m.Nodes[node].stolen += cycles
@@ -194,13 +198,14 @@ func New(cfg Config) *Machine {
 	default:
 		m.Net = mesh.New(m.Eng, w, h, cfg.Net, m.St)
 	}
-	if cfg.Net.Fault != nil || cfg.Reliable != nil {
+	if cfg.Net.Fault.Lossy() || cfg.Reliable != nil {
 		// Interpose the reliability sublayer: every consumer above — the
 		// coherence fabric as much as the message unit — sends through
 		// m.Net, so wrapping it here restores exactly-once FIFO delivery
-		// for the whole machine. With faults off and no explicit Reliable,
-		// the layer is absent and the data path is byte-identical to a
-		// machine built before it existed.
+		// for the whole machine. With no lossy fault and no explicit
+		// Reliable, the layer is absent: a fault-free data path is
+		// byte-identical to a machine built before it existed, and a
+		// jitter-only run drives the raw protocol.
 		rp := cmmu.DefaultRelParams()
 		if cfg.Reliable != nil {
 			rp = *cfg.Reliable
@@ -228,6 +233,7 @@ func New(cfg Config) *Machine {
 // Run drives the simulation until the event queue drains; it panics with a
 // context dump if contexts remain blocked (deadlock in the simulated
 // program or a protocol bug).
+//
 //alewife:engine-only
 func (m *Machine) Run() {
 	m.Eng.Run()
@@ -245,6 +251,7 @@ func (m *Machine) Micros(cycles uint64) float64 {
 // Spawn starts body on node's processor at time `at` and returns its Proc.
 // The runtime system layers threads on top; tests and microbenchmarks use
 // Spawn directly.
+//
 //alewife:engine-only
 func (m *Machine) Spawn(node int, at sim.Time, name string, body func(*Proc)) *Proc {
 	p := &Proc{Node: m.Nodes[node], prof: m.Prof}

@@ -3,8 +3,10 @@ package machine_test
 import (
 	"testing"
 
+	"alewife/internal/cmmu"
 	"alewife/internal/machine"
 	"alewife/internal/mem"
+	"alewife/internal/mesh"
 	"alewife/internal/sim"
 )
 
@@ -219,5 +221,48 @@ func TestStolenCyclesDrainAtFlush(t *testing.T) {
 	m.Run()
 	if done != 55 {
 		t.Fatalf("finished at %d, want 55 (10+40+5)", done)
+	}
+}
+
+// noFaults is a FaultChooser that delivers every packet.
+type noFaults struct{}
+
+func (noFaults) ChooseFault(int, int, uint64) (int, uint64) { return mesh.FaultNone, 0 }
+
+// The reliability sublayer is interposed exactly when the wires can break
+// exactly-once FIFO delivery (a drop, dup or reorder rate, or a Chooser
+// that may pick one) or when cfg.Reliable asks for it; fault-free and
+// jitter-only machines drive the raw protocol.
+func TestReliableInterposition(t *testing.T) {
+	cases := []struct {
+		name     string
+		fault    *mesh.NetFault
+		reliable bool
+		want     bool
+	}{
+		{"fault-free", nil, false, false},
+		{"jitter-only", &mesh.NetFault{Seed: 1, Jitter: 100}, false, false},
+		{"drop", &mesh.NetFault{Seed: 1, Drop: 0.01}, false, true},
+		{"dup", &mesh.NetFault{Seed: 1, Dup: 0.01}, false, true},
+		{"reorder", &mesh.NetFault{Seed: 1, Reorder: 0.01}, false, true},
+		{"chooser", &mesh.NetFault{Chooser: noFaults{}}, false, true},
+		{"reliable-only", nil, true, true},
+	}
+	for _, topo := range []machine.Topology{machine.TopoMesh, machine.TopoIdeal} {
+		for _, tc := range cases {
+			cfg := machine.DefaultConfig(4)
+			cfg.Topology = topo
+			cfg.Net.Fault = tc.fault
+			if tc.reliable {
+				cfg.Reliable = &cmmu.RelParams{}
+			}
+			m := machine.New(cfg)
+			if got := m.Rel != nil; got != tc.want {
+				t.Errorf("topology %d, %s: reliability sublayer interposed = %v, want %v", topo, tc.name, got, tc.want)
+			}
+			if m.Rel != nil && m.Net != mesh.Network(m.Rel) {
+				t.Errorf("topology %d, %s: interposed sublayer is not the machine's network", topo, tc.name)
+			}
+		}
 	}
 }

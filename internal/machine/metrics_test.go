@@ -19,10 +19,10 @@ func metricsWorkload(m *machine.Machine) {
 		e.Elapse(40)
 	})
 	m.Spawn(0, 0, "w", func(p *machine.Proc) {
-		p.Elapse(200)   // compute
-		_ = p.Read(a)   // remote miss
-		_ = p.Read(a)   // hit
-		p.Write(a, 7)   // upgrade
+		p.Elapse(200) // compute
+		_ = p.Read(a) // remote miss
+		_ = p.Read(a) // hit
+		p.Write(a, 7) // upgrade
 		p.SendMessage(cmmu.Descriptor{Type: 99, Dst: 1, Ops: []uint64{1, 2}})
 		p.Flush()
 	})

@@ -41,6 +41,7 @@ type MPContext struct {
 // SpawnMulti starts bodies[i] on hardware context i of the given node at
 // time `at`. Context 0 begins with the pipeline; the rest run as stalls
 // hand it over. The returned MultiProc is inspectable after Machine.Run.
+//
 //alewife:engine-only
 func (m *Machine) SpawnMulti(node int, at sim.Time, bodies []func(*MPContext)) *MultiProc {
 	if len(bodies) == 0 {

@@ -51,10 +51,10 @@ func NewFabric(eng *sim.Engine, net mesh.Network, store *Store, p Params,
 	f.Ctrls = make([]*Ctrl, n)
 	for i := 0; i < n; i++ {
 		f.Ctrls[i] = &Ctrl{
-			f:    f,
-			node: i,
+			f:     f,
+			node:  i,
 			cache: NewCache(cacheSets, cacheWays),
-			txns: make([]*txn, 0, p.TxnLimit),
+			txns:  make([]*txn, 0, p.TxnLimit),
 		}
 	}
 	return f
@@ -211,6 +211,7 @@ func (c *Ctrl) findTxn(line Addr) *txn {
 
 // FastRead reports whether a read of a hits in this node's cache and
 // touches LRU if so.
+//
 //alewife:engine-only
 func (c *Ctrl) FastRead(a Addr) bool {
 	if c.cache.State(a) != Invalid {
@@ -222,6 +223,7 @@ func (c *Ctrl) FastRead(a Addr) bool {
 }
 
 // FastWrite reports whether a write to a hits exclusively and touches LRU.
+//
 //alewife:engine-only
 func (c *Ctrl) FastWrite(a Addr) bool {
 	if c.cache.State(a) == Exclusive {
@@ -238,6 +240,7 @@ func (c *Ctrl) FastWrite(a Addr) bool {
 
 // Read stalls ctx until the line containing a is readable in this node's
 // cache. The caller loads the value from the store afterwards.
+//
 //alewife:engine-only
 func (c *Ctrl) Read(ctx *sim.Context, a Addr) {
 	for {
@@ -254,6 +257,7 @@ func (c *Ctrl) Read(ctx *sim.Context, a Addr) {
 // then stores through to the Store. The exclusivity can in principle be
 // lost again in the same cycle; plain stores don't care (their value is
 // carried by the protocol), atomic sequences use AcquireExclusive.
+//
 //alewife:engine-only
 func (c *Ctrl) Write(ctx *sim.Context, a Addr) {
 	for {
@@ -281,6 +285,7 @@ func (c *Ctrl) Write(ctx *sim.Context, a Addr) {
 // now*, so the caller can perform a read-modify-write without any
 // intervening coherence action (the engine runs no events between the
 // return and the caller's next yield).
+//
 //alewife:engine-only
 func (c *Ctrl) AcquireExclusive(ctx *sim.Context, a Addr) {
 	for c.cache.State(a) != Exclusive {
@@ -354,6 +359,7 @@ func (tk FillTicket) Wait(ctx *sim.Context) {
 // use it to switch to another hardware context instead of stalling; the
 // caller must loop until the desired state holds, exactly like the
 // blocking paths. A Hit ticket means the access already hits.
+//
 //alewife:engine-only
 func (c *Ctrl) StartMiss(a Addr, want LState) FillTicket {
 	st := c.cache.State(a)
@@ -393,6 +399,7 @@ func (c *Ctrl) StartMiss(a Addr, want LState) FillTicket {
 // Prefetch issues a non-binding prefetch for the line containing a; excl
 // requests an exclusive (write) prefetch. It never blocks; when the
 // transaction buffer is full the prefetch is dropped, as on Alewife.
+//
 //alewife:engine-only
 func (c *Ctrl) Prefetch(a Addr, excl bool) {
 	line := a.Line()

@@ -1,5 +1,7 @@
 package mem
 
+import "alewife/internal/sim"
+
 // Protocol-state digests for the schedule explorer: a 64-bit fingerprint of
 // every protocol-visible datum — directory entries, cache tags and states,
 // outstanding transactions — used to recognize that two explored schedules
@@ -12,19 +14,11 @@ package mem
 // that differ only in timing still enable the same protocol transitions,
 // which is the equivalence pruning wants.
 
-// dmix is splitmix64's finalizer: the digest's per-entry scrambler.
-func dmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Digest fingerprints the whole memory system's protocol state.
 func (f *Fabric) Digest() uint64 {
 	h := uint64(0x416c6577696665) // "Alewife"
 	for _, c := range f.Ctrls {
-		h = dmix(h ^ c.digest())
+		h = sim.SplitMix64(h ^ c.digest())
 	}
 	return h
 }
@@ -32,7 +26,7 @@ func (f *Fabric) Digest() uint64 {
 // digest fingerprints one controller: cached lines, directory entries and
 // outstanding fills.
 func (c *Ctrl) digest() uint64 {
-	h := dmix(uint64(c.node) ^ 0xd16e57)
+	h := sim.SplitMix64(uint64(c.node) ^ 0xd16e57)
 
 	// Cache: which lines are resident in which state. Way position and LRU
 	// age only affect *when* future evictions happen, not what the protocol
@@ -47,24 +41,24 @@ func (c *Ctrl) digest() uint64 {
 		if l.pf {
 			x |= 1
 		}
-		sum += dmix(x)
+		sum += sim.SplitMix64(x)
 	}
-	h = dmix(h ^ sum)
+	h = sim.SplitMix64(h ^ sum)
 
 	// Directory: full entry state per line, sharer sets combined
 	// commutatively (the list's order is an insertion accident).
 	sum = 0
 	c.dir.each(func(line Addr, e *dirEntry) error {
-		x := dmix(uint64(line)) ^ dmix(uint64(e.state)<<40|uint64(uint32(e.owner+1))<<8)
+		x := sim.SplitMix64(uint64(line)) ^ sim.SplitMix64(uint64(e.state)<<40|uint64(uint32(e.owner+1))<<8)
 		if e.overflow {
-			x ^= dmix(0x0f10)
+			x ^= sim.SplitMix64(0x0f10)
 		}
 		var sh uint64
 		for _, s := range e.sharers {
-			sh += dmix(uint64(s) ^ 0x5a5a)
+			sh += sim.SplitMix64(uint64(s) ^ 0x5a5a)
 		}
 		x ^= sh
-		x ^= dmix(uint64(uint32(e.pendFrom+1))<<16 | uint64(uint32(e.pendAcks)))
+		x ^= sim.SplitMix64(uint64(uint32(e.pendFrom+1))<<16 | uint64(uint32(e.pendAcks)))
 		for i := e.defHead; i < len(e.deferred); i++ {
 			d := e.deferred[i]
 			w := uint64(0)
@@ -73,12 +67,12 @@ func (c *Ctrl) digest() uint64 {
 			}
 			// Deferred-queue order is protocol-visible (FIFO service), so
 			// fold it in positionally.
-			x = dmix(x ^ uint64(i-e.defHead)<<32 ^ uint64(uint32(d.from))<<1 ^ w)
+			x = sim.SplitMix64(x ^ uint64(i-e.defHead)<<32 ^ uint64(uint32(d.from))<<1 ^ w)
 		}
-		sum += dmix(x)
+		sum += sim.SplitMix64(x)
 		return nil
 	})
-	h = dmix(h ^ sum)
+	h = sim.SplitMix64(h ^ sum)
 
 	// Outstanding fills: line and wanted state; gen and gate are pooling
 	// artifacts.
@@ -88,9 +82,9 @@ func (c *Ctrl) digest() uint64 {
 		if t.prefetch {
 			x |= 1
 		}
-		sum += dmix(x)
+		sum += sim.SplitMix64(x)
 	}
-	return dmix(h ^ sum)
+	return sim.SplitMix64(h ^ sum)
 }
 
 // EventInfo implements sim.SinkInfo: a protocol event belongs to the

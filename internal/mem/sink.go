@@ -37,6 +37,7 @@ const (
 )
 
 // Fire implements sim.Sink: decode and dispatch one protocol event.
+//
 //alewife:hotpath
 func (f *Fabric) Fire(op uint32, p0, p1 uint64) {
 	c := f.Ctrls[op>>opNodeShift]

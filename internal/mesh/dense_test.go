@@ -7,18 +7,14 @@ import (
 )
 
 // TestPairStateBounded pins the fix for unbounded per-pair bookkeeping: the
-// injection and delivery floors are dense arrays sized by the machine
-// configuration (2 * n^2 words), so heavy traffic over many pairs cannot
-// grow them.
+// delivery floor is a dense array sized by the machine configuration (n^2
+// words), so heavy traffic over many pairs cannot grow it.
 func TestPairStateBounded(t *testing.T) {
 	eng := sim.NewEngine()
-	p := DefaultParams()
-	p.MaxJitter = 5 // exercise the lastInject floor too
-	p.JitterSeed = 1
-	m := New(eng, 4, 4, p, nil)
+	m := New(eng, 4, 4, jitterParams(5, 1), nil) // jitter exercises the FIFO clamp
 
 	n := m.Nodes()
-	want := 2 * n * n
+	want := n * n
 	if got := m.PairStateWords(); got != want {
 		t.Fatalf("pair state at construction: %d words, want %d", got, want)
 	}
@@ -28,7 +24,7 @@ func TestPairStateBounded(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		for src := 0; src < n; src++ {
 			for dst := 0; dst < n; dst++ {
-				m.Send(src, dst, 8, eng.Now(), func() { delivered++ })
+				send(m, src, dst, 8, eng.Now(), func() { delivered++ })
 			}
 		}
 		eng.Run()
@@ -38,71 +34,5 @@ func TestPairStateBounded(t *testing.T) {
 	}
 	if got := m.PairStateWords(); got != want {
 		t.Fatalf("pair state grew with traffic: %d words, want %d", got, want)
-	}
-}
-
-// sinkRec records SendMsg deliveries for comparison against Send.
-type sinkRec struct {
-	fires [][3]uint64
-	ats   []sim.Time
-	eng   *sim.Engine
-}
-
-func (s *sinkRec) Fire(op uint32, p0, p1 uint64) {
-	s.fires = append(s.fires, [3]uint64{uint64(op), p0, p1})
-	s.ats = append(s.ats, s.eng.Now())
-}
-
-// TestSendMsgMatchesSend asserts the pooled path is timing-identical to the
-// closure path: the same traffic pattern pushed through two meshes, one per
-// API, delivers at the same cycles in the same order.
-func TestSendMsgMatchesSend(t *testing.T) {
-	run := func(pooled bool) ([]sim.Time, []int) {
-		eng := sim.NewEngine()
-		p := DefaultParams()
-		p.MaxJitter = 3
-		p.JitterSeed = 7
-		m := New(eng, 4, 4, p, nil)
-		n := m.Nodes()
-		var ats []sim.Time
-		var order []int
-		rec := &sinkRec{eng: eng}
-		id := 0
-		for round := 0; round < 8; round++ {
-			for src := 0; src < n; src++ {
-				dst := (src*5 + round) % n
-				bytes := []int{8, 24, 96}[(src+round)%3]
-				pkt := id
-				id++
-				if pooled {
-					m.SendMsg(src, dst, bytes, eng.Now(), rec, uint32(pkt), 0, 0)
-				} else {
-					m.Send(src, dst, bytes, eng.Now(), func() {
-						ats = append(ats, eng.Now())
-						order = append(order, pkt)
-					})
-				}
-			}
-		}
-		eng.Run()
-		if pooled {
-			for i, f := range rec.fires {
-				ats = append(ats, rec.ats[i])
-				order = append(order, int(f[0]))
-			}
-		}
-		return ats, order
-	}
-
-	closureAts, closureOrder := run(false)
-	pooledAts, pooledOrder := run(true)
-	if len(closureAts) != len(pooledAts) {
-		t.Fatalf("delivery counts differ: closure %d, pooled %d", len(closureAts), len(pooledAts))
-	}
-	for i := range closureAts {
-		if closureAts[i] != pooledAts[i] || closureOrder[i] != pooledOrder[i] {
-			t.Fatalf("delivery %d diverged: closure (pkt %d at %d), pooled (pkt %d at %d)",
-				i, closureOrder[i], closureAts[i], pooledOrder[i], pooledAts[i])
-		}
 	}
 }

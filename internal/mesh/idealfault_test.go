@@ -34,7 +34,7 @@ func TestIdealFaultChooserDelegation(t *testing.T) {
 	eng, net := idealNet(2, &NetFault{Chooser: sc})
 	got := 0
 	for i := 0; i < 5; i++ {
-		net.Send(0, 1, 16, sim.Time(i)*100, func() { got++ })
+		send(net, 0, 1, 16, sim.Time(i)*100, func() { got++ })
 	}
 	eng.Run()
 	// 5 packets: deliver, drop, dup (2 copies), deliver, deliver = 5 arrivals.
@@ -70,7 +70,7 @@ func (c *countSink) Fire(op uint32, p0, p1 uint64) { c.fired++ }
 func TestResolveChooserOverridesSeed(t *testing.T) {
 	ft := &NetFault{Seed: 7, Drop: 1.0, Chooser: &scriptChooser{}}
 	for n := uint64(1); n <= 20; n++ {
-		if kind, _ := ft.Resolve(0, 1, n); kind != FaultNone {
+		if kind := ft.resolve(0, 1, n).kind; kind != FaultNone {
 			t.Fatalf("packet %d: kind %d, want FaultNone from chooser", n, kind)
 		}
 	}
@@ -84,7 +84,7 @@ func TestIdealSeededFaults(t *testing.T) {
 	got := 0
 	const n = 200
 	for i := 0; i < n; i++ {
-		net.Send(0, 1, 16, sim.Time(i)*100, func() { got++ })
+		send(net, 0, 1, 16, sim.Time(i)*100, func() { got++ })
 	}
 	eng.Run()
 	if got == 0 || got == n {
@@ -100,7 +100,7 @@ func TestIdealDupKeepsFIFO(t *testing.T) {
 	eng, net := idealNet(2, &NetFault{Chooser: sc})
 	var arrivals []sim.Time
 	for i := 0; i < 3; i++ {
-		net.Send(0, 1, 16, 0, func() { arrivals = append(arrivals, eng.Now()) })
+		send(net, 0, 1, 16, 0, func() { arrivals = append(arrivals, eng.Now()) })
 	}
 	eng.Run()
 	if len(arrivals) != 4 {

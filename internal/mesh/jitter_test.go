@@ -7,10 +7,11 @@ import (
 	"alewife/internal/sim"
 )
 
+// jitterParams perturbs timing only: a NetFault with injection jitter and
+// no drop, dup or reorder rate.
 func jitterParams(maxJitter, seed uint64) Params {
 	p := DefaultParams()
-	p.MaxJitter = maxJitter
-	p.JitterSeed = seed
+	p.Fault = &NetFault{Seed: seed, Jitter: maxJitter}
 	return p
 }
 
@@ -22,7 +23,7 @@ func TestJitterNeverEarly(t *testing.T) {
 		eng := sim.NewEngine()
 		m := New(eng, 4, 4, jitterParams(100, seed), nil)
 		var at sim.Time
-		m.Send(0, 15, 64, 0, func() { at = eng.Now() })
+		send(m, 0, 15, 64, 0, func() { at = eng.Now() })
 		eng.Run()
 		if at < base {
 			t.Fatalf("seed %d: jittered delivery %d before base %d", seed, at, base)
@@ -35,20 +36,28 @@ func TestJitterNeverEarly(t *testing.T) {
 
 func TestJitterPreservesPairFIFO(t *testing.T) {
 	// A burst of same-pair packets with different sizes must arrive in
-	// send order under any seed.
+	// send order under any seed, on the mesh and the ideal network alike.
 	for seed := uint64(1); seed < 8; seed++ {
 		eng := sim.NewEngine()
-		m := New(eng, 2, 1, jitterParams(300, seed), nil)
-		var order []int
-		sizes := []int{256, 8, 128, 8, 512, 16}
-		for i, sz := range sizes {
-			i := i
-			m.Send(0, 1, sz, 0, func() { order = append(order, i) })
-		}
-		eng.Run()
-		for i, v := range order {
-			if v != i {
-				t.Fatalf("seed %d: arrival order %v", seed, order)
+		p := jitterParams(300, seed)
+		for _, net := range []Network{
+			New(eng, 2, 1, p, nil),
+			&Ideal{Eng: eng, N: 2, Latency: 3, BytesPerCycle: 2, Fault: p.Fault},
+		} {
+			var order []int
+			sizes := []int{256, 8, 128, 8, 512, 16}
+			for i, sz := range sizes {
+				i := i
+				send(net, 0, 1, sz, 0, func() { order = append(order, i) })
+			}
+			eng.Run()
+			if len(order) != len(sizes) {
+				t.Fatalf("seed %d, %T: %d of %d packets arrived", seed, net, len(order), len(sizes))
+			}
+			for i, v := range order {
+				if v != i {
+					t.Fatalf("seed %d, %T: arrival order %v", seed, net, order)
+				}
 			}
 		}
 	}
@@ -60,7 +69,7 @@ func TestJitterDeterministicPerSeed(t *testing.T) {
 		m := New(eng, 4, 4, jitterParams(200, seed), nil)
 		var last sim.Time
 		for i := 0; i < 10; i++ {
-			m.Send(i%16, (i*7)%16, 32, 0, func() { last = eng.Now() })
+			send(m, i%16, (i*7)%16, 32, 0, func() { last = eng.Now() })
 		}
 		eng.Run()
 		return last
@@ -88,7 +97,7 @@ func TestPropertyJitterFIFO(t *testing.T) {
 			i := i
 			k := key{int(r) % 9, int(r>>4) % 9}
 			sent[k] = append(sent[k], i)
-			m.Send(k.s, k.d, int(r)%100+1, 0, func() {
+			send(m, k.s, k.d, int(r)%100+1, 0, func() {
 				got[k] = append(got[k], i)
 			})
 		}

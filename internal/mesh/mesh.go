@@ -33,19 +33,12 @@ type Params struct {
 	InjectDelay uint64 // source overhead to start driving the network
 	EjectDelay  uint64 // destination overhead before delivery fires
 
-	// MaxJitter > 0 injects a deterministic pseudo-random extra delay of
-	// [0, MaxJitter) cycles per packet (timing-fault injection). Per-pair
-	// FIFO delivery is still enforced, as the coherence protocol requires;
-	// only timing shifts. Results of properly synchronized programs must
-	// be unaffected — tests rely on that.
-	MaxJitter  uint64
-	JitterSeed uint64
-
-	// Fault, when non-nil, makes the mesh lossy: seeded per-packet drop,
-	// duplication and reordering (see NetFault). Unlike jitter, faults DO
-	// break per-pair FIFO and exactly-once delivery — consumers must run
-	// the reliability sublayer (cmmu.Reliable) on top, as machine.New does
-	// automatically. Nil injects nothing and costs one nil check.
+	// Fault, when non-nil, perturbs every packet from one seeded hash (see
+	// NetFault): injection jitter, which only shifts timing, and drops,
+	// duplicates and reorders, which break per-pair FIFO and exactly-once
+	// delivery — consumers must then run the reliability sublayer
+	// (cmmu.Reliable) on top, as machine.New does automatically. Nil
+	// injects nothing and costs one nil check.
 	Fault *NetFault
 }
 
@@ -63,15 +56,10 @@ func DefaultParams() Params {
 // Network is the interface the rest of the simulator speaks. Mesh is the
 // production implementation; Ideal exists for ablations.
 type Network interface {
-	// Send schedules delivery of a packet of `bytes` payload+header bytes
-	// from node src to node dst, departing no earlier than `at`. deliver is
-	// invoked as an engine event at the arrival time. Self-sends are legal
-	// and take a small loopback cost.
-	Send(src, dst int, bytes int, at sim.Time, deliver func())
-	// SendMsg is the pooled hot-path variant of Send: timing and ordering
-	// are identical, but delivery fires s.Fire(op, p0, p1) through a pooled
-	// typed event record instead of a heap-allocated closure. Per-message
-	// subsystems (the coherence protocol, the message unit) use this path.
+	// SendMsg schedules delivery of a packet of `bytes` payload+header
+	// bytes from node src to node dst, departing no earlier than `at`. At
+	// the arrival time s.Fire(op, p0, p1) runs as a pooled typed engine
+	// event. Self-sends are legal and take a small loopback cost.
 	SendMsg(src, dst int, bytes int, at sim.Time, s sim.Sink, op uint32, p0, p1 uint64)
 	// Nodes returns the number of endpoints.
 	Nodes() int
@@ -98,17 +86,12 @@ type Mesh struct {
 	// FIFO clamps, jitter), charged to the source node as overlay buckets.
 	Prof *metrics.Profiler
 
-	// Jitter state: packet counter and per-pair monotone injection floor.
-	// Per-pair state is dense — indexed src*Nodes()+dst and sized once at
-	// construction — so it never grows with traffic (a long run used to
-	// accrete map entries per communicating pair; now the footprint is fixed
-	// by the machine configuration).
-	pkts       uint64
-	faultPkts  uint64 // NetFault decision counter, independent of jitter
-	lastInject []sim.Time
+	faultPkts uint64 // packet ordinal the NetFault verdicts hash
 	// lastDeliver enforces point-to-point FIFO delivery for every pair;
 	// the routed path is naturally FIFO (monotone link reservations), but
-	// loopback packets of different sizes could otherwise overtake.
+	// jittered or loopback packets of different sizes could otherwise
+	// overtake. It is dense — indexed src*Nodes()+dst and sized once at
+	// construction — so it never grows with traffic.
 	lastDeliver []sim.Time
 }
 
@@ -132,16 +115,14 @@ func New(eng *Engine, w, h int, p Params, st *stats.Machine) *Mesh {
 	for d := range m.links {
 		m.links[d] = make([]link, w*h)
 	}
-	n := w * h
-	m.lastInject = make([]sim.Time, n*n)
-	m.lastDeliver = make([]sim.Time, n*n)
+	m.lastDeliver = make([]sim.Time, w*h*w*h)
 	return m
 }
 
 // PairStateWords reports the per-pair bookkeeping footprint in words. It is
 // a constant for a given machine size — tests assert it does not scale with
 // traffic.
-func (m *Mesh) PairStateWords() int { return len(m.lastInject) + len(m.lastDeliver) }
+func (m *Mesh) PairStateWords() int { return len(m.lastDeliver) }
 
 // NewTorus builds a W×H torus: the mesh plus wrap-around links, each
 // dimension routed the shorter way. A 1×N or N×1 torus is a ring.
@@ -210,45 +191,23 @@ func (m *Mesh) flits(bytes int) uint64 {
 	return f
 }
 
-// Send implements Network. Routing is X-first then Y, matching Alewife.
-//alewife:engine-only
-func (m *Mesh) Send(src, dst int, bytes int, at sim.Time, deliver func()) {
-	t := m.route(src, dst, bytes, at)
-	if m.p.Fault != nil {
-		deliverAt, dupAt, drop := m.fault(src, dst, t)
-		if drop {
-			return
-		}
-		if dupAt > 0 {
-			m.eng.At(dupAt, deliver)
-		}
-		t = deliverAt
-	}
-	m.eng.At(t, deliver)
-}
-
-// SendMsg implements Network: identical timing/ordering to Send, pooled
-// closure-free delivery.
+// SendMsg implements Network. Routing is X-first then Y, matching Alewife.
+//
 //alewife:engine-only
 func (m *Mesh) SendMsg(src, dst int, bytes int, at sim.Time, s sim.Sink, op uint32, p0, p1 uint64) {
-	t := m.route(src, dst, bytes, at)
-	if m.p.Fault != nil {
-		deliverAt, dupAt, drop := m.fault(src, dst, t)
-		if drop {
-			return
-		}
-		if dupAt > 0 {
-			m.eng.AtSink(dupAt, s, op, p0, p1)
-		}
-		t = deliverAt
+	if m.p.Fault == nil {
+		m.eng.AtSink(m.route(src, dst, bytes, at, 0), s, op, p0, p1)
+		return
 	}
-	m.eng.AtSink(t, s, op, p0, p1)
+	m.faultPkts++
+	f := m.p.Fault.resolve(src, dst, m.faultPkts)
+	f.land(m.eng, m.st, src, m.route(src, dst, bytes, at, f.jitter), s, op, p0, p1)
 }
 
-// route walks the packet across the mesh, reserving links, and returns the
-// FIFO-clamped delivery time. This is the whole cost model; Send and SendMsg
-// differ only in how the delivery event is represented.
-func (m *Mesh) route(src, dst int, bytes int, at sim.Time) sim.Time {
+// route walks the packet across the mesh, injected jitter cycles late,
+// reserving links, and returns the FIFO-clamped delivery time. This is
+// the whole cost model.
+func (m *Mesh) route(src, dst int, bytes int, at sim.Time, jitter uint64) sim.Time {
 	if src < 0 || src >= m.Nodes() || dst < 0 || dst >= m.Nodes() {
 		panic(fmt.Sprintf("mesh: send %d->%d outside 0..%d", src, dst, m.Nodes()-1))
 	}
@@ -261,18 +220,7 @@ func (m *Mesh) route(src, dst int, bytes int, at sim.Time) sim.Time {
 		m.st.Add(src, stats.NetFlits, int64(f))
 	}
 	at0 := at // requested departure; delay beyond unloaded time is queueing
-	if m.p.MaxJitter > 0 {
-		m.pkts++
-		h := (m.pkts*0x9e3779b97f4a7c15 + m.p.JitterSeed*0xbf58476d1ce4e5b9) ^ uint64(src*73+dst)
-		at += (h >> 33) % m.p.MaxJitter
-		// Keep per-pair injection monotone so jitter cannot reorder
-		// packets between the same endpoints.
-		pair := src*m.Nodes() + dst
-		if prev := m.lastInject[pair]; at <= prev {
-			at = prev + 1
-		}
-		m.lastInject[pair] = at
-	}
+	at += jitter
 	if src == dst {
 		// Loopback through the network interface without touching links.
 		t := m.fifo(src, dst, at+m.p.InjectDelay+m.p.EjectDelay+f*m.p.FlitCycles)
@@ -386,14 +334,14 @@ type Ideal struct {
 	// transit; the FIFO clamp is the only queueing an ideal network has.
 	Prof *metrics.Profiler
 
-	// Fault mirrors Mesh: when non-nil the ideal network is lossy too. The
-	// schedule explorer depends on this — it runs the protocol over Ideal
-	// (link contention would couple otherwise-independent packets) while
-	// still exploring drop/dup placements through NetFault.Chooser.
+	// Fault mirrors Mesh: when non-nil the ideal network is perturbed too.
+	// The schedule explorer depends on this — it runs the protocol over
+	// Ideal (link contention would couple otherwise-independent packets)
+	// while still exploring drop/dup placements through NetFault.Chooser.
 	Fault *NetFault
 
 	lastArrival []sim.Time // dense per-pair floor, sized N*N on first use
-	faultPkts   uint64     // NetFault decision counter
+	faultPkts   uint64     // packet ordinal the NetFault verdicts hash
 }
 
 // Nodes implements Network.
@@ -407,65 +355,31 @@ func (i *Ideal) Dist(src, dst int) int {
 	return 1
 }
 
-// Send implements Network.
-//alewife:engine-only
-func (i *Ideal) Send(src, dst int, bytes int, at sim.Time, deliver func()) {
-	t := i.arrival(src, dst, bytes, at)
-	if i.Fault != nil {
-		deliverAt, dupAt, drop := i.fault(src, dst, t)
-		if drop {
-			return
-		}
-		if dupAt > 0 {
-			i.Eng.At(dupAt, deliver)
-		}
-		t = deliverAt
-	}
-	i.Eng.At(t, deliver)
-}
-
-// SendMsg implements Network: same timing as Send, pooled delivery.
+// SendMsg implements Network, applying Fault exactly as Mesh does; an
+// ideal network has no stats wiring, so its faults go uncounted.
+//
 //alewife:engine-only
 func (i *Ideal) SendMsg(src, dst int, bytes int, at sim.Time, s sim.Sink, op uint32, p0, p1 uint64) {
-	t := i.arrival(src, dst, bytes, at)
-	if i.Fault != nil {
-		deliverAt, dupAt, drop := i.fault(src, dst, t)
-		if drop {
-			return
-		}
-		if dupAt > 0 {
-			i.Eng.AtSink(dupAt, s, op, p0, p1)
-		}
-		t = deliverAt
+	if i.Fault == nil {
+		i.Eng.AtSink(i.arrival(src, dst, bytes, at, 0), s, op, p0, p1)
+		return
 	}
-	i.Eng.AtSink(t, s, op, p0, p1)
-}
-
-// fault is Ideal's NetFault application: same verdict stream and delay
-// semantics as Mesh.fault (reorder delays land after the FIFO clamp), no
-// stats wiring.
-func (i *Ideal) fault(src, dst int, t sim.Time) (deliver, dup sim.Time, drop bool) {
 	i.faultPkts++
-	kind, delay := i.Fault.Resolve(src, dst, i.faultPkts)
-	switch kind {
-	case FaultDrop:
-		return 0, 0, true
-	case FaultDup:
-		return t, t + delay, false
-	case FaultReorder:
-		return t + delay, 0, false
-	}
-	return t, 0, false
+	f := i.Fault.resolve(src, dst, i.faultPkts)
+	f.land(i.Eng, nil, src, i.arrival(src, dst, bytes, at, f.jitter), s, op, p0, p1)
 }
 
-func (i *Ideal) arrival(src, dst int, bytes int, at sim.Time) sim.Time {
+// arrival is Ideal's cost model: constant latency plus serialization,
+// injected jitter cycles late, then the per-pair FIFO clamp.
+func (i *Ideal) arrival(src, dst int, bytes int, at sim.Time, jitter uint64) sim.Time {
 	if at < i.Eng.Now() {
 		at = i.Eng.Now()
 	}
-	t := at + i.Latency + i.PerByte*uint64(bytes)
+	unloaded := i.Latency + i.PerByte*uint64(bytes)
 	if i.BytesPerCycle > 0 {
-		t += uint64((bytes + i.BytesPerCycle - 1) / i.BytesPerCycle)
+		unloaded += uint64((bytes + i.BytesPerCycle - 1) / i.BytesPerCycle)
 	}
+	t := at + jitter + unloaded
 	if i.lastArrival == nil {
 		i.lastArrival = make([]sim.Time, i.N*i.N)
 	}
@@ -475,7 +389,6 @@ func (i *Ideal) arrival(src, dst int, bytes int, at sim.Time) sim.Time {
 	// the resume of the processor its grant just woke, livelocking the
 	// retry loop.
 	pair := src*i.N + dst
-	unloaded := uint64(t - at)
 	if prev := i.lastArrival[pair]; t <= prev {
 		t = prev + 1
 	}

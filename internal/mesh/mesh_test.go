@@ -8,6 +8,16 @@ import (
 	"alewife/internal/stats"
 )
 
+// sinkFunc adapts a closure to sim.Sink: the tests' delivery callback.
+type sinkFunc func()
+
+func (f sinkFunc) Fire(uint32, uint64, uint64) { f() }
+
+// send pushes one packet whose arrival runs f.
+func send(n Network, src, dst, bytes int, at sim.Time, f func()) {
+	n.SendMsg(src, dst, bytes, at, sinkFunc(f), 0, 0, 0)
+}
+
 func testMesh(w, h int) (*sim.Engine, *Mesh) {
 	eng := sim.NewEngine()
 	return eng, New(eng, w, h, DefaultParams(), stats.NewMachine(w*h))
@@ -49,7 +59,7 @@ func deliverTime(t *testing.T, w, h, src, dst, bytes int) sim.Time {
 	eng, m := testMesh(w, h)
 	var at sim.Time
 	done := false
-	m.Send(src, dst, bytes, 0, func() { at = eng.Now(); done = true })
+	send(m, src, dst, bytes, 0, func() { at = eng.Now(); done = true })
 	eng.Run()
 	if !done {
 		t.Fatalf("packet %d->%d never delivered", src, dst)
@@ -93,8 +103,8 @@ func TestLinkContentionSerializes(t *testing.T) {
 	// not arrive at the same time: the 0->1 link serializes them.
 	eng, m := testMesh(2, 1)
 	var times []sim.Time
-	m.Send(0, 1, 64, 0, func() { times = append(times, eng.Now()) })
-	m.Send(0, 1, 64, 0, func() { times = append(times, eng.Now()) })
+	send(m, 0, 1, 64, 0, func() { times = append(times, eng.Now()) })
+	send(m, 0, 1, 64, 0, func() { times = append(times, eng.Now()) })
 	eng.Run()
 	if len(times) != 2 {
 		t.Fatalf("deliveries: %d", len(times))
@@ -114,8 +124,8 @@ func TestDisjointPathsDoNotContend(t *testing.T) {
 	// 0->1 and 2->3 on a 4x1 mesh use different links: identical latency.
 	eng, m := testMesh(4, 1)
 	var t01, t23 sim.Time
-	m.Send(0, 1, 64, 0, func() { t01 = eng.Now() })
-	m.Send(2, 3, 64, 0, func() { t23 = eng.Now() })
+	send(m, 0, 1, 64, 0, func() { t01 = eng.Now() })
+	send(m, 2, 3, 64, 0, func() { t23 = eng.Now() })
 	eng.Run()
 	if t01 != t23 {
 		t.Fatalf("disjoint paths contended: %d vs %d", t01, t23)
@@ -125,8 +135,8 @@ func TestDisjointPathsDoNotContend(t *testing.T) {
 func TestOppositeDirectionsDoNotContend(t *testing.T) {
 	eng, m := testMesh(2, 1)
 	var a, b sim.Time
-	m.Send(0, 1, 64, 0, func() { a = eng.Now() })
-	m.Send(1, 0, 64, 0, func() { b = eng.Now() })
+	send(m, 0, 1, 64, 0, func() { a = eng.Now() })
+	send(m, 1, 0, 64, 0, func() { b = eng.Now() })
 	eng.Run()
 	if a != b {
 		t.Fatalf("east and west links contended: %d vs %d", a, b)
@@ -137,7 +147,7 @@ func TestSendInPastClamped(t *testing.T) {
 	eng, m := testMesh(2, 1)
 	fired := sim.Time(0)
 	eng.At(100, func() {
-		m.Send(0, 1, 8, 5, func() { fired = eng.Now() }) // departure in the past
+		send(m, 0, 1, 8, 5, func() { fired = eng.Now() }) // departure in the past
 	})
 	eng.Run()
 	if fired <= 100 {
@@ -152,7 +162,7 @@ func TestOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic for out-of-range destination")
 		}
 	}()
-	m.Send(0, 99, 8, 0, func() {})
+	send(m, 0, 99, 8, 0, func() {})
 	eng.Run()
 }
 
@@ -160,7 +170,7 @@ func TestIdealNetwork(t *testing.T) {
 	eng := sim.NewEngine()
 	n := &Ideal{Eng: eng, N: 4, Latency: 10, PerByte: 1}
 	var at sim.Time
-	n.Send(0, 3, 5, 0, func() { at = eng.Now() })
+	send(n, 0, 3, 5, 0, func() { at = eng.Now() })
 	eng.Run()
 	if at != 15 {
 		t.Fatalf("ideal latency %d, want 15", at)
@@ -180,11 +190,11 @@ func TestPropertyLatencyMonotone(t *testing.T) {
 		eng := sim.NewEngine()
 		m := New(eng, 4, 4, DefaultParams(), nil)
 		var small, big sim.Time
-		m.Send(src, dst, size, 0, func() { small = eng.Now() })
+		send(m, src, dst, size, 0, func() { small = eng.Now() })
 		eng.Run()
 		eng2 := sim.NewEngine()
 		m2 := New(eng2, 4, 4, DefaultParams(), nil)
-		m2.Send(src, dst, size+64, 0, func() { big = eng2.Now() })
+		send(m2, src, dst, size+64, 0, func() { big = eng2.Now() })
 		eng2.Run()
 		return small > 0 && big > small
 	}
@@ -206,7 +216,7 @@ func TestPropertyFlitAccounting(t *testing.T) {
 		for _, s := range sizes {
 			b := int(s)%256 + 1
 			want += int64((b + 1) / 2) // FlitBytes == 2
-			m.Send(0, 3, b, 0, func() {})
+			send(m, 0, 3, b, 0, func() {})
 		}
 		eng.Run()
 		return st.Global.Get(stats.NetFlits) == want &&

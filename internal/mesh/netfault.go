@@ -5,19 +5,20 @@ import (
 	"alewife/internal/stats"
 )
 
-// NetFault makes the mesh deterministically unreliable: each routed packet
-// is independently dropped, duplicated or reordered with the configured
-// probabilities, decided by a seeded hash of a per-mesh packet counter. The
-// same (seed, traffic) always misbehaves identically, so lossy runs replay
-// and shrink exactly like clean ones.
+// NetFault perturbs the network deterministically: each packet is delayed
+// by injection jitter and independently dropped, duplicated or reordered
+// with the configured probabilities, all decided by one seeded hash of a
+// per-network packet counter. The same (seed, traffic) always misbehaves
+// identically, so perturbed runs replay and shrink exactly like clean ones.
 //
 // A nil *NetFault — the normal case — injects nothing and costs one nil
-// check per packet, the same contract as mem.Fault and Params.MaxJitter.
-// The mesh itself stays oblivious to recovery: restoring exactly-once FIFO
-// delivery on top of a faulty mesh is the reliability sublayer's job
-// (cmmu.Reliable); running the coherence protocol over a faulty mesh
-// without it will corrupt protocol state, which is precisely what the
-// checker suite is paid to notice.
+// check per packet, the same contract as mem.Fault. Jitter alone keeps
+// per-pair FIFO, exactly-once delivery; drops, duplicates and reorders do
+// not. The network itself stays oblivious to recovery: restoring
+// exactly-once FIFO delivery on top of a lossy network is the reliability
+// sublayer's job (cmmu.Reliable); running the coherence protocol over a
+// lossy network without it will corrupt protocol state, which is
+// precisely what the checker suite is paid to notice.
 type NetFault struct {
 	Seed uint64 // decorrelates fault schedules between runs
 
@@ -31,11 +32,31 @@ type NetFault struct {
 	ReorderMax uint64
 	DupMax     uint64
 
+	// Jitter > 0 delays every packet's injection by a seeded [0, Jitter)
+	// cycles (timing-fault injection). The delay lands before routing, so
+	// the per-pair FIFO clamp still orders delivery: only timing shifts,
+	// and results of properly synchronized programs must be unaffected —
+	// tests rely on that.
+	Jitter uint64
+
 	// Chooser, when non-nil, replaces the seeded coin: every packet's fate
 	// is delegated to it instead of the probability fields above. The
 	// schedule explorer uses this to enumerate fault placements
 	// systematically rather than sampling them.
 	Chooser FaultChooser
+}
+
+// Lossy reports whether ft can break exactly-once FIFO delivery: a
+// nonzero drop, dup or reorder rate, or a Chooser. machine.New interposes
+// the reliability sublayer exactly when it can; jitter alone never needs
+// it.
+//
+//alewife:nil-safe
+func (ft *NetFault) Lossy() bool {
+	if ft == nil {
+		return false
+	}
+	return ft.Drop > 0 || ft.Dup > 0 || ft.Reorder > 0 || ft.Chooser != nil
 }
 
 // Fault verdicts, exported for FaultChooser implementations.
@@ -76,81 +97,70 @@ func (ft *NetFault) dupMax() uint64 {
 	return defaultDupMax
 }
 
-// mix is splitmix64's finalizer: a cheap, well-distributed packet hash.
-func mix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+// fate is one packet's NetFault outcome.
+type fate struct {
+	kind   int    // FaultNone, FaultDrop, FaultDup or FaultReorder
+	delay  uint64 // a duplicate's lag, or a reordered packet's extra delay
+	jitter uint64 // injection delay, added before routing
 }
 
-// verdict classifies packet n: the low half of the hash picks the fault
-// class, the high half parameterizes it (delay magnitudes).
-func (ft *NetFault) verdict(n uint64) (kind int, h uint64) {
-	h = mix(n ^ mix(ft.Seed))
+// resolve decides packet n's fate from the seeded hash of n: the low half
+// picks the fault class, the high half the fault's delay (1..max cycles),
+// and the hash modulo Jitter the injection jitter. An installed Chooser
+// decides the class and delay instead, a zero delay picking half the max;
+// jitter stays seeded.
+func (ft *NetFault) resolve(src, dst int, n uint64) fate {
+	h := sim.SplitMix64(n ^ sim.SplitMix64(ft.Seed))
+	var f fate
+	if ft.Jitter > 0 {
+		f.jitter = h % ft.Jitter
+	}
+	if ft.Chooser != nil {
+		f.kind, f.delay = ft.Chooser.ChooseFault(src, dst, n)
+		if f.delay == 0 {
+			switch f.kind {
+			case FaultDup:
+				f.delay = 1 + ft.dupMax()/2
+			case FaultReorder:
+				f.delay = 1 + ft.reorderMax()/2
+			}
+		}
+		return f
+	}
 	u := float64(h&0xffffffff) / (1 << 32) // uniform in [0,1)
 	switch {
 	case u < ft.Drop:
-		return FaultDrop, h
+		f.kind = FaultDrop
 	case u < ft.Drop+ft.Dup:
-		return FaultDup, h
+		f.kind, f.delay = FaultDup, 1+(h>>32)%ft.dupMax()
 	case u < ft.Drop+ft.Dup+ft.Reorder:
-		return FaultReorder, h
+		f.kind, f.delay = FaultReorder, 1+(h>>32)%ft.reorderMax()
 	}
-	return FaultNone, h
+	return f
 }
 
-// Resolve decides packet n's fate and delay: the Chooser decides when one
-// is installed, the seeded hash otherwise. Either way the delay magnitudes
-// match: 1..max cycles, default max derived the same way.
-func (ft *NetFault) Resolve(src, dst int, n uint64) (kind int, delay uint64) {
-	if ft.Chooser != nil {
-		kind, delay = ft.Chooser.ChooseFault(src, dst, n)
-		if delay == 0 {
-			switch kind {
-			case FaultDup:
-				delay = 1 + ft.dupMax()/2
-			case FaultReorder:
-				delay = 1 + ft.reorderMax()/2
-			}
-		}
-		return kind, delay
-	}
-	var h uint64
-	kind, h = ft.verdict(n)
-	switch kind {
-	case FaultDup:
-		delay = 1 + (h>>32)%ft.dupMax()
-	case FaultReorder:
-		delay = 1 + (h>>32)%ft.reorderMax()
-	}
-	return kind, delay
-}
-
-// fault applies the configured packet faults to a routed delivery time t.
-// It returns the (possibly delayed) delivery time, the second copy's time
-// for a duplicated packet (0 otherwise), and whether the packet is dropped.
-// Reorder delays are added after route's per-pair FIFO clamp, so a delayed
-// packet genuinely lands behind later traffic between the same endpoints.
-func (m *Mesh) fault(src, dst int, t sim.Time) (deliver, dup sim.Time, drop bool) {
-	m.faultPkts++
-	kind, delay := m.p.Fault.Resolve(src, dst, m.faultPkts)
-	switch kind {
+// land schedules a routed packet's delivery at t per its fate — none for a
+// drop, a second copy f.delay later for a dup, one f.delay late for a
+// reorder — and counts the fault against src in st (nil: uncounted).
+// Reorder delays land after the per-pair FIFO clamp, so a delayed packet
+// genuinely arrives behind later traffic between the same endpoints.
+func (f fate) land(eng *sim.Engine, st *stats.Machine, src int, t sim.Time, s sim.Sink, op uint32, p0, p1 uint64) {
+	switch f.kind {
 	case FaultDrop:
-		if m.st != nil {
-			m.st.Inc(src, stats.NetFaultDrops)
+		if st != nil {
+			st.Inc(src, stats.NetFaultDrops)
 		}
-		return 0, 0, true
+		return
 	case FaultDup:
-		if m.st != nil {
-			m.st.Inc(src, stats.NetFaultDups)
+		if st != nil {
+			st.Inc(src, stats.NetFaultDups)
 		}
-		return t, t + delay, false
+		eng.AtSink(t+f.delay, s, op, p0, p1)
 	case FaultReorder:
-		if m.st != nil {
-			m.st.Inc(src, stats.NetFaultReorders)
+		if st != nil {
+			st.Inc(src, stats.NetFaultReorders)
 		}
-		return t + delay, 0, false
+		t += f.delay
 	}
-	return t, 0, false
+	eng.AtSink(t, s, op, p0, p1)
 }

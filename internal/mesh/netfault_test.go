@@ -20,7 +20,7 @@ func faultyMesh(w, h int, ft *NetFault) (*sim.Engine, *Mesh, *stats.Machine) {
 func countDeliveries(eng *sim.Engine, m *Mesh, n int) int {
 	got := 0
 	for i := 0; i < n; i++ {
-		m.Send(0, 1, 16, sim.Time(i)*100, func() { got++ })
+		send(m, 0, 1, 16, sim.Time(i)*100, func() { got++ })
 	}
 	eng.Run()
 	return got
@@ -70,7 +70,7 @@ func TestNetFaultReorderOvertakesFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 100; i++ {
 		i := i
-		m.Send(0, 1, 16, sim.Time(i)*50, func() { order = append(order, i) })
+		send(m, 0, 1, 16, sim.Time(i)*50, func() { order = append(order, i) })
 	}
 	eng.Run()
 	if st.Global.Get(stats.NetFaultReorders) == 0 {
@@ -94,7 +94,7 @@ func TestNetFaultDeterministicPerSeed(t *testing.T) {
 		var order []int
 		for i := 0; i < 100; i++ {
 			i := i
-			m.Send(0, 1, 16, sim.Time(i)*50, func() { order = append(order, i) })
+			send(m, 0, 1, 16, sim.Time(i)*50, func() { order = append(order, i) })
 		}
 		eng.Run()
 		return order
@@ -128,13 +128,39 @@ func TestNetFaultVerdictRatesRoughlyMatch(t *testing.T) {
 	counts := map[int]int{}
 	const n = 100000
 	for i := uint64(1); i <= n; i++ {
-		k, _ := ft.verdict(i)
-		counts[k]++
+		counts[ft.resolve(0, 1, i).kind]++
 	}
 	for _, k := range []int{FaultDrop, FaultDup, FaultReorder} {
 		rate := float64(counts[k]) / n
 		if rate < 0.04 || rate > 0.06 {
 			t.Fatalf("verdict class %d rate %.4f, want ~0.05", k, rate)
 		}
+	}
+}
+
+// Jitter is drawn from the same per-packet hash as the loss verdicts
+// without disturbing them: adding it to a lossy fault leaves every
+// packet's verdict and delay unchanged, and the jitter values fill
+// [0, Jitter).
+func TestNetFaultJitterSharesVerdictStream(t *testing.T) {
+	lossy := &NetFault{Seed: 5, Drop: 0.1, Dup: 0.1, Reorder: 0.1}
+	jittered := *lossy
+	jittered.Jitter = 16
+	seen := map[uint64]bool{}
+	for n := uint64(1); n <= 4000; n++ {
+		a, b := lossy.resolve(0, 1, n), jittered.resolve(0, 1, n)
+		if a.jitter != 0 {
+			t.Fatalf("packet %d: jitter %d without NetFault.Jitter", n, a.jitter)
+		}
+		if a.kind != b.kind || a.delay != b.delay {
+			t.Fatalf("packet %d: jitter changed the verdict: %+v vs %+v", n, a, b)
+		}
+		if b.jitter >= jittered.Jitter {
+			t.Fatalf("packet %d: jitter %d outside [0, %d)", n, b.jitter, jittered.Jitter)
+		}
+		seen[b.jitter] = true
+	}
+	if len(seen) != int(jittered.Jitter) {
+		t.Fatalf("jitter took %d of %d values over 4000 packets", len(seen), jittered.Jitter)
 	}
 }

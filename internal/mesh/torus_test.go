@@ -13,7 +13,7 @@ func torusDeliverTime(t *testing.T, w, h, src, dst, bytes int) sim.Time {
 	m := NewTorus(eng, w, h, DefaultParams(), nil)
 	var at sim.Time
 	done := false
-	m.Send(src, dst, bytes, 0, func() { at = eng.Now(); done = true })
+	send(m, src, dst, bytes, 0, func() { at = eng.Now(); done = true })
 	eng.Run()
 	if !done {
 		t.Fatalf("torus packet %d->%d not delivered", src, dst)
@@ -74,12 +74,12 @@ func TestPropertyTorusNoWorse(t *testing.T) {
 		eng1 := sim.NewEngine()
 		m1 := New(eng1, 4, 4, DefaultParams(), nil)
 		var t1 sim.Time
-		m1.Send(src, dst, 32, 0, func() { t1 = eng1.Now() })
+		send(m1, src, dst, 32, 0, func() { t1 = eng1.Now() })
 		eng1.Run()
 		eng2 := sim.NewEngine()
 		m2 := NewTorus(eng2, 4, 4, DefaultParams(), nil)
 		var t2 sim.Time
-		m2.Send(src, dst, 32, 0, func() { t2 = eng2.Now() })
+		send(m2, src, dst, 32, 0, func() { t2 = eng2.Now() })
 		eng2.Run()
 		return t2 <= t1 && t2 > 0
 	}
@@ -98,8 +98,8 @@ func TestPropertyTorusPlanMatchesDist(t *testing.T) {
 		m := NewTorus(eng, 6, 4, DefaultParams(), nil)
 		// Latency difference vs a zero-hop send should scale with Dist.
 		var tA, tB sim.Time
-		m.Send(src, dst, 16, 0, func() { tA = eng.Now() })
-		m.Send(src, src, 16, 0, func() { tB = eng.Now() })
+		send(m, src, dst, 16, 0, func() { tA = eng.Now() })
+		send(m, src, src, 16, 0, func() { tB = eng.Now() })
 		eng.Run()
 		d := m.Dist(src, dst)
 		if src == dst {

@@ -80,6 +80,7 @@ func (b Bucket) Overlay() bool { return b >= DirPipeline && b < NumBuckets }
 // and therefore by one goroutine; counters are plain integers bumped on
 // the hot path with no allocation. A nil *Profiler is the disabled state:
 // every method no-ops on it (enforced by the nilrecv analyzer).
+//
 //alewife:nil-safe
 type Profiler struct {
 	counts  [][NumBuckets]uint64
@@ -105,6 +106,7 @@ func (p *Profiler) Nodes() int {
 
 // Add charges cycles to a bucket on a node. Nil-safe so cold call sites
 // can skip the guard; hot paths guard themselves and never reach a nil p.
+//
 //alewife:hotpath
 func (p *Profiler) Add(node int, b Bucket, cycles uint64) {
 	if p == nil || cycles == 0 || b < 0 {

@@ -15,7 +15,7 @@ import (
 // Message types owned by the stress harness.
 const (
 	msgMailbox = 100 + iota // Ops[0] = value for the sender's mailbox slot
-	msgBulk                  // gathers a hot line by DMA; lands in scratch
+	msgBulk                 // gathers a hot line by DMA; lands in scratch
 )
 
 // Result is the outcome of one stress execution. A run is a pure function of
@@ -121,12 +121,12 @@ func execute(cfg Config, prog [][]Op) Result {
 	if cfg.NetFault != nil {
 		ft := *cfg.NetFault // the config's schedule must survive re-Execute
 		if ft.Seed == 0 {
-			ft.Seed = splitmix64(cfg.Seed ^ 0xfa017b17)
+			ft.Seed = sim.SplitMix64(cfg.Seed ^ 0xfa017b17)
 		}
 		mcfg.Net.Fault = &ft
 		res.Lossy, res.NetSchedSeed = true, ft.Seed
 	}
-	if cfg.RelFault != nil && mcfg.Net.Fault == nil {
+	if cfg.RelFault != nil {
 		// Mutations need the sublayer present even over perfect wires.
 		rp := cmmu.DefaultRelParams()
 		mcfg.Reliable = &rp

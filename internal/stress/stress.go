@@ -26,6 +26,7 @@ import (
 	"alewife/internal/machine"
 	"alewife/internal/mem"
 	"alewife/internal/mesh"
+	"alewife/internal/sim"
 )
 
 // OpKind classifies one generated operation.
@@ -236,22 +237,14 @@ func (cfg *Config) counters() int {
 // Generate, it is a pure function of the seed.
 func LossFromSeed(seed uint64) *mesh.NetFault {
 	rate := func(salt uint64) float64 {
-		return 0.001 + float64(splitmix64(seed^salt)%19001)/1e6 // [0.1%, 2%]
+		return 0.001 + float64(sim.SplitMix64(seed^salt)%19001)/1e6 // [0.1%, 2%]
 	}
 	return &mesh.NetFault{
-		Seed:    splitmix64(seed ^ 0xfa017),
+		Seed:    sim.SplitMix64(seed ^ 0xfa017),
 		Drop:    rate(0xd809),
 		Dup:     rate(0xd00b),
 		Reorder: rate(0x4e04),
 	}
-}
-
-// splitmix64 decorrelates per-node generator streams from one seed.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // Generate produces the per-node op streams for a config. It is a pure
@@ -262,7 +255,7 @@ func Generate(cfg Config) [][]Op {
 	weights, total := cfg.mix()
 	prog := make([][]Op, cfg.Nodes)
 	for n := 0; n < cfg.Nodes; n++ {
-		rng := rand.New(rand.NewSource(int64(splitmix64(cfg.Seed ^ uint64(n)*0x9e3779b97f4a7c15 ^ 0xa5a5))))
+		rng := rand.New(rand.NewSource(int64(sim.SplitMix64(cfg.Seed ^ uint64(n)*0x9e3779b97f4a7c15 ^ 0xa5a5))))
 		ops := make([]Op, cfg.Ops)
 		for i := range ops {
 			ops[i] = genOp(cfg, weights, total, n, rng)

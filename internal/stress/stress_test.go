@@ -146,6 +146,21 @@ func TestShrinkConverges(t *testing.T) {
 	}
 }
 
+// The shrinker's last pass deletes single ops, including a node's only
+// one. A forget-sharer failure needs fewer ops than there are nodes, so a
+// shrink that stops at one op per node has skipped that pass.
+func TestShrinkDeletesSingleOps(t *testing.T) {
+	cfg := DefaultConfig(1)
+	cfg.MemFault = &mem.Fault{ForgetSharer: true}
+	prog, res := mustShrink(t, cfg, Generate(cfg), 0)
+	if !res.Failed() {
+		t.Fatal("shrunk program no longer fails")
+	}
+	if n := CountOps(prog); n >= cfg.Nodes {
+		t.Fatalf("shrunk to %d ops, want fewer than the %d nodes", n, cfg.Nodes)
+	}
+}
+
 // History-checker unit tests over hand-built (and hand-broken) histories:
 // the live run can't produce these shapes, so they are synthesized.
 func TestCheckHistory(t *testing.T) {

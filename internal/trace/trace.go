@@ -17,20 +17,20 @@ type Kind uint8
 
 // Event kinds.
 const (
-	KMiss      Kind = iota // processor missed; Arg = line address
-	KFill                  // fill granted; Arg = line address
-	KInval                 // line invalidated; Arg = line address
-	KRecall                // owner recalled; Arg = line address
-	KWriteback             // dirty eviction; Arg = line address
-	KMsgSend               // message launched; Arg = type
-	KMsgRecv               // handler ran; Arg = type
-	KSteal                 // task stolen; Arg = victim node
-	KDispatch              // thread dispatched; Arg = thread id
-	KSuspend               // thread suspended; Arg = thread id
-	KBarrier               // barrier episode completed; Arg = epoch
-	KCheckFail             // invariant checker fired; Arg = line address or 0
-	KRetransmit            // reliable sublayer resent a packet; Arg = sequence number
-	KDupDrop               // reliable sublayer discarded a duplicate; Arg = sequence number
+	KMiss       Kind = iota // processor missed; Arg = line address
+	KFill                   // fill granted; Arg = line address
+	KInval                  // line invalidated; Arg = line address
+	KRecall                 // owner recalled; Arg = line address
+	KWriteback              // dirty eviction; Arg = line address
+	KMsgSend                // message launched; Arg = type
+	KMsgRecv                // handler ran; Arg = type
+	KSteal                  // task stolen; Arg = victim node
+	KDispatch               // thread dispatched; Arg = thread id
+	KSuspend                // thread suspended; Arg = thread id
+	KBarrier                // barrier episode completed; Arg = epoch
+	KCheckFail              // invariant checker fired; Arg = line address or 0
+	KRetransmit             // reliable sublayer resent a packet; Arg = sequence number
+	KDupDrop                // reliable sublayer discarded a duplicate; Arg = sequence number
 	kMax
 )
 
@@ -58,6 +58,7 @@ type Event struct {
 // Buffer is a bounded event ring. The zero value is unusable; call New.
 // A nil *Buffer is a valid no-op sink: every method treats nil as the
 // disabled state (enforced by the nilrecv analyzer).
+//
 //alewife:nil-safe
 type Buffer struct {
 	ring    []Event
@@ -75,6 +76,7 @@ func New(cap int) *Buffer {
 }
 
 // Emit records an event; on a full buffer the oldest is dropped.
+//
 //alewife:hotpath
 func (b *Buffer) Emit(at uint64, node int, kind Kind, arg uint64) {
 	if b == nil {
