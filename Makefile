@@ -3,8 +3,8 @@
 #   make check     build, vet, gofmt (every Go file outside testdata/),
 #                  lint (the alewife-lint analyzer suite as
 #                  a go vet vettool: determinism, engine confinement,
-#                  pool discipline, hot-path allocs, counter registry,
-#                  nil-receiver guards — zero findings, no baseline),
+#                  pool discipline, hot-path allocs, nil-receiver
+#                  guards — zero findings, no baseline),
 #                  full test suite under the race detector, the e2ebench
 #                  module's own tests (tiny-scale sim_digests, metric
 #                  contract), then protocol stress smokes (8 seeds,

@@ -45,6 +45,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "-loss must be in [0, 0.5]")
 		return 2
 	}
+	if *nodes < 1 {
+		fmt.Fprintln(stderr, "-nodes must be at least 1")
+		return 2
+	}
 
 	fanout.WarnIfSerial(stderr, *parallel)
 

@@ -76,3 +76,18 @@ func TestNoActionExitsTwo(t *testing.T) {
 		t.Errorf("unknown flag: exit %d, want 2", code)
 	}
 }
+
+// Out-of-range flag values are reported in one line with exit 2 — never
+// as a panic.
+func TestOutOfRangeFlagsExitTwo(t *testing.T) {
+	for _, args := range [][]string{
+		{"-nodes", "0", "-experiment", "fig7"},
+		{"-nodes", "-3", "-list"},
+		{"-loss", "0.9", "-list"},
+	} {
+		out, errOut, code := runBench(t, args...)
+		if code != 2 || out != "" || strings.Count(errOut, "\n") != 1 {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 and one stderr line", args, code, out, errOut)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 // Command alewife-lint runs the simulator's static-analysis suite
 // (internal/analysis): engine confinement, determinism, pool discipline,
-// allocation-free hot paths, the counter registry, and nil-receiver
-// guards.
+// allocation-free hot paths, and nil-receiver guards.
 //
 // It has two front doors:
 //

@@ -99,6 +99,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *seeds < 1 {
+		fmt.Fprintln(stderr, "-seeds must be at least 1")
+		return 2
+	}
 
 	inject := func(*stress.Config) {}
 	if *fault != "" {

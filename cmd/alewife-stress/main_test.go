@@ -97,3 +97,17 @@ func TestBadFlagExitsTwo(t *testing.T) {
 		t.Errorf("unknown flag: exit %d, want 2", code)
 	}
 }
+
+// Out-of-range flag values are reported in one line with exit 2 — never
+// as a panic.
+func TestOutOfRangeFlagsExitTwo(t *testing.T) {
+	for _, args := range [][]string{
+		{"-seeds", "-1"},
+		{"-seeds", "0"},
+	} {
+		out, errOut, code := runStress(t, args...)
+		if code != 2 || out != "" || strings.Count(errOut, "\n") != 1 {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 and one stderr line", args, code, out, errOut)
+		}
+	}
+}

@@ -27,6 +27,10 @@ import (
 	"alewife/internal/mesh"
 )
 
+// jacobiGrid is the side of the jacobi workload's grid; the processor grid
+// mesh.Dims picks for -nodes must divide it.
+const jacobiGrid = 32
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -44,6 +48,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	netseed := fs.Uint64("netseed", 1, "fault-schedule seed for -loss")
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+
+	if *nodes < 1 {
+		fmt.Fprintln(stderr, "-nodes must be at least 1")
+		return 1
+	}
+	if *tail < 0 {
+		fmt.Fprintln(stderr, "-tail must not be negative")
+		return 1
+	}
+	if *workload == "jacobi" {
+		if pw, ph := mesh.Dims(*nodes); jacobiGrid%pw != 0 || jacobiGrid%ph != 0 {
+			fmt.Fprintf(stderr, "-workload jacobi: %d nodes form a %dx%d processor grid, which does not divide the %dx%d grid\n",
+				*nodes, pw, ph, jacobiGrid, jacobiGrid)
+			return 1
+		}
 	}
 
 	mode := alewife.Hybrid
@@ -75,8 +95,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		r := apps.GrainParallel(rt, 7, 100)
 		fmt.Fprintf(stdout, "grain depth 7, l=100, %v mode: sum=%d in %d cycles\n\n", mode, r.Sum, r.Cycles)
 	case "jacobi":
-		r := apps.Jacobi(rt, 32, 3)
-		fmt.Fprintf(stdout, "jacobi 32x32, 3 iters, %v mode: %d cycles/iter\n\n", mode, r.CyclesPerIter)
+		r := apps.Jacobi(rt, jacobiGrid, 3)
+		fmt.Fprintf(stdout, "jacobi %dx%d, 3 iters, %v mode: %d cycles/iter\n\n", jacobiGrid, jacobiGrid, mode, r.CyclesPerIter)
 	case "barrier":
 		rt.SPMD(func(p *machine.Proc) {
 			for i := 0; i < 3; i++ {

@@ -115,3 +115,19 @@ func TestAttribFlagPrintsBuckets(t *testing.T) {
 		}
 	}
 }
+
+// Out-of-range flag values are reported in one line with exit 1, before
+// any machine is built — never as a panic.
+func TestOutOfRangeFlagsExitOne(t *testing.T) {
+	for _, args := range [][]string{
+		{"-nodes", "0"},
+		{"-nodes", "-4", "-workload", "barrier"},
+		{"-tail", "-1", "-nodes", "2", "-workload", "barrier"},
+		{"-workload", "jacobi", "-nodes", "3"},
+	} {
+		out, errOut, code := runTrace(t, args...)
+		if code != 1 || out != "" || strings.Count(errOut, "\n") != 1 {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 1 and one stderr line", args, code, out, errOut)
+		}
+	}
+}

@@ -1,11 +1,11 @@
-// Package analysis is the simulator's static-analysis suite: six analyzers
+// Package analysis is the simulator's static-analysis suite: five analyzers
 // that enforce, at compile time, the rules the rest of the codebase states
 // only in comments and checks only at runtime (DESIGN §8–§13) — engine
 // confinement, deterministic output, pool discipline, allocation-free sink
-// paths, the counter registry, and the nil-receiver-no-op convention. The
-// paper's CMMU made illegal interactions between the message and
-// shared-memory paths structurally impossible in hardware; this package is
-// the equivalent for the Go reproduction.
+// paths, and the nil-receiver-no-op convention. The paper's CMMU made
+// illegal interactions between the message and shared-memory paths
+// structurally impossible in hardware; this package is the equivalent for
+// the Go reproduction.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Diagnostic) but is built on the standard library alone:
@@ -116,7 +116,6 @@ func (p *Pass) buildAllow() {
 // All returns the full suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		CounterReg,
 		Determinism,
 		EngineConfine,
 		NilRecv,

@@ -5,11 +5,11 @@ import (
 )
 
 // NilRecv enforces the nil-receiver-no-op convention: a type annotated
-// //alewife:nil-safe (trace.Buffer, metrics.Profiler) promises that a nil
-// pointer is its disabled state, so every exported method must begin with
-// a receiver nil guard — otherwise "disabled" works only for the methods
-// the author remembered, and the first cold-path call on a nil sink
-// panics deep inside a run.
+// //alewife:nil-safe (trace.Buffer, metrics.Profiler, stats.Machine)
+// promises that a nil pointer is its disabled state, so every exported
+// method must begin with a receiver nil guard — otherwise "disabled" works
+// only for the methods the author remembered, and the first cold-path call
+// on a nil sink panics deep inside a run.
 var NilRecv = &Analyzer{
 	Name: "nilrecv",
 	Doc:  "exported methods of //alewife:nil-safe types must open with a receiver nil guard",

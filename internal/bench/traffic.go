@@ -33,7 +33,7 @@ func runTraffic(cfg Config, w io.Writer) {
 	}
 	counters := []struct {
 		label string
-		key   string
+		key   stats.ID
 	}{
 		{"coherence msgs", stats.ProtoMsgs},
 		{"invalidation rounds", stats.ProtoInvals},

@@ -96,9 +96,7 @@ func (e *Env) Storeback(base mem.Addr, words []uint64) {
 	for i, w := range words {
 		e.cm.store.Write(base+mem.Addr(i), w)
 	}
-	if e.cm.st != nil {
-		e.cm.st.Add(e.cm.node, stats.DMAWords, int64(len(words)))
-	}
+	e.cm.st.Add(e.cm.node, stats.DMAWords, int64(len(words)))
 }
 
 // Reply sends a message from inside the handler (interrupt level), charging
@@ -247,10 +245,8 @@ func (c *CMMU) inject(d Descriptor, at sim.Time) {
 		}
 	}
 	bytes := c.p.HeaderBytes + mem.WordBytes*(len(env.Ops)+len(env.Data))
-	if c.st != nil {
-		c.st.Inc(c.node, stats.MsgsSent)
-		c.st.Add(c.node, stats.MsgWords, int64(len(env.Ops)+len(env.Data)))
-	}
+	c.st.Inc(c.node, stats.MsgsSent)
+	c.st.Add(c.node, stats.MsgWords, int64(len(env.Ops)+len(env.Data)))
 	c.Trace.Emit(at, c.node, trace.KMsgSend, uint64(d.Type))
 	c.net.SendMsg(c.node, d.Dst, bytes, at+flush, dst, opEnvArrive, uint64(env.id), 0)
 }
@@ -300,9 +296,7 @@ func (c *CMMU) arrive(env *Env) {
 	if h == nil {
 		panic(fmt.Sprintf("cmmu: node %d has no handler for message type %d", c.node, env.Type))
 	}
-	if c.st != nil {
-		c.st.Inc(c.node, stats.MsgsRecv)
-	}
+	c.st.Inc(c.node, stats.MsgsRecv)
 	c.Trace.Emit(now, c.node, trace.KMsgRecv, uint64(env.Type))
 	c.Check.handlerStart(c, env.Type)
 	env.cm = c
@@ -315,7 +309,5 @@ func (c *CMMU) arrive(env *Env) {
 	if c.sink != nil {
 		c.sink.StealCycles(c.node, total)
 	}
-	if c.st != nil {
-		c.st.Add(c.node, stats.IntStolenCycles, int64(total))
-	}
+	c.st.Add(c.node, stats.IntStolenCycles, int64(total))
 }

@@ -284,9 +284,7 @@ func (r *Reliable) dataArrive(pair int, seq uint64) {
 	if seq >= ps.recvNext+uint64(r.p.Window) {
 		// Beyond the reorder window: unbuffered, the retransmit machinery
 		// will bring it around again once the window has advanced.
-		if r.st != nil {
-			r.st.Inc(dst, stats.RelWindowDrops)
-		}
+		r.st.Inc(dst, stats.RelWindowDrops)
 		r.sendAck(pair, ps, now)
 		return
 	}
@@ -323,9 +321,7 @@ func (r *Reliable) dataArrive(pair int, seq uint64) {
 
 // dupDrop records one discarded duplicate.
 func (r *Reliable) dupDrop(node int, seq uint64, now sim.Time) {
-	if r.st != nil {
-		r.st.Inc(node, stats.RelDupDrops)
-	}
+	r.st.Inc(node, stats.RelDupDrops)
 	r.Trace.Emit(now, node, trace.KDupDrop, seq)
 }
 
@@ -335,9 +331,7 @@ func (r *Reliable) sendAck(pair int, ps *relPair, now sim.Time) {
 		return // mutation: the sender hears nothing, ever
 	}
 	src, dst := r.pairNodes(pair)
-	if r.st != nil {
-		r.st.Inc(dst, stats.RelAcks)
-	}
+	r.st.Inc(dst, stats.RelAcks)
 	r.net.SendMsg(dst, src, r.p.AckBytes, now, r, opRelAck, uint64(pair), ps.recvNext)
 }
 
@@ -375,9 +369,7 @@ func (r *Reliable) timerFire(pair int, gen uint64) {
 	}
 	src, dst := r.pairNodes(pair)
 	now := r.eng.Now()
-	if r.st != nil {
-		r.st.Inc(src, stats.RelTimeouts)
-	}
+	r.st.Inc(src, stats.RelTimeouts)
 	if r.Prof != nil {
 		r.Prof.Add(src, metrics.RelStall, ps.rto)
 	}
@@ -398,9 +390,7 @@ func (r *Reliable) timerFire(pair int, gen uint64) {
 	}
 	for i := 0; i < limit; i++ {
 		seq := ps.base + uint64(i)
-		if r.st != nil {
-			r.st.Inc(src, stats.RelRetransmits)
-		}
+		r.st.Inc(src, stats.RelRetransmits)
 		r.Trace.Emit(now, src, trace.KRetransmit, seq)
 		r.net.SendMsg(src, dst, ps.pending[i].bytes+r.p.SeqBytes, now, r, opRelData, uint64(pair), seq)
 	}
@@ -415,9 +405,7 @@ func (r *Reliable) timerFire(pair int, gen uint64) {
 func (r *Reliable) violate(node int, at sim.Time, format string, args ...interface{}) {
 	v := Violation{At: at, Node: node, Msg: fmt.Sprintf(format, args...)}
 	r.violations = append(r.violations, v)
-	if r.st != nil {
-		r.st.Inc(node, stats.CheckViolations)
-	}
+	r.st.Inc(node, stats.CheckViolations)
 	r.Trace.Emit(at, node, trace.KCheckFail, 0)
 	if r.OnViolation != nil {
 		r.OnViolation(v)

@@ -79,7 +79,7 @@ func TestReliableZeroLossIsQuiet(t *testing.T) {
 	if err := r.Quiesce(); err != nil {
 		t.Fatalf("quiesce: %v", err)
 	}
-	for _, c := range []string{stats.RelRetransmits, stats.RelTimeouts, stats.RelDupDrops, stats.RelWindowDrops} {
+	for _, c := range []stats.ID{stats.RelRetransmits, stats.RelTimeouts, stats.RelDupDrops, stats.RelWindowDrops} {
 		if v := st.Global.Get(c); v != 0 {
 			t.Fatalf("%s = %d on a perfect network", c, v)
 		}

@@ -5,6 +5,7 @@ import (
 
 	"alewife/internal/machine"
 	"alewife/internal/sim"
+	"alewife/internal/stats"
 )
 
 func TestBarrierSingleNodeTrivial(t *testing.T) {
@@ -109,7 +110,7 @@ func TestBarrierCountsEpisodes(t *testing.T) {
 		rt.Barrier().Sync(p)
 		rt.Barrier().Sync(p)
 	})
-	if got := rt.M.St.Global.Get("rts.barriers"); got != 8 {
+	if got := rt.M.St.Global.Get(stats.BarrierEpisodes); got != 8 {
 		t.Fatalf("barrier episodes counted = %d, want 8 (4 nodes x 2)", got)
 	}
 }

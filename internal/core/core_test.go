@@ -5,6 +5,7 @@ import (
 
 	"alewife/internal/machine"
 	"alewife/internal/mem"
+	"alewife/internal/stats"
 )
 
 func newRT(nodes int, mode Mode) *RT {
@@ -65,7 +66,7 @@ func TestForkJoinTreeParallel(t *testing.T) {
 		if v != 64 {
 			t.Fatalf("tree sum = %d, want 64", v)
 		}
-		if got := rt.M.St.Global.Get("rts.threads_stolen"); got == 0 {
+		if got := rt.M.St.Global.Get(stats.ThreadsStolen); got == 0 {
 			t.Fatalf("%s: no steals happened on 8 nodes with 64 leaves", mode)
 		}
 	})

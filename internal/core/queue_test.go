@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"alewife/internal/machine"
+	"alewife/internal/stats"
 )
 
 // queueHarness drives one smQueue from a single proc context.
@@ -258,10 +259,10 @@ func TestSpinLockBackoffCounters(t *testing.T) {
 		l.Release(p)
 	})
 	m.Run()
-	if m.St.Global.Get("rts.lock_acquisitions") != 2 {
-		t.Fatalf("acquisitions = %d, want 2", m.St.Global.Get("rts.lock_acquisitions"))
+	if m.St.Global.Get(stats.LockAcquisitions) != 2 {
+		t.Fatalf("acquisitions = %d, want 2", m.St.Global.Get(stats.LockAcquisitions))
 	}
-	if m.St.Global.Get("rts.lock_spins") == 0 {
+	if m.St.Global.Get(stats.LockSpins) == 0 {
 		t.Fatal("contended acquire recorded no spins")
 	}
 }

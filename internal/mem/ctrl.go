@@ -64,14 +64,8 @@ func (f *Fabric) steal(node int, cyc uint64) {
 	if f.Sink != nil && cyc > 0 {
 		f.Sink.StealCycles(node, cyc)
 	}
-	if f.St != nil && cyc > 0 {
+	if cyc > 0 {
 		f.St.Add(node, stats.DirSWTrapCycles, int64(cyc))
-	}
-}
-
-func (f *Fabric) count(node int, name string) {
-	if f.St != nil {
-		f.St.Inc(node, name)
 	}
 }
 
@@ -216,7 +210,7 @@ func (c *Ctrl) findTxn(line Addr) *txn {
 func (c *Ctrl) FastRead(a Addr) bool {
 	if c.cache.State(a) != Invalid {
 		c.cache.Touch(a)
-		c.f.count(c.node, stats.CacheHits)
+		c.f.St.Inc(c.node, stats.CacheHits)
 		return true
 	}
 	return false
@@ -228,7 +222,7 @@ func (c *Ctrl) FastRead(a Addr) bool {
 func (c *Ctrl) FastWrite(a Addr) bool {
 	if c.cache.State(a) == Exclusive {
 		c.cache.Touch(a)
-		c.f.count(c.node, stats.CacheHits)
+		c.f.St.Inc(c.node, stats.CacheHits)
 		return true
 	}
 	return false
@@ -248,7 +242,7 @@ func (c *Ctrl) Read(ctx *sim.Context, a Addr) {
 			c.cache.Touch(a)
 			return
 		}
-		c.f.count(c.node, stats.CacheMisses)
+		c.f.St.Inc(c.node, stats.CacheMisses)
 		c.miss(ctx, a, Shared)
 	}
 }
@@ -266,7 +260,7 @@ func (c *Ctrl) Write(ctx *sim.Context, a Addr) {
 			return
 		}
 		if c.cache.State(a) == Shared {
-			c.f.count(c.node, stats.CacheUpgrades)
+			c.f.St.Inc(c.node, stats.CacheUpgrades)
 			if c.cache.Prefetched(a) {
 				// The copy sits in the transaction store: retire it and
 				// re-issue the write (Alewife prefetch-then-write artifact).
@@ -275,7 +269,7 @@ func (c *Ctrl) Write(ctx *sim.Context, a Addr) {
 				continue
 			}
 		} else {
-			c.f.count(c.node, stats.CacheMisses)
+			c.f.St.Inc(c.node, stats.CacheMisses)
 		}
 		c.miss(ctx, a, Exclusive)
 	}
@@ -303,7 +297,7 @@ func (c *Ctrl) miss(ctx *sim.Context, a Addr, want LState) {
 		// is in flight waits for the fill and retries.
 		if t.prefetch {
 			t.prefetch = false
-			c.f.count(c.node, stats.PrefetchUseful)
+			c.f.St.Inc(c.node, stats.PrefetchUseful)
 		}
 		t.gate.Wait(ctx)
 		return
@@ -376,15 +370,15 @@ func (c *Ctrl) StartMiss(a Addr, want LState) FillTicket {
 		return FillTicket{g: g}
 	}
 	if st == Shared && want == Exclusive {
-		c.f.count(c.node, stats.CacheUpgrades)
+		c.f.St.Inc(c.node, stats.CacheUpgrades)
 	} else {
-		c.f.count(c.node, stats.CacheMisses)
+		c.f.St.Inc(c.node, stats.CacheMisses)
 	}
 	line := a.Line()
 	if t := c.findTxn(line); t != nil {
 		if t.prefetch {
 			t.prefetch = false
-			c.f.count(c.node, stats.PrefetchUseful)
+			c.f.St.Inc(c.node, stats.PrefetchUseful)
 		}
 		return FillTicket{t: t, g: &t.gate, gen: t.gen}
 	}
@@ -417,7 +411,7 @@ func (c *Ctrl) Prefetch(a Addr, excl bool) {
 	if len(c.txns) >= c.f.P.TxnLimit {
 		return // buffer full: drop
 	}
-	c.f.count(c.node, stats.Prefetches)
+	c.f.St.Inc(c.node, stats.Prefetches)
 	c.start(line, want, true)
 }
 
@@ -444,7 +438,7 @@ func (c *Ctrl) start(line Addr, want LState, prefetch bool) *txn {
 		// after the requester-side issue cost.
 		eng.AtSink(eng.Now()+c.f.P.LocalMiss, c.f, op, uint64(line), uint64(c.node))
 	} else {
-		c.f.count(c.node, stats.ProtoMsgs)
+		c.f.St.Inc(c.node, stats.ProtoMsgs)
 		c.f.Net.SendMsg(c.node, h, c.f.P.ReqBytes, eng.Now()+c.f.P.LocalMiss,
 			c.f, op, uint64(line), uint64(c.node))
 	}
@@ -469,7 +463,7 @@ func (c *Ctrl) grantArrive(line Addr, granted LState) {
 	if vstate == Exclusive {
 		c.writeback(victim)
 	} else if vstate == Shared {
-		c.f.count(c.node, stats.CacheEvictions)
+		c.f.St.Inc(c.node, stats.CacheEvictions)
 	}
 	c.cache.SetPrefetched(line, t.prefetch && granted == Shared)
 	c.txns = append(c.txns[:ti], c.txns[ti+1:]...)
@@ -492,7 +486,7 @@ func (c *Ctrl) grantArrive(line Addr, granted LState) {
 // writeback sends a dirty victim home.
 func (c *Ctrl) writeback(line Addr) {
 	c.f.Trace.Emit(c.f.Eng.Now(), c.node, trace.KWriteback, uint64(line))
-	c.f.count(c.node, stats.CacheWritebacks)
+	c.f.St.Inc(c.node, stats.CacheWritebacks)
 	c.f.Check.wbSent(c.node, line)
 	if c.f.Fault.dropWriteback() {
 		return
@@ -502,7 +496,7 @@ func (c *Ctrl) writeback(line Addr) {
 		c.f.Ctrls[h].wbArrive(line, c.node)
 		return
 	}
-	c.f.count(c.node, stats.ProtoMsgs)
+	c.f.St.Inc(c.node, stats.ProtoMsgs)
 	c.f.Net.SendMsg(c.node, h, c.f.P.DataBytes, c.f.Eng.Now(),
 		c.f, opWB|uint32(h)<<opNodeShift, uint64(line), uint64(c.node))
 }
@@ -605,7 +599,7 @@ func (c *Ctrl) serveWrite(line Addr, e *dirEntry, from int) {
 		if hadLine {
 			e.owner = from // sentinel: upgrade, no data needed
 		}
-		c.f.count(c.node, stats.ProtoInvals)
+		c.f.St.Inc(c.node, stats.ProtoInvals)
 		// The fan-out recomputes its target list (sharers minus pendFrom) at
 		// slot-start; dPendInv freezes the sharer list until then.
 		c.occupyOp(c.f.P.DirCycles+sw, opDirFanout, line, 0)
@@ -635,7 +629,7 @@ func (c *Ctrl) addSharer(e *dirEntry, n int) (sw uint64) {
 	}
 	if !e.overflow {
 		e.overflow = true
-		c.f.count(c.node, stats.DirOverflows)
+		c.f.St.Inc(c.node, stats.DirOverflows)
 		if e.ovList == 0 {
 			e.ovList = c.f.Store.AllocOn(c.node, uint64(c.f.Net.Nodes()))
 		}
@@ -668,7 +662,7 @@ func (c *Ctrl) sendGrant(line Addr, to int, st LState, withData bool, at sim.Tim
 		c.f.Eng.AtSink(at, c.f, op, uint64(line), 0)
 		return
 	}
-	c.f.count(c.node, stats.ProtoMsgs)
+	c.f.St.Inc(c.node, stats.ProtoMsgs)
 	c.f.Net.SendMsg(c.node, to, bytes, at, c.f, op, uint64(line), 0)
 }
 
@@ -685,7 +679,7 @@ func (c *Ctrl) invArrive(line Addr) {
 		c.f.Ctrls[h].invAckArrive(line, c.node)
 		return
 	}
-	c.f.count(c.node, stats.ProtoMsgs)
+	c.f.St.Inc(c.node, stats.ProtoMsgs)
 	c.f.Net.SendMsg(c.node, h, c.f.P.CtlBytes, c.f.Eng.Now(),
 		c.f, opInvAck|uint32(h)<<opNodeShift, uint64(line), uint64(c.node))
 }
@@ -740,7 +734,7 @@ func (c *Ctrl) recallArrive(line Addr, forWrite bool) {
 		c.f.Ctrls[h].recallDataArrive(line, c.node)
 		return
 	}
-	c.f.count(c.node, stats.ProtoMsgs)
+	c.f.St.Inc(c.node, stats.ProtoMsgs)
 	c.f.Net.SendMsg(c.node, h, c.f.P.DataBytes, c.f.Eng.Now(),
 		c.f, opRecallData|uint32(h)<<opNodeShift, uint64(line), uint64(c.node))
 }

@@ -104,7 +104,7 @@ func (c *Ctrl) sendCtl(to int, at sim.Time, op uint32, line Addr, p1 uint64) {
 		c.f.Eng.AtSink(at, c.f, op, uint64(line), p1)
 		return
 	}
-	c.f.count(c.node, stats.ProtoMsgs)
+	c.f.St.Inc(c.node, stats.ProtoMsgs)
 	c.f.Net.SendMsg(c.node, to, c.f.P.CtlBytes, at, c.f, op, uint64(line), p1)
 }
 

@@ -215,16 +215,14 @@ func (m *Mesh) route(src, dst int, bytes int, at sim.Time, jitter uint64) sim.Ti
 		at = m.eng.Now()
 	}
 	f := m.flits(bytes)
-	if m.st != nil {
-		m.st.Inc(src, stats.NetPackets)
-		m.st.Add(src, stats.NetFlits, int64(f))
-	}
+	m.st.Inc(src, stats.NetPackets)
+	m.st.Add(src, stats.NetFlits, int64(f))
 	at0 := at // requested departure; delay beyond unloaded time is queueing
 	at += jitter
 	if src == dst {
 		// Loopback through the network interface without touching links.
 		t := m.fifo(src, dst, at+m.p.InjectDelay+m.p.EjectDelay+f*m.p.FlitCycles)
-		m.account(src, t-at)
+		m.st.Add(src, stats.NetPacketCycles, int64(t-at))
 		m.profNet(src, uint64(t-at0), m.p.InjectDelay+m.p.EjectDelay+f*m.p.FlitCycles)
 		return t
 	}
@@ -263,7 +261,7 @@ func (m *Mesh) route(src, dst int, bytes int, at sim.Time, jitter uint64) sim.Ti
 		}
 	}
 	t := m.fifo(src, dst, head+f*m.p.FlitCycles+m.p.EjectDelay)
-	m.account(src, t-at)
+	m.st.Add(src, stats.NetPacketCycles, int64(t-at))
 	m.profNet(src, uint64(t-at0),
 		m.p.InjectDelay+uint64(m.Dist(src, dst))*m.p.RouterDelay+f*m.p.FlitCycles+m.p.EjectDelay)
 	return t
@@ -307,12 +305,6 @@ func (m *Mesh) plan(c, d, n int) (steps int, forward bool) {
 		return back, false
 	}
 	return fwd, true
-}
-
-func (m *Mesh) account(src int, cycles uint64) {
-	if m.st != nil {
-		m.st.Add(src, stats.NetPacketCycles, int64(cycles))
-	}
 }
 
 // Ideal is a contention-free constant-latency network used for ablation

@@ -147,19 +147,13 @@ func (ft *NetFault) resolve(src, dst int, n uint64) fate {
 func (f fate) land(eng *sim.Engine, st *stats.Machine, src int, t sim.Time, s sim.Sink, op uint32, p0, p1 uint64) {
 	switch f.kind {
 	case FaultDrop:
-		if st != nil {
-			st.Inc(src, stats.NetFaultDrops)
-		}
+		st.Inc(src, stats.NetFaultDrops)
 		return
 	case FaultDup:
-		if st != nil {
-			st.Inc(src, stats.NetFaultDups)
-		}
+		st.Inc(src, stats.NetFaultDups)
 		eng.AtSink(t+f.delay, s, op, p0, p1)
 	case FaultReorder:
-		if st != nil {
-			st.Inc(src, stats.NetFaultReorders)
-		}
+		st.Inc(src, stats.NetFaultReorders)
 		t += f.delay
 	}
 	eng.AtSink(t, s, op, p0, p1)

@@ -31,7 +31,7 @@ func TestNetFaultNilInjectsNothing(t *testing.T) {
 	if got := countDeliveries(eng, m, 50); got != 50 {
 		t.Fatalf("fault-free mesh delivered %d/50", got)
 	}
-	for _, c := range []string{stats.NetFaultDrops, stats.NetFaultDups, stats.NetFaultReorders} {
+	for _, c := range []stats.ID{stats.NetFaultDrops, stats.NetFaultDups, stats.NetFaultReorders} {
 		if st.Global.Get(c) != 0 {
 			t.Fatalf("%s = %d on fault-free mesh", c, st.Global.Get(c))
 		}

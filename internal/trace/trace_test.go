@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -89,6 +90,21 @@ func TestKindStrings(t *testing.T) {
 	}
 	if !strings.HasPrefix(Kind(200).String(), "kind(") {
 		t.Fatal("unknown kind not handled")
+	}
+}
+
+// Kind names label golden-visible rows: each must be unique and kebab-case.
+func TestKindNamesUniqueKebab(t *testing.T) {
+	kebab := regexp.MustCompile(`^[a-z][a-z0-9-]*$`)
+	seen := make(map[string]bool)
+	for _, name := range kindNames {
+		if !kebab.MatchString(name) {
+			t.Errorf("trace kind name %q is not kebab-case", name)
+		}
+		if seen[name] {
+			t.Errorf("trace kind name %q appears twice in kindNames", name)
+		}
+		seen[name] = true
 	}
 }
 
