@@ -50,28 +50,45 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	fanout.WarnIfSerial(stderr, *parallel)
-
-	cfg := bench.Config{Nodes: *nodes, Quick: *quick, CSVDir: *csvDir,
-		Parallel: fanout.Workers(*parallel), Loss: *loss, NetSeed: *netseed}
+	var selected []bench.Experiment
 	switch {
 	case *list:
 		for _, e := range bench.Experiments() {
 			fmt.Fprintf(stdout, "%-16s %s\n", e.ID, e.Title)
 		}
+		return 0
 	case *exp != "":
 		e, ok := bench.Find(*exp)
 		if !ok {
 			fmt.Fprintf(stderr, "unknown experiment %q; try -list\n", *exp)
 			return 1
 		}
-		fmt.Fprintf(stdout, "==> %s: %s\n", e.ID, e.Title)
-		e.Run(cfg, stdout)
+		selected = []bench.Experiment{e}
 	case *all:
-		bench.RunAll(cfg, stdout)
+		selected = bench.Experiments()
 	default:
 		fs.Usage()
 		return 2
 	}
+
+	// Every selected experiment must be able to run on -nodes before any
+	// of them starts.
+	cfg := bench.Config{Nodes: *nodes, Quick: *quick, CSVDir: *csvDir,
+		Parallel: fanout.Workers(*parallel), Loss: *loss, NetSeed: *netseed}
+	for _, e := range selected {
+		if err := e.CheckNodes(cfg); err != nil {
+			fmt.Fprintf(stderr, "-nodes %d: %v\n", *nodes, err)
+			return 2
+		}
+	}
+
+	fanout.WarnIfSerial(stderr, *parallel)
+	if *all {
+		bench.RunAll(cfg, stdout)
+		return 0
+	}
+	e := selected[0]
+	fmt.Fprintf(stdout, "==> %s: %s\n", e.ID, e.Title)
+	e.Run(cfg, stdout)
 	return 0
 }

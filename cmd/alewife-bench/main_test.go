@@ -91,3 +91,46 @@ func TestOutOfRangeFlagsExitTwo(t *testing.T) {
 		}
 	}
 }
+
+// A -nodes some selected experiment cannot run is rejected before any
+// simulation starts, in one line that names the experiment and its rule.
+func TestNodeRulesExitTwo(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-experiment", "fig7", "-nodes", "1"}, "fig7 needs at least 2 nodes"},
+		{[]string{"-experiment", "ablate-limitless", "-nodes", "1", "-quick"}, "ablate-limitless needs at least 2 nodes"},
+		{[]string{"-experiment", "prodcons", "-nodes", "1"}, "prodcons needs at least 2 nodes"},
+		{[]string{"-experiment", "fig11", "-nodes", "3"}, "3x1 processor grid, which does not divide its 32x32"},
+		{[]string{"-experiment", "reduce", "-nodes", "6"}, "3x2 processor grid, which does not divide its 16x16"},
+		{[]string{"-experiment", "traffic", "-nodes", "6", "-quick"}, "traffic: 6 nodes"},
+		{[]string{"-experiment", "fig9", "-nodes", "2", "-quick"}, "fig9 cannot run on 2 nodes: the hybrid scheduler livelocks"},
+		{[]string{"-experiment", "invoke", "-nodes", "2"}, "invoke cannot run on 2 nodes"},
+		{[]string{"-experiment", "fig10", "-nodes", "16"}, "fig10 needs at least 17 nodes at full scale, got 16"},
+		{[]string{"-all", "-nodes", "8"}, "fig10 needs at least 17 nodes at full scale"},
+		{[]string{"-all", "-nodes", "1", "-quick"}, "needs at least 2 nodes"},
+		{[]string{"-all", "-nodes", "2", "-quick"}, "livelocks"},
+		{[]string{"-all", "-nodes", "5", "-quick"}, "5x1 processor grid"},
+	} {
+		out, errOut, code := runBench(t, tc.args...)
+		if code != 2 || out != "" || strings.Count(errOut, "\n") != 1 || !strings.Contains(errOut, tc.want) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 and one stderr line containing %q",
+				tc.args, code, out, errOut, tc.want)
+		}
+	}
+}
+
+// Machine sizes the rules allow still run: the smallest legal size of a
+// two-node experiment, and an experiment with no rule on one node.
+func TestNodeRulesAllowLegalSizes(t *testing.T) {
+	for _, args := range [][]string{
+		{"-experiment", "fig7", "-nodes", "2", "-quick"},
+		{"-experiment", "barrier", "-nodes", "1", "-quick"},
+	} {
+		out, errOut, code := runBench(t, args...)
+		if code != 0 || !strings.Contains(out, "==> ") {
+			t.Errorf("%v: exit %d, stderr %q", args, code, errOut)
+		}
+	}
+}

@@ -18,24 +18,28 @@ import (
 
 func init() {
 	register(Experiment{
-		ID:    "ablate-limitless",
-		Title: "LimitLESS hardware-pointer count vs widely shared data (extension)",
-		Run:   runAblateLimitless,
+		ID:       "ablate-limitless",
+		Title:    "LimitLESS hardware-pointer count vs widely shared data (extension)",
+		Run:      runAblateLimitless,
+		MinNodes: 2,
 	})
 	register(Experiment{
-		ID:    "ablate-steal",
-		Title: "Steal-policy ablation on grain (extension)",
-		Run:   runAblateSteal,
+		ID:             "ablate-steal",
+		Title:          "Steal-policy ablation on grain (extension)",
+		Run:            runAblateSteal,
+		LivelocksOnTwo: true,
 	})
 	register(Experiment{
-		ID:    "ablate-network",
-		Title: "Network latency sensitivity of barrier and copy (extension)",
-		Run:   runAblateNetwork,
+		ID:       "ablate-network",
+		Title:    "Network latency sensitivity of barrier and copy (extension)",
+		Run:      runAblateNetwork,
+		MinNodes: 2,
 	})
 	register(Experiment{
-		ID:    "ablate-prefetch",
-		Title: "Prefetch-distance ablation on accum (extension)",
-		Run:   runAblatePrefetch,
+		ID:       "ablate-prefetch",
+		Title:    "Prefetch-distance ablation on accum (extension)",
+		Run:      runAblatePrefetch,
+		MinNodes: 2,
 	})
 }
 

@@ -5,6 +5,7 @@
 package bench
 
 import (
+	"fmt"
 	"io"
 	"sort"
 
@@ -35,6 +36,42 @@ type Experiment struct {
 	ID    string
 	Title string
 	Run   func(cfg Config, w io.Writer)
+
+	// MinNodes is the fewest processors the experiment runs on (0: one).
+	// FullMinNodes, when larger, is the fewest its full-scale sweep runs
+	// on: its biggest runs fill a smaller machine's memory.
+	MinNodes, FullMinNodes int
+	// Grid, when nonzero, is the side of the smallest Jacobi grid the
+	// experiment partitions (any larger one is a multiple of it): the
+	// mesh.Dims processor grid of the machine must divide it.
+	Grid int
+	// LivelocksOnTwo marks experiments whose hybrid work stealing
+	// livelocks on a two-node machine: a stolen task lands on the thief's
+	// stealable queue before its scheduler starts it, and the other
+	// node's pending steal takes it straight back.
+	LivelocksOnTwo bool
+}
+
+// CheckNodes reports why the experiment cannot run on cfg's machine size
+// at cfg's scale, or nil when it can.
+func (e Experiment) CheckNodes(cfg Config) error {
+	n := cfg.Nodes
+	if !cfg.Quick && n < e.FullMinNodes {
+		return fmt.Errorf("%s needs at least %d nodes at full scale, got %d", e.ID, e.FullMinNodes, n)
+	}
+	if n < e.MinNodes {
+		return fmt.Errorf("%s needs at least %d nodes, got %d", e.ID, e.MinNodes, n)
+	}
+	if e.Grid != 0 {
+		if pw, ph := mesh.Dims(n); e.Grid%pw != 0 || e.Grid%ph != 0 {
+			return fmt.Errorf("%s: %d nodes form a %dx%d processor grid, which does not divide its %dx%d Jacobi grid",
+				e.ID, n, pw, ph, e.Grid, e.Grid)
+		}
+	}
+	if e.LivelocksOnTwo && n == 2 {
+		return fmt.Errorf("%s cannot run on 2 nodes: the hybrid scheduler livelocks, each node stealing back the task the other just stole before it starts", e.ID)
+	}
+	return nil
 }
 
 var registry []Experiment

@@ -45,9 +45,22 @@ func runQuick(t *testing.T, id string, nodes int) string {
 	if !ok {
 		t.Fatalf("experiment %s not found", id)
 	}
+	cfg := Config{Nodes: nodes, Quick: true}
+	if err := e.CheckNodes(cfg); err != nil {
+		t.Fatalf("test machine rejected by the experiment's node rule: %v", err)
+	}
 	var sb strings.Builder
-	e.Run(Config{Nodes: nodes, Quick: true}, &sb)
+	e.Run(cfg, &sb)
 	return sb.String()
+}
+
+// The node rules never reject the paper's own machine.
+func TestNodeRulesAcceptPaperMachine(t *testing.T) {
+	for _, e := range Experiments() {
+		if err := e.CheckNodes(DefaultConfig()); err != nil {
+			t.Errorf("%v", err)
+		}
+	}
 }
 
 func TestBarrierExperimentOutput(t *testing.T) {

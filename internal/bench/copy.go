@@ -10,14 +10,16 @@ import (
 
 func init() {
 	register(Experiment{
-		ID:    "fig7",
-		Title: "Memory-to-memory copy vs block size (Section 4.4, Figure 7)",
-		Run:   runFig7,
+		ID:       "fig7",
+		Title:    "Memory-to-memory copy vs block size (Section 4.4, Figure 7)",
+		Run:      runFig7,
+		MinNodes: 2,
 	})
 	register(Experiment{
-		ID:    "fig8",
-		Title: "accum: consume remote data immediately (Section 4.4, Figure 8)",
-		Run:   runFig8,
+		ID:       "fig8",
+		Title:    "accum: consume remote data immediately (Section 4.4, Figure 8)",
+		Run:      runFig8,
+		MinNodes: 2,
 	})
 }
 

@@ -11,9 +11,10 @@ import (
 
 func init() {
 	register(Experiment{
-		ID:    "fig1",
-		Title: "Anatomy of a memory reference: hardware SM vs software-synthesized (Section 2.1, Figure 1)",
-		Run:   runFig1,
+		ID:       "fig1",
+		Title:    "Anatomy of a memory reference: hardware SM vs software-synthesized (Section 2.1, Figure 1)",
+		Run:      runFig1,
+		MinNodes: 2,
 	})
 }
 

@@ -9,9 +9,10 @@ import (
 
 func init() {
 	register(Experiment{
-		ID:    "invoke",
-		Title: "Remote thread invocation, Tinvoker/Tinvokee (Section 4.3, Figure 6)",
-		Run:   runInvoke,
+		ID:             "invoke",
+		Title:          "Remote thread invocation, Tinvoker/Tinvokee (Section 4.3, Figure 6)",
+		Run:            runInvoke,
+		LivelocksOnTwo: true,
 	})
 }
 

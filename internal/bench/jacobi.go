@@ -14,6 +14,7 @@ func init() {
 		ID:    "fig11",
 		Title: "Jacobi SOR cycles/iteration, SM vs MP border exchange (Section 4.6, Figure 11)",
 		Run:   runFig11,
+		Grid:  32,
 	})
 }
 

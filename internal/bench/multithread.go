@@ -10,9 +10,10 @@ import (
 
 func init() {
 	register(Experiment{
-		ID:    "ablate-multithread",
-		Title: "Sparcle block multithreading: contexts vs latency tolerance (extension)",
-		Run:   runAblateMultithread,
+		ID:       "ablate-multithread",
+		Title:    "Sparcle block multithreading: contexts vs latency tolerance (extension)",
+		Run:      runAblateMultithread,
+		MinNodes: 2,
 	})
 }
 

@@ -17,9 +17,10 @@ import (
 
 func init() {
 	register(Experiment{
-		ID:    "prodcons",
-		Title: "Producer-consumer handoff: flag+data vs one message (Section 2.2 defect 3)",
-		Run:   runProdCons,
+		ID:       "prodcons",
+		Title:    "Producer-consumer handoff: flag+data vs one message (Section 2.2 defect 3)",
+		Run:      runProdCons,
+		MinNodes: 2,
 	})
 	register(Experiment{
 		ID:    "transpose",

@@ -14,6 +14,7 @@ func init() {
 		ID:    "reduce",
 		Title: "Reducing combining tree: barrier+sum in one wave (extension)",
 		Run:   runReduce,
+		Grid:  16,
 	})
 }
 

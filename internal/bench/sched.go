@@ -10,14 +10,16 @@ import (
 
 func init() {
 	register(Experiment{
-		ID:    "fig9",
-		Title: "grain speedup vs grain size, hybrid vs SM scheduler (Section 4.5, Figure 9)",
-		Run:   runFig9,
+		ID:             "fig9",
+		Title:          "grain speedup vs grain size, hybrid vs SM scheduler (Section 4.5, Figure 9)",
+		Run:            runFig9,
+		LivelocksOnTwo: true,
 	})
 	register(Experiment{
-		ID:    "fig10",
-		Title: "aq speedup vs problem size, hybrid vs SM scheduler (Section 4.5, Figure 10)",
-		Run:   runFig10,
+		ID:           "fig10",
+		Title:        "aq speedup vs problem size, hybrid vs SM scheduler (Section 4.5, Figure 10)",
+		Run:          runFig10,
+		FullMinNodes: 17,
 	})
 }
 

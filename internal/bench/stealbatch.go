@@ -10,9 +10,10 @@ import (
 
 func init() {
 	register(Experiment{
-		ID:    "ablate-stealbatch",
-		Title: "Steal-half batching: tasks per steal vs fine-grain performance (extension)",
-		Run:   runAblateStealBatch,
+		ID:             "ablate-stealbatch",
+		Title:          "Steal-half batching: tasks per steal vs fine-grain performance (extension)",
+		Run:            runAblateStealBatch,
+		LivelocksOnTwo: true,
 	})
 }
 

@@ -10,9 +10,10 @@ import (
 
 func init() {
 	register(Experiment{
-		ID:    "ablate-topology",
-		Title: "Interconnect topology: mesh vs torus vs ideal (extension)",
-		Run:   runAblateTopology,
+		ID:             "ablate-topology",
+		Title:          "Interconnect topology: mesh vs torus vs ideal (extension)",
+		Run:            runAblateTopology,
+		LivelocksOnTwo: true,
 	})
 }
 

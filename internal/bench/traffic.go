@@ -14,6 +14,7 @@ func init() {
 		ID:    "traffic",
 		Title: "Mechanism usage: coherence vs message traffic per workload (extension)",
 		Run:   runTraffic,
+		Grid:  32,
 	})
 }
 

@@ -30,13 +30,13 @@ type Checker struct {
 
 	violations []Violation
 	events     uint64
-	depth      map[int]int // per-node handler nesting depth
+	depth      []int // per-node handler nesting depth, grown to the highest node seen
 }
 
 // NewChecker returns an empty checker; install it on each CMMU's Check field
 // before running.
 func NewChecker() *Checker {
-	return &Checker{depth: make(map[int]int)}
+	return &Checker{}
 }
 
 // Violations returns every violation recorded so far, in detection order.
@@ -67,6 +67,9 @@ func (ck *Checker) handlerStart(c *CMMU, msgType int) {
 	if now := c.eng.Now(); c.rxFreeAt > now {
 		ck.violate(c, "handler for message type %d started at %d but input port busy until %d",
 			msgType, now, c.rxFreeAt)
+	}
+	if c.node >= len(ck.depth) {
+		ck.depth = append(ck.depth, make([]int, c.node+1-len(ck.depth))...)
 	}
 	ck.depth[c.node]++
 	if d := ck.depth[c.node]; d > 1 {

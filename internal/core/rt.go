@@ -108,8 +108,8 @@ type RT struct {
 	cores []*core
 	done  bool
 
-	tasks    map[uint64]*Task   // id -> task, for message-carried references
-	threads  map[uint64]*Thread // id -> started thread, for wake messages
+	tasks    map[uint64]*Task   // id -> unstarted task, for message-carried references
+	threads  map[uint64]*Thread // id -> running or suspended thread, for wake messages
 	copies   map[uint64]*copyOp // id -> in-flight bulk transfer
 	watchers map[uint64]func()  // token -> notify-copy watcher
 	nextID   uint64

@@ -25,8 +25,11 @@ type Thread struct {
 	finished bool
 }
 
-// newThread wraps a task for execution on core c.
+// newThread wraps a task for execution on core c. A started task never
+// travels again, so its id is released; the thread's id stays registered
+// for wake messages until it finishes.
 func (rt *RT) newThread(t *Task, c *core) *Thread {
+	delete(rt.tasks, t.id)
 	th := &Thread{id: rt.newTaskID(), task: t, core: c}
 	rt.threads[th.id] = th
 	rt.M.St.Inc(c.id, stats.ThreadsCreated)
@@ -44,6 +47,7 @@ func (th *Thread) start() {
 			th.task.fn(tc)
 			p.Flush()
 			th.finished = true
+			delete(rt.threads, th.id)
 			c.threadYield()
 		})
 }

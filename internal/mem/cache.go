@@ -38,6 +38,12 @@ type Cache struct {
 	sets, ways int
 	lines      []cline // sets*ways entries, set-major
 	tick       uint64
+
+	// hold, when non-nil, is the holder index a LiveChecker reads; every
+	// state change is mirrored into it for node, the cache's owner. Nil
+	// (no checker) costs each change one test.
+	hold *holderIndex
+	node int
 }
 
 // NewCache builds a cache of the given geometry. sets must be a power of
@@ -125,8 +131,17 @@ func (c *Cache) SetPrefetched(a Addr, v bool) {
 	}
 }
 
+// held mirrors a state change into the holder index, when one is kept.
+func (c *Cache) held(line Addr, st LState) {
+	if c.hold != nil {
+		c.hold.set(line, c.node, st)
+	}
+}
+
 // SetState changes the state of a resident line; it is a no-op when absent
 // (e.g. an invalidation for a silently evicted line).
+//
+//alewife:hotpath
 func (c *Cache) SetState(a Addr, st LState) {
 	line := a.Line()
 	s := c.set(line)
@@ -137,6 +152,7 @@ func (c *Cache) SetState(a Addr, st LState) {
 			} else {
 				s[i].state = st
 			}
+			c.held(line, st)
 			return
 		}
 	}
@@ -146,6 +162,8 @@ func (c *Cache) SetState(a Addr, st LState) {
 // full. It returns the victim line address and state (victim==line means no
 // eviction happened; the line may already be resident, in which case its
 // state is updated in place).
+//
+//alewife:hotpath
 func (c *Cache) Insert(a Addr, st LState) (victim Addr, victimState LState) {
 	line := a.Line()
 	s := c.set(line)
@@ -155,6 +173,7 @@ func (c *Cache) Insert(a Addr, st LState) (victim Addr, victimState LState) {
 		if s[i].state != Invalid && s[i].tag == line {
 			s[i].state = st
 			s[i].lru = c.tick
+			c.held(line, st)
 			return line, Invalid
 		}
 	}
@@ -162,6 +181,7 @@ func (c *Cache) Insert(a Addr, st LState) (victim Addr, victimState LState) {
 	for i := range s {
 		if s[i].state == Invalid {
 			s[i] = cline{tag: line, state: st, lru: c.tick}
+			c.held(line, st)
 			return line, Invalid
 		}
 	}
@@ -174,6 +194,8 @@ func (c *Cache) Insert(a Addr, st LState) (victim Addr, victimState LState) {
 	}
 	victim, victimState = s[v].tag, s[v].state
 	s[v] = cline{tag: line, state: st, lru: c.tick}
+	c.held(victim, Invalid)
+	c.held(line, st)
 	return victim, victimState
 }
 
@@ -189,8 +211,13 @@ func (c *Cache) Resident() int {
 }
 
 // InvalidateAll drops every line (used by tests and machine reset).
+//
+//alewife:hotpath
 func (c *Cache) InvalidateAll() {
 	for i := range c.lines {
+		if l := &c.lines[i]; l.state != Invalid {
+			c.held(l.tag, Invalid)
+		}
 		c.lines[i] = cline{}
 	}
 }

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"alewife/internal/sim"
@@ -61,6 +62,11 @@ type LiveChecker struct {
 	// pendingWB tracks in-flight dirty writebacks as line -> sender nodes.
 	pendingWB map[Addr][]int
 
+	// hold is the holder index every cache keeps while the checker is
+	// attached: a line's holders in O(nodes/64) instead of a probe of every
+	// cache.
+	hold *holderIndex
+
 	// Scratch holder lists reused across events: the checker runs after
 	// every protocol transition, so per-event allocation here would swamp
 	// the pooled data path it is checking.
@@ -68,9 +74,19 @@ type LiveChecker struct {
 }
 
 // AttachChecker installs a live invariant checker on the fabric and returns
-// it. Call before running the simulation.
+// it. The caches start keeping the holder index the checker reads, seeded
+// from whatever they already hold, so attaching mid-run is sound.
 func (f *Fabric) AttachChecker() *LiveChecker {
-	lc := &LiveChecker{f: f, pendingWB: make(map[Addr][]int)}
+	hold := newHolderIndex(f.Store, len(f.Ctrls))
+	for _, c := range f.Ctrls {
+		c.cache.hold, c.cache.node = hold, c.node
+		for i := range c.cache.lines {
+			if l := &c.cache.lines[i]; l.state != Invalid {
+				hold.set(l.tag, c.node, l.state)
+			}
+		}
+	}
+	lc := &LiveChecker{f: f, hold: hold, pendingWB: make(map[Addr][]int)}
 	f.Check = lc
 	return lc
 }
@@ -138,14 +154,17 @@ func (lc *LiveChecker) event(kind trace.Kind, node int, line Addr) {
 	lc.events++
 	f := lc.f
 
+	// Holder lists in ascending node order, the order a scan of the caches
+	// would produce, so violation messages do not depend on the index.
 	excl, valid := lc.exclBuf[:0], lc.validBuf[:0]
-	for _, c := range f.Ctrls {
-		switch c.cache.State(line) {
-		case Exclusive:
-			excl = append(excl, c.node)
-			valid = append(valid, c.node)
-		case Shared:
-			valid = append(valid, c.node)
+	h, vbits, xbits := lc.hold.holders(line)
+	for w, v := range vbits {
+		for ; v != 0; v &= v - 1 {
+			n := w<<6 | bits.TrailingZeros64(v)
+			valid = append(valid, n)
+			if xbits[w]&(v&-v) != 0 {
+				excl = append(excl, n)
+			}
 		}
 	}
 	lc.exclBuf, lc.validBuf = excl, valid
@@ -159,7 +178,7 @@ func (lc *LiveChecker) event(kind trace.Kind, node int, line Addr) {
 			excl[0], valid)
 	}
 
-	home := f.Ctrls[f.Store.Home(line)]
+	home := f.Ctrls[h]
 	e := home.dir.get(line)
 
 	// I2: an exclusive holder must be the recorded owner (a recall may be
@@ -189,8 +208,8 @@ func (lc *LiveChecker) event(kind trace.Kind, node int, line Addr) {
 	// downgraded owner while a read recall's data travels home; or any party
 	// to an invalidation round in progress.
 	for _, n := range valid {
-		if f.Ctrls[n].cache.State(line) != Shared {
-			continue
+		if xbits[n>>6]&(1<<(n&63)) != 0 {
+			continue // Exclusive: I1 and I2 cover it
 		}
 		legal := e != nil &&
 			((e.state == dShared && e.hasSharer(n)) ||
@@ -228,17 +247,18 @@ func (lc *LiveChecker) event(kind trace.Kind, node int, line Addr) {
 	}
 
 	// I5: an in-flight writeback means the home must still be expecting
-	// data on this line.
+	// data on this line. Only an entry that is not expecting data needs
+	// the lookup.
+	if e != nil && (e.state == dExcl || e.state == dPendR || e.state == dPendW) {
+		return
+	}
 	if senders := lc.pendingWB[line]; len(senders) > 0 {
-		ok := e != nil && (e.state == dExcl || e.state == dPendR || e.state == dPendW)
-		if !ok {
-			st := "none"
-			if e != nil {
-				st = dirStateName(e.state)
-			}
-			lc.violate(kind, node, line, "writeback from %v in flight but home entry is %s (lost writeback)",
-				senders, st)
+		st := "none"
+		if e != nil {
+			st = dirStateName(e.state)
 		}
+		lc.violate(kind, node, line, "writeback from %v in flight but home entry is %s (lost writeback)",
+			senders, st)
 	}
 }
 

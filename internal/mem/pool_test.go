@@ -152,7 +152,11 @@ func TestTxnFullTicketStaleness(t *testing.T) {
 
 // smallHarness builds a fabric with a tiny direct-mapped cache and few
 // hardware pointers so evictions and LimitLESS overflows happen constantly.
-func smallHarness(n int) *harness {
+func smallHarness(n int) *harness { return cacheHarness(n, 2, 1) }
+
+// cacheHarness builds an n-node fabric with the given cache geometry and
+// 2 LimitLESS hardware pointers.
+func cacheHarness(n, sets, ways int) *harness {
 	eng := sim.NewEngine()
 	w, hgt := mesh.Dims(n)
 	st := stats.NewMachine(n)
@@ -161,7 +165,7 @@ func smallHarness(n int) *harness {
 	sink := &fakeSink{}
 	p := DefaultParams()
 	p.HWPointers = 2
-	fab := NewFabric(eng, net, store, p, st, sink, 2, 1)
+	fab := NewFabric(eng, net, store, p, st, sink, sets, ways)
 	return &harness{eng: eng, fab: fab, st: st, sink: sink}
 }
 

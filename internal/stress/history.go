@@ -43,51 +43,64 @@ func (h HistOp) String() string {
 // It returns every violation found, formatted with the op that exposed it.
 func CheckHistory(ops []HistOp) []string {
 	var bad []string
-	// Per location: the write serialization index of each value, and each
-	// node's observation floor (latest serialization index it has seen).
-	writeIdx := make(map[mem.Addr]map[uint64]int)
-	writeCnt := make(map[mem.Addr]int)
-	floor := make(map[mem.Addr]map[int]int)
+	nodes, writes := 0, 0
+	for _, op := range ops {
+		if op.Node >= nodes {
+			nodes = op.Node + 1
+		}
+		if op.Write {
+			writes++
+		}
+	}
+	// Locations are numbered densely in order of first appearance. Per
+	// location: its write count, the write serialization index of each
+	// value, and each node's observation floor (latest serialization index
+	// it has seen; -1, the initial value, constrains nothing, so it also
+	// stands for "nothing seen yet").
+	type locVal struct {
+		loc int
+		val uint64
+	}
+	locs := make(map[mem.Addr]int)
+	writeIdx := make(map[locVal]int, writes)
+	var writeCnt []int
+	var floor []int // location-major, nodes entries per location
 
 	for i, op := range ops {
-		if op.Write {
-			wi := writeIdx[op.Loc]
-			if wi == nil {
-				wi = make(map[uint64]int)
-				writeIdx[op.Loc] = wi
+		l, ok := locs[op.Loc]
+		if !ok {
+			l = len(writeCnt)
+			locs[op.Loc] = l
+			writeCnt = append(writeCnt, 0)
+			for n := 0; n < nodes; n++ {
+				floor = append(floor, -1)
 			}
-			if prev, dup := wi[op.Val]; dup {
+		}
+		fl := floor[l*nodes : (l+1)*nodes]
+		key := locVal{l, op.Val}
+		if op.Write {
+			if prev, dup := writeIdx[key]; dup {
 				bad = append(bad, fmt.Sprintf("history[%d] %v: duplicate write value (first at write #%d) — writes not serializable by value", i, op, prev))
 				continue
 			}
-			idx := writeCnt[op.Loc]
-			wi[op.Val] = idx
-			writeCnt[op.Loc] = idx + 1
+			idx := writeCnt[l]
+			writeIdx[key] = idx
+			writeCnt[l] = idx + 1
 			// The writer has certainly observed its own write.
-			fl := floor[op.Loc]
-			if fl == nil {
-				fl = make(map[int]int)
-				floor[op.Loc] = fl
-			}
 			fl[op.Node] = idx
 			continue
 		}
 		// Read: identify the write it observed.
 		idx := -1 // initial value
 		if op.Val != 0 {
-			wi, ok := writeIdx[op.Loc][op.Val]
+			wi, ok := writeIdx[key]
 			if !ok {
 				bad = append(bad, fmt.Sprintf("history[%d] %v: read returned a value never written to the location", i, op))
 				continue
 			}
 			idx = wi
 		}
-		fl := floor[op.Loc]
-		if fl == nil {
-			fl = make(map[int]int)
-			floor[op.Loc] = fl
-		}
-		if prev, seen := fl[op.Node]; seen && idx < prev {
+		if prev := fl[op.Node]; idx < prev {
 			bad = append(bad, fmt.Sprintf("history[%d] %v: read went backward — node had observed write #%d of the location, now sees #%d", i, op, prev, idx))
 			continue
 		}
