@@ -15,6 +15,11 @@
 #   make explore-smoke  depth-bounded schedule-space exploration (model
 #                  checking) of a 4-node machine: every reachable
 #                  interleaving within bounds must pass every oracle
+#   make results-check  regenerate every table and CSV of a full-scale
+#                  `alewife-bench -all` into a temp dir and diff it
+#                  against the committed results/: any printed figure
+#                  that moved fails (refresh results/ with the command in
+#                  README when a change means to move them)
 #   make stress    the longer fuzz run used before cutting a release
 #   make perf      fixed workload suite -> BENCH_sim.json (ops/sec,
 #                  wall-clock, allocs/op); later PRs gate on regressions
@@ -36,9 +41,9 @@ GO ?= go
 
 COVER_FLOOR ?= 60
 
-.PHONY: check build vet fmt lint test e2ebench-test cover stress-smoke stress-smoke-lossy explore-smoke stress bench perf perf-check perf-quick
+.PHONY: check build vet fmt lint test e2ebench-test cover stress-smoke stress-smoke-lossy explore-smoke results-check stress bench perf perf-check perf-quick
 
-check: build vet fmt lint test e2ebench-test cover stress-smoke stress-smoke-lossy explore-smoke perf-check
+check: build vet fmt lint test e2ebench-test cover stress-smoke stress-smoke-lossy explore-smoke results-check perf-check
 
 build:
 	$(GO) build ./...
@@ -88,6 +93,11 @@ stress-smoke-lossy:
 explore-smoke:
 	$(GO) run ./cmd/alewife-explore -nodes 4 -ops 10 -lines 2 -depth 24 -runs 300 -v
 	$(GO) run ./cmd/alewife-explore -nodes 3 -ops 8 -lines 2 -faultpackets 3 -runs 300
+
+results-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/alewife-bench -all -parallel 0 -csv "$$tmp" > "$$tmp/full_run_64procs.txt" && \
+	diff -r results "$$tmp" && echo "results-check: results/ matches a fresh alewife-bench -all"
 
 stress:
 	$(GO) run ./cmd/alewife-stress -ops 5000 -seeds 64 -parallel 0

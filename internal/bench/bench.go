@@ -38,9 +38,7 @@ type Experiment struct {
 	Run   func(cfg Config, w io.Writer)
 
 	// MinNodes is the fewest processors the experiment runs on (0: one).
-	// FullMinNodes, when larger, is the fewest its full-scale sweep runs
-	// on: its biggest runs fill a smaller machine's memory.
-	MinNodes, FullMinNodes int
+	MinNodes int
 	// Grid, when nonzero, is the side of the smallest Jacobi grid the
 	// experiment partitions (any larger one is a multiple of it): the
 	// mesh.Dims processor grid of the machine must divide it.
@@ -52,13 +50,10 @@ type Experiment struct {
 	LivelocksOnTwo bool
 }
 
-// CheckNodes reports why the experiment cannot run on cfg's machine size
-// at cfg's scale, or nil when it can.
+// CheckNodes reports why the experiment cannot run on cfg's machine size,
+// or nil when it can.
 func (e Experiment) CheckNodes(cfg Config) error {
 	n := cfg.Nodes
-	if !cfg.Quick && n < e.FullMinNodes {
-		return fmt.Errorf("%s needs at least %d nodes at full scale, got %d", e.ID, e.FullMinNodes, n)
-	}
 	if n < e.MinNodes {
 		return fmt.Errorf("%s needs at least %d nodes, got %d", e.ID, e.MinNodes, n)
 	}

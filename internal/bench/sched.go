@@ -16,10 +16,9 @@ func init() {
 		LivelocksOnTwo: true,
 	})
 	register(Experiment{
-		ID:           "fig10",
-		Title:        "aq speedup vs problem size, hybrid vs SM scheduler (Section 4.5, Figure 10)",
-		Run:          runFig10,
-		FullMinNodes: 17,
+		ID:    "fig10",
+		Title: "aq speedup vs problem size, hybrid vs SM scheduler (Section 4.5, Figure 10)",
+		Run:   runFig10,
 	})
 }
 

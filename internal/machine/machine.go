@@ -30,8 +30,11 @@ const (
 
 // Config sizes and parameterizes a machine.
 type Config struct {
-	Nodes        int
-	WordsPerNode uint64 // per-node memory in 8-byte words
+	Nodes int
+	// WordsPerNode is the size of each node's address range in 8-byte
+	// words: the most AllocOn hands out on one node. It is not host
+	// memory, which grows only as far as a node's highest written word.
+	WordsPerNode uint64
 	CacheSets    int
 	CacheWays    int
 	ClockMHz     float64 // for cycle<->µs conversion in reports (Alewife: 33)
@@ -60,7 +63,7 @@ type Config struct {
 func DefaultConfig(n int) Config {
 	return Config{
 		Nodes:        n,
-		WordsPerNode: 1 << 16, // 512 KB/node, plenty for the paper's workloads
+		WordsPerNode: 1 << 20, // 8 MB of address range per node
 		CacheSets:    2048,    // 2048 sets x 2 ways x 16 B = 64 KB
 		CacheWays:    2,
 		ClockMHz:     33,

@@ -266,3 +266,22 @@ func TestReliableInterposition(t *testing.T) {
 		}
 	}
 }
+
+var newSink *machine.Machine
+
+// BenchmarkNew64 measures building the paper's 64-node machine, the set-up
+// every paper run pays before its first simulated cycle.
+func BenchmarkNew64(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		newSink = machine.New(machine.DefaultConfig(64))
+	}
+}
+
+// Simulated memory is allocated as it is written, so building a 64-node
+// machine does not pay for its 64 address ranges.
+func TestNew64AllocatesUnder8MiB(t *testing.T) {
+	if got := testing.Benchmark(BenchmarkNew64).AllocedBytesPerOp(); got >= 8<<20 {
+		t.Fatalf("machine.New(DefaultConfig(64)) allocates %d bytes, want under %d", got, 8<<20)
+	}
+}

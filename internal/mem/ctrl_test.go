@@ -484,8 +484,9 @@ func TestStoreAllocator(t *testing.T) {
 		t.Fatal("allocations not line aligned")
 	}
 	defer func() {
-		if recover() == nil {
-			t.Fatal("expected out-of-memory panic")
+		msg, _ := recover().(string)
+		if want := "mem: node 2 out of memory (20 + 100000 > 1024 words)"; msg != want {
+			t.Fatalf("out-of-memory panic %q, want %q", msg, want)
 		}
 	}()
 	s.AllocOn(2, 100000)
