@@ -84,9 +84,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	m := alewife.NewMachineWith(cfg)
 	buf := m.EnableTrace(1 << 16)
-	prof := m.Prof
 	if *attrib {
-		prof = m.EnableMetrics()
+		m.EnableMetrics()
 	}
 	rt := alewife.NewRuntime(m, mode)
 
@@ -117,7 +116,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "\n--- machine counters ---\n%s", m.St.String())
 
-	if *attrib {
+	if prof := m.St.Prof; prof != nil {
 		if err := prof.Finalize(uint64(m.Eng.Now())); err != nil {
 			fmt.Fprintf(stderr, "attribution: %v\n", err)
 			return 1

@@ -48,8 +48,7 @@ func (ck *Checker) Events() uint64 { return ck.events }
 func (ck *Checker) violate(c *CMMU, format string, args ...interface{}) {
 	v := Violation{At: c.eng.Now(), Node: c.node, Msg: fmt.Sprintf(format, args...)}
 	ck.violations = append(ck.violations, v)
-	c.st.Inc(c.node, stats.CheckViolations)
-	c.Trace.Emit(v.At, c.node, trace.KCheckFail, 0)
+	c.st.Event(c.node, stats.CheckViolations, v.At, trace.KCheckFail, 0)
 	if ck.OnViolation != nil {
 		ck.OnViolation(v)
 	}

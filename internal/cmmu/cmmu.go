@@ -126,18 +126,12 @@ type CMMU struct {
 	store    *mem.Store
 	ctrl     *mem.Ctrl
 	p        Params
-	st       *stats.Machine
+	st       *stats.Machine // counts, traces and profiles this node's messages
 	sink     ProcSink
 	handlers map[int]Handler
 
 	peers []*CMMU
 
-	// Trace, when non-nil, records message events.
-	Trace *trace.Buffer
-	// Prof, when non-nil, meters packets waiting on a busy receive port
-	// (the MsgQueue overlay bucket). Handler occupancy itself reaches the
-	// profiler through the processor-steal path, keeping its origin.
-	Prof *metrics.Profiler
 	// Check, when non-nil, validates delivery discipline (see Checker).
 	Check *Checker
 	// Fault, when non-nil, injects delivery mutations for checker tests.
@@ -245,9 +239,8 @@ func (c *CMMU) inject(d Descriptor, at sim.Time) {
 		}
 	}
 	bytes := c.p.HeaderBytes + mem.WordBytes*(len(env.Ops)+len(env.Data))
-	c.st.Inc(c.node, stats.MsgsSent)
 	c.st.Add(c.node, stats.MsgWords, int64(len(env.Ops)+len(env.Data)))
-	c.Trace.Emit(at, c.node, trace.KMsgSend, uint64(d.Type))
+	c.st.Event(c.node, stats.MsgsSent, at, trace.KMsgSend, uint64(d.Type))
 	c.net.SendMsg(c.node, d.Dst, bytes, at+flush, dst, opEnvArrive, uint64(env.id), 0)
 }
 
@@ -285,10 +278,9 @@ func (c *CMMU) arrive(env *Env) {
 	if c.rxFreeAt > now {
 		// Input port busy with an earlier packet's handler. Each deferral
 		// charges its wait segment; segments sum to the packet's total
-		// port-queueing delay.
-		if c.Prof != nil {
-			c.Prof.Add(c.node, metrics.MsgQueue, uint64(c.rxFreeAt-now))
-		}
+		// port-queueing delay. (Handler occupancy itself reaches the
+		// profiler through the processor-steal path, keeping its origin.)
+		c.st.Charge(c.node, metrics.MsgQueue, uint64(c.rxFreeAt-now))
 		c.eng.AtSink(c.rxFreeAt, c, opEnvArrive, uint64(env.id), 0)
 		return
 	}
@@ -296,8 +288,7 @@ func (c *CMMU) arrive(env *Env) {
 	if h == nil {
 		panic(fmt.Sprintf("cmmu: node %d has no handler for message type %d", c.node, env.Type))
 	}
-	c.st.Inc(c.node, stats.MsgsRecv)
-	c.Trace.Emit(now, c.node, trace.KMsgRecv, uint64(env.Type))
+	c.st.Event(c.node, stats.MsgsRecv, now, trace.KMsgRecv, uint64(env.Type))
 	c.Check.handlerStart(c, env.Type)
 	env.cm = c
 	env.cycles = c.p.InterruptEntry

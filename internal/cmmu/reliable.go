@@ -48,14 +48,9 @@ type Reliable struct {
 	eng *sim.Engine
 	net mesh.Network
 	p   RelParams
-	st  *stats.Machine
+	st  *stats.Machine // counts, traces and profiles recovery
 	n   int
 
-	// Trace, when non-nil, records KRetransmit/KDupDrop events.
-	Trace *trace.Buffer
-	// Prof, when non-nil, meters retransmit-timer stalls (RelStall) and
-	// reorder-buffer occupancy (RelQueue) as overlay buckets.
-	Prof *metrics.Profiler
 	// Fault, when non-nil, injects reliability bugs for the mutation
 	// regression tests (see RelFault).
 	Fault *RelFault
@@ -196,10 +191,6 @@ func NewReliable(eng *sim.Engine, inner mesh.Network, p RelParams, st *stats.Mac
 	return &Reliable{eng: eng, net: inner, p: p, st: st, n: n, pairs: make([]relPair, n*n)}
 }
 
-// Inner returns the wrapped network (the machine layer threads the
-// profiler through to it).
-func (r *Reliable) Inner() mesh.Network { return r.net }
-
 // Params returns the effective (default-filled) policy.
 func (r *Reliable) Params() RelParams { return r.p }
 
@@ -307,9 +298,7 @@ func (r *Reliable) dataArrive(pair int, seq uint64) {
 			break
 		}
 		s.ok = false
-		if r.Prof != nil && now > s.at {
-			r.Prof.Add(dst, metrics.RelQueue, now-s.at)
-		}
+		r.st.Charge(dst, metrics.RelQueue, now-s.at)
 		// Copy before firing: the handler may send on this pair and grow
 		// ps.pending under us.
 		msg := ps.pending[ps.recvNext-ps.base]
@@ -321,8 +310,7 @@ func (r *Reliable) dataArrive(pair int, seq uint64) {
 
 // dupDrop records one discarded duplicate.
 func (r *Reliable) dupDrop(node int, seq uint64, now sim.Time) {
-	r.st.Inc(node, stats.RelDupDrops)
-	r.Trace.Emit(now, node, trace.KDupDrop, seq)
+	r.st.Event(node, stats.RelDupDrops, now, trace.KDupDrop, seq)
 }
 
 // sendAck sends the pair's cumulative ack from receiver back to sender.
@@ -370,9 +358,7 @@ func (r *Reliable) timerFire(pair int, gen uint64) {
 	src, dst := r.pairNodes(pair)
 	now := r.eng.Now()
 	r.st.Inc(src, stats.RelTimeouts)
-	if r.Prof != nil {
-		r.Prof.Add(src, metrics.RelStall, ps.rto)
-	}
+	r.st.Charge(src, metrics.RelStall, ps.rto)
 	if r.Fault.noRetransmit() {
 		return // mutation: loss detection fires, recovery never does
 	}
@@ -390,8 +376,7 @@ func (r *Reliable) timerFire(pair int, gen uint64) {
 	}
 	for i := 0; i < limit; i++ {
 		seq := ps.base + uint64(i)
-		r.st.Inc(src, stats.RelRetransmits)
-		r.Trace.Emit(now, src, trace.KRetransmit, seq)
+		r.st.Event(src, stats.RelRetransmits, now, trace.KRetransmit, seq)
 		r.net.SendMsg(src, dst, ps.pending[i].bytes+r.p.SeqBytes, now, r, opRelData, uint64(pair), seq)
 	}
 	ps.rto *= 2
@@ -405,8 +390,7 @@ func (r *Reliable) timerFire(pair int, gen uint64) {
 func (r *Reliable) violate(node int, at sim.Time, format string, args ...interface{}) {
 	v := Violation{At: at, Node: node, Msg: fmt.Sprintf(format, args...)}
 	r.violations = append(r.violations, v)
-	r.st.Inc(node, stats.CheckViolations)
-	r.Trace.Emit(at, node, trace.KCheckFail, 0)
+	r.st.Event(node, stats.CheckViolations, at, trace.KCheckFail, 0)
 	if r.OnViolation != nil {
 		r.OnViolation(v)
 	}

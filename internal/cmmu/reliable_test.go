@@ -161,7 +161,7 @@ func TestReliableBackoffDoubles(t *testing.T) {
 func TestReliableTraceAndOverlayMetrics(t *testing.T) {
 	eng, r, st := relHarness(&mesh.NetFault{Seed: 11, Drop: 0.2, Dup: 0.2, Reorder: 0.2}, RelParams{})
 	tb := trace.New(1 << 14)
-	r.Trace = tb
+	st.Trace = tb
 	order := sendBurst(eng, r, 200)
 	checkFIFO(t, order, 200)
 	counts := tb.CountByKind()
@@ -180,9 +180,9 @@ func TestReliableTraceAndOverlayMetrics(t *testing.T) {
 
 func TestReliableDeterministicUnderLoss(t *testing.T) {
 	run := func() (uint64, sim.Time) {
-		eng, r, _ := relHarness(&mesh.NetFault{Seed: 77, Drop: 0.1, Dup: 0.1, Reorder: 0.1}, RelParams{})
+		eng, r, st := relHarness(&mesh.NetFault{Seed: 77, Drop: 0.1, Dup: 0.1, Reorder: 0.1}, RelParams{})
 		tb := trace.New(1 << 14)
-		r.Trace = tb
+		st.Trace = tb
 		sendBurst(eng, r, 200)
 		return tb.Digest(), eng.Now()
 	}

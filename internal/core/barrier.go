@@ -117,7 +117,7 @@ func (b *Barrier) Sync(p *machine.Proc) {
 		b.syncSM(p)
 	}
 	p.PopRegion()
-	b.rt.M.Trace.Emit(p.Ctx.Now(), p.ID(), trace.KBarrier, b.epoch[p.ID()])
+	b.rt.M.St.Emit(p.Ctx.Now(), p.ID(), trace.KBarrier, b.epoch[p.ID()])
 }
 
 const spinCycles = 12 // re-check period while spinning on a local line

@@ -152,14 +152,14 @@ func (c *core) dispatch(p *machine.Proc, it queueItem) {
 	th := it.thread
 	if th == nil {
 		th = c.rt.newThread(it.task, c)
-		c.rt.M.Trace.Emit(p.Ctx.Now(), c.id, trace.KDispatch, th.id)
+		c.rt.M.St.Emit(p.Ctx.Now(), c.id, trace.KDispatch, th.id)
 		c.current = th
 		th.start()
 	} else {
 		if th.core != c {
 			panic(fmt.Sprintf("core: thread %d resumed on node %d, pinned to %d", th.id, c.id, th.core.id))
 		}
-		c.rt.M.Trace.Emit(p.Ctx.Now(), c.id, trace.KDispatch, th.id)
+		c.rt.M.St.Emit(p.Ctx.Now(), c.id, trace.KDispatch, th.id)
 		c.current = th
 		th.resume()
 	}
@@ -238,7 +238,7 @@ func (c *core) stealSM(p *machine.Proc) {
 				continue
 			}
 			c.rt.M.St.Add(c.id, stats.ThreadsStolen, int64(len(batch)))
-			c.rt.M.Trace.Emit(p.Ctx.Now(), c.id, trace.KSteal, uint64(v.id))
+			c.rt.M.St.Emit(p.Ctx.Now(), c.id, trace.KSteal, uint64(v.id))
 			c.idleFails = 0
 			found = true
 			// Keep the extras locally, run the first.

@@ -65,7 +65,7 @@ func (th *Thread) resume() {
 // enqueues it on its core's wake queue.
 func (th *Thread) suspend() {
 	th.proc.Flush()
-	th.core.rt.M.Trace.Emit(th.proc.Ctx.Now(), th.core.id, trace.KSuspend, th.id)
+	th.core.rt.M.St.Emit(th.proc.Ctx.Now(), th.core.id, trace.KSuspend, th.id)
 	th.core.threadYield()
 	th.proc.Ctx.Block()
 }

@@ -39,7 +39,6 @@ type Config struct {
 	CacheWays    int
 	ClockMHz     float64 // for cycle<->µs conversion in reports (Alewife: 33)
 	Topology     Topology
-	IdealLatency uint64 // one-way latency when Topology == TopoIdeal
 	// SeqConsistent disables the run-ahead relaxation: every shared-memory
 	// access synchronizes with the global clock first, so cache state is
 	// observed in strict global order. Slower to simulate; used to
@@ -80,11 +79,12 @@ type Machine struct {
 	Net   mesh.Network
 	Store *mem.Store
 	Fab   *mem.Fabric
+	// St is the machine's one instrumentation handle: its counters, and
+	// its Trace and Prof once EnableTrace and EnableMetrics set them.
+	// Every subsystem holds this pointer.
 	St    *stats.Machine
 	Rel   *cmmu.Reliable // nil unless the reliability sublayer is interposed
 	Nodes []*Node
-	Trace *trace.Buffer     // nil unless EnableTrace was called
-	Prof  *metrics.Profiler // nil unless EnableMetrics was called
 }
 
 // EnableTrace attaches an event trace buffer keeping the most recent cap
@@ -92,43 +92,21 @@ type Machine struct {
 //
 //alewife:engine-only
 func (m *Machine) EnableTrace(cap int) *trace.Buffer {
-	m.Trace = trace.New(cap)
-	m.Fab.Trace = m.Trace
-	if m.Rel != nil {
-		m.Rel.Trace = m.Trace
-	}
-	for _, n := range m.Nodes {
-		n.CMMU.Trace = m.Trace
-	}
-	return m.Trace
+	m.St.Trace = trace.New(cap)
+	return m.St.Trace
 }
 
-// EnableMetrics attaches a cycle-attribution profiler and threads it
-// through every subsystem. Call it before spawning any Proc: each Proc
-// caches the profiler pointer at spawn time so the disabled path stays a
-// single nil branch. Metrics are pure bookkeeping — enabling them never
-// changes simulated timing, so determinism goldens hold either way.
-// Finalize the profiler with the engine's final Now() after the run.
+// EnableMetrics attaches a cycle-attribution profiler. Call it before
+// spawning any Proc: each Proc caches the profiler pointer at spawn time
+// so the disabled path stays a single nil branch. Metrics are pure
+// bookkeeping — enabling them never changes simulated timing, so
+// determinism goldens hold either way. Finalize the profiler with the
+// engine's final Now() after the run.
 //
 //alewife:engine-only
 func (m *Machine) EnableMetrics() *metrics.Profiler {
-	m.Prof = metrics.New(m.Cfg.Nodes)
-	m.Fab.Prof = m.Prof
-	inner := m.Net
-	if m.Rel != nil {
-		m.Rel.Prof = m.Prof
-		inner = m.Rel.Inner()
-	}
-	switch net := inner.(type) {
-	case *mesh.Mesh:
-		net.Prof = m.Prof
-	case *mesh.Ideal:
-		net.Prof = m.Prof
-	}
-	for _, n := range m.Nodes {
-		n.CMMU.Prof = m.Prof
-	}
-	return m.Prof
+	m.St.Prof = metrics.New(m.Cfg.Nodes)
+	return m.St.Prof
 }
 
 // Node is one processing node: processor state, cache controller, CMMU.
@@ -142,7 +120,7 @@ type Node struct {
 	// the node's processor has not yet paid; the running Proc drains it.
 	stolen uint64
 	// stolenDir/stolenMsg split stolen by origin (directory trap vs message
-	// handler) for attribution; maintained only while metrics are enabled.
+	// handler) for attribution.
 	stolenDir uint64
 	stolenMsg uint64
 }
@@ -157,15 +135,13 @@ func (m *Machine) StealCycles(node int, cycles uint64) {
 
 // dirSteal and msgSteal are the sinks the memory system and the CMMU
 // actually charge through: same accounting as Machine.StealCycles, plus
-// the origin split the profiler needs (one nil branch when disabled).
+// the origin split the profiler needs.
 type dirSteal struct{ m *Machine }
 
 func (s dirSteal) StealCycles(node int, cycles uint64) {
 	n := s.m.Nodes[node]
 	n.stolen += cycles
-	if s.m.Prof != nil {
-		n.stolenDir += cycles
-	}
+	n.stolenDir += cycles
 }
 
 type msgSteal struct{ m *Machine }
@@ -173,9 +149,7 @@ type msgSteal struct{ m *Machine }
 func (s msgSteal) StealCycles(node int, cycles uint64) {
 	n := s.m.Nodes[node]
 	n.stolen += cycles
-	if s.m.Prof != nil {
-		n.stolenMsg += cycles
-	}
+	n.stolenMsg += cycles
 }
 
 // New builds a machine per cfg.
@@ -189,15 +163,11 @@ func New(cfg Config) *Machine {
 	case TopoTorus:
 		m.Net = mesh.NewTorus(m.Eng, w, h, cfg.Net, m.St)
 	case TopoIdeal:
-		lat := cfg.IdealLatency
-		if lat == 0 {
-			lat = 10
-		}
 		// Keep wire-rate serialization so bulk transfers still take time;
 		// only hops and contention vanish. Faults apply just as on the mesh,
 		// so lossy ablations (and the schedule explorer) work here too.
-		m.Net = &mesh.Ideal{Eng: m.Eng, N: cfg.Nodes, Latency: lat,
-			BytesPerCycle: cfg.Net.FlitBytes, Fault: cfg.Net.Fault}
+		m.Net = &mesh.Ideal{Eng: m.Eng, N: cfg.Nodes, Latency: 10,
+			BytesPerCycle: cfg.Net.FlitBytes, St: m.St, Fault: cfg.Net.Fault}
 	default:
 		m.Net = mesh.New(m.Eng, w, h, cfg.Net, m.St)
 	}
@@ -257,7 +227,7 @@ func (m *Machine) Micros(cycles uint64) float64 {
 //
 //alewife:engine-only
 func (m *Machine) Spawn(node int, at sim.Time, name string, body func(*Proc)) *Proc {
-	p := &Proc{Node: m.Nodes[node], prof: m.Prof}
+	p := &Proc{Node: m.Nodes[node], prof: m.St.Prof}
 	p.Ctx = m.Eng.Spawn(fmt.Sprintf("n%d:%s", node, name), at, func(ctx *sim.Context) {
 		body(p)
 	})

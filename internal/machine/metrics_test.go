@@ -6,7 +6,9 @@ import (
 
 	"alewife/internal/cmmu"
 	"alewife/internal/machine"
+	"alewife/internal/mesh"
 	"alewife/internal/metrics"
+	"alewife/internal/trace"
 )
 
 // metricsWorkload exercises every attribution source at machine level:
@@ -66,19 +68,55 @@ func TestMetricsMachineLevelAttribution(t *testing.T) {
 	}
 }
 
+// TestMetricsNeverChangeTiming turns the trace and the profiler on
+// together over every network the machine builds, and over a lossy mesh
+// under cmmu.Reliable: instrumentation reproduces the plain machine's
+// cycles and counters exactly, and every consumer still hears the run —
+// on the lossy row that includes the mesh beneath the sublayer.
 func TestMetricsNeverChangeTiming(t *testing.T) {
-	plain := machine.New(machine.DefaultConfig(2))
-	metricsWorkload(plain)
+	for _, row := range []struct {
+		name  string
+		topo  machine.Topology
+		fault *mesh.NetFault
+	}{
+		{"mesh", machine.TopoMesh, nil},
+		{"torus", machine.TopoTorus, nil},
+		{"ideal", machine.TopoIdeal, nil},
+		{"lossy-mesh", machine.TopoMesh, &mesh.NetFault{Seed: 5, Drop: 0.1, Dup: 0.1, Reorder: 0.1}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := machine.DefaultConfig(2)
+			cfg.Topology = row.topo
+			cfg.Net.Fault = row.fault
+			plain := machine.New(cfg)
+			metricsWorkload(plain)
 
-	profiled := machine.New(machine.DefaultConfig(2))
-	profiled.EnableMetrics()
-	metricsWorkload(profiled)
+			m := machine.New(cfg)
+			if (m.Rel != nil) != (row.fault != nil) {
+				t.Fatalf("reliable sublayer interposed = %v on %s", m.Rel != nil, row.name)
+			}
+			buf := m.EnableTrace(1 << 12)
+			prof := m.EnableMetrics()
+			metricsWorkload(m)
 
-	if plain.Eng.Now() != profiled.Eng.Now() {
-		t.Fatalf("profiling changed machine time: %d vs %d", plain.Eng.Now(), profiled.Eng.Now())
-	}
-	if plain.St.String() != profiled.St.String() {
-		t.Fatalf("profiling changed stats counters")
+			if plain.Eng.Now() != m.Eng.Now() {
+				t.Fatalf("instrumentation changed machine time: %d vs %d", plain.Eng.Now(), m.Eng.Now())
+			}
+			if plain.St.String() != m.St.String() {
+				t.Fatalf("instrumentation changed stats counters:\n%s\nvs\n%s", plain.St, m.St)
+			}
+			kinds := buf.CountByKind()
+			for _, k := range []trace.Kind{trace.KMiss, trace.KMsgSend} {
+				if kinds[k] == 0 {
+					t.Errorf("trace holds no %v events: %v", k, kinds)
+				}
+			}
+			for _, b := range []metrics.Bucket{metrics.DirPipeline, metrics.NetTransit} {
+				if prof.Total(b) == 0 {
+					t.Errorf("bucket %v empty after workload:\n%s", b, prof)
+				}
+			}
+		})
 	}
 }
 

@@ -22,19 +22,20 @@ type Proc struct {
 	Ctx  *sim.Context
 
 	ahead uint64 // locally accumulated cycles not yet on the global clock
-
-	// Attribution state, live only when the machine's profiler is enabled
-	// (prof caches Machine.Prof at spawn; every hook is one nil branch).
 	// aheadHit/aheadMiss/aheadMsg class the run-ahead accumulator so Flush
-	// can decompose the cycles it retires; region is a small stack of
-	// bucket tags redirecting charges (sync wait, scheduler idle) pushed by
-	// the runtime around waits whose meaning the machine layer cannot see.
-	prof      *metrics.Profiler
+	// can decompose the cycles it retires.
 	aheadHit  uint64
 	aheadMiss uint64
 	aheadMsg  uint64
-	region    [4]metrics.Bucket
-	rlen      int
+
+	// Attribution state, live only when the machine's profiler is enabled
+	// (prof caches the handle's Prof at spawn; every hook is one nil
+	// branch). region is a small stack of bucket tags redirecting charges
+	// (sync wait, scheduler idle) pushed by the runtime around waits whose
+	// meaning the machine layer cannot see.
+	prof   *metrics.Profiler
+	region [4]metrics.Bucket
+	rlen   int
 }
 
 // mp returns the memory cost model.
@@ -48,56 +49,38 @@ func (p *Proc) Now() sim.Time { return p.Ctx.Now() + p.ahead }
 
 // Flush synchronizes the processor with the global clock: run-ahead cycles
 // and any cycles stolen by interrupt handlers or directory traps are paid
-// before the next visible action.
+// before the next visible action. With the profiler on, the retired
+// cycles are decomposed into buckets as they hit the wall clock: stolen
+// cycles keep their origin (message handler, directory trap); the proc's
+// own run-ahead splits into its access classes, or redirects wholesale
+// to the active region (a barrier spin's reads and waits are sync time,
+// not memory time).
 func (p *Proc) Flush() {
-	if p.prof != nil {
-		p.flushProf()
-		return
-	}
-	p.ahead += p.Node.stolen
-	p.Node.stolen = 0
-	if p.ahead == 0 {
-		return
-	}
-	d := p.ahead
-	p.ahead = 0
-	p.Node.M.St.Add(p.Node.ID, stats.ProcBusyCycles, int64(d))
-	p.Ctx.Sleep(d)
-}
-
-// flushProf is Flush with cycle attribution: identical timing, but the
-// retired cycles are decomposed into buckets as they hit the wall clock.
-// Stolen cycles keep their origin (message handler, directory trap); the
-// proc's own run-ahead splits into its access classes, or redirects
-// wholesale to the active region (a barrier spin's reads and waits are
-// sync time, not memory time).
-func (p *Proc) flushProf() {
 	n := p.Node
 	p.ahead += n.stolen
 	n.stolen = 0
-	msg, dir := n.stolenMsg, n.stolenDir
-	n.stolenMsg, n.stolenDir = 0, 0
 	if p.ahead == 0 {
 		return
 	}
-	d := p.ahead
-	p.ahead = 0
-	hit, miss, snd := p.aheadHit, p.aheadMiss, p.aheadMsg
-	p.aheadHit, p.aheadMiss, p.aheadMsg = 0, 0, 0
+	d, hit, miss, snd := p.ahead, p.aheadHit, p.aheadMiss, p.aheadMsg
+	p.ahead, p.aheadHit, p.aheadMiss, p.aheadMsg = 0, 0, 0, 0
+	msg, dir := n.stolenMsg, n.stolenDir
+	n.stolenMsg, n.stolenDir = 0, 0
 	n.M.St.Add(n.ID, stats.ProcBusyCycles, int64(d))
-
-	// Stolen cycles never redirect: they are asynchronous work that landed
-	// here, not part of what the region is waiting on.
-	p.prof.Add(n.ID, metrics.DirTrap, dir)
-	p.prof.Add(n.ID, metrics.Handler, msg)
-	own := d - dir - msg // includes untagged StealCycles, folded into compute
-	if b := p.curRegion(); b != metrics.NoBucket {
-		p.prof.Add(n.ID, b, own)
-	} else {
-		p.prof.Add(n.ID, metrics.CacheHit, hit)
-		p.prof.Add(n.ID, metrics.MissStall, miss)
-		p.prof.Add(n.ID, metrics.Handler, snd)
-		p.prof.Add(n.ID, metrics.Compute, own-hit-miss-snd)
+	if p.prof != nil {
+		// Stolen cycles never redirect: they are asynchronous work that
+		// landed here, not part of what the region is waiting on.
+		p.prof.Add(n.ID, metrics.DirTrap, dir)
+		p.prof.Add(n.ID, metrics.Handler, msg)
+		own := d - dir - msg // includes untagged StealCycles, folded into compute
+		if b := p.curRegion(); b != metrics.NoBucket {
+			p.prof.Add(n.ID, b, own)
+		} else {
+			p.prof.Add(n.ID, metrics.CacheHit, hit)
+			p.prof.Add(n.ID, metrics.MissStall, miss)
+			p.prof.Add(n.ID, metrics.Handler, snd)
+			p.prof.Add(n.ID, metrics.Compute, own-hit-miss-snd)
+		}
 	}
 	p.Ctx.Sleep(d)
 }
@@ -171,18 +154,14 @@ func (p *Proc) Read(a mem.Addr) uint64 {
 	p.sync()
 	if p.Node.Ctrl.FastRead(a) {
 		p.ahead += p.mp().CacheHit
-		if p.prof != nil {
-			p.aheadHit += p.mp().CacheHit
-		}
+		p.aheadHit += p.mp().CacheHit
 		return p.Node.M.Store.Read(a)
 	}
 	p.Flush()
 	p.Node.Ctrl.Read(p.Ctx, a)
 	p.ahead += p.mp().FillToUse + p.mp().CacheHit
-	if p.prof != nil {
-		p.aheadMiss += p.mp().FillToUse
-		p.aheadHit += p.mp().CacheHit
-	}
+	p.aheadMiss += p.mp().FillToUse
+	p.aheadHit += p.mp().CacheHit
 	return p.Node.M.Store.Read(a)
 }
 
@@ -191,19 +170,15 @@ func (p *Proc) Write(a mem.Addr, v uint64) {
 	p.sync()
 	if p.Node.Ctrl.FastWrite(a) {
 		p.ahead += p.mp().CacheHit
-		if p.prof != nil {
-			p.aheadHit += p.mp().CacheHit
-		}
+		p.aheadHit += p.mp().CacheHit
 		p.Node.M.Store.Write(a, v)
 		return
 	}
 	p.Flush()
 	p.Node.Ctrl.Write(p.Ctx, a)
 	p.ahead += p.mp().FillToUse + p.mp().CacheHit
-	if p.prof != nil {
-		p.aheadMiss += p.mp().FillToUse
-		p.aheadHit += p.mp().CacheHit
-	}
+	p.aheadMiss += p.mp().FillToUse
+	p.aheadHit += p.mp().CacheHit
 	p.Node.M.Store.Write(a, v)
 }
 
@@ -229,9 +204,7 @@ func (p *Proc) FetchAdd(a mem.Addr, delta uint64) uint64 {
 	old := p.Node.M.Store.Read(a)
 	p.Node.M.Store.Write(a, old+delta)
 	p.ahead += 2 * p.mp().CacheHit
-	if p.prof != nil {
-		p.aheadHit += 2 * p.mp().CacheHit
-	}
+	p.aheadHit += 2 * p.mp().CacheHit
 	return old
 }
 
@@ -242,9 +215,7 @@ func (p *Proc) CompareSwap(a mem.Addr, old, new uint64) bool {
 	p.Node.Ctrl.AcquireExclusive(p.Ctx, a)
 	cur := p.Node.M.Store.Read(a)
 	p.ahead += 2 * p.mp().CacheHit
-	if p.prof != nil {
-		p.aheadHit += 2 * p.mp().CacheHit
-	}
+	p.aheadHit += 2 * p.mp().CacheHit
 	if cur != old {
 		return false
 	}
@@ -260,9 +231,7 @@ func (p *Proc) TestSet(a mem.Addr) uint64 {
 	old := p.Node.M.Store.Read(a)
 	p.Node.M.Store.Write(a, 1)
 	p.ahead += 2 * p.mp().CacheHit
-	if p.prof != nil {
-		p.aheadHit += 2 * p.mp().CacheHit
-	}
+	p.aheadHit += 2 * p.mp().CacheHit
 	return old
 }
 
@@ -274,9 +243,7 @@ func (p *Proc) SendMessage(d cmmu.Descriptor) {
 	cost := p.Node.CMMU.SendCost(d)
 	p.Node.CMMU.Send(d, p.Ctx.Now()+cost)
 	p.ahead += cost
-	if p.prof != nil {
-		p.aheadMsg += cost
-	}
+	p.aheadMsg += cost
 }
 
 // MaskInterrupts defers message handlers on this node.

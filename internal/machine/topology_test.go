@@ -6,6 +6,8 @@ import (
 	"alewife/internal/core"
 	"alewife/internal/machine"
 	"alewife/internal/mem"
+	"alewife/internal/mesh"
+	"alewife/internal/stats"
 )
 
 // Topology regression tests. The constant-latency Ideal network once
@@ -89,5 +91,29 @@ func TestIdealFasterThanMeshFarTraffic(t *testing.T) {
 	ideal := measure(machine.TopoIdeal)
 	if ideal >= mesh {
 		t.Fatalf("ideal network (%d) not faster than mesh (%d) for far traffic", ideal, mesh)
+	}
+}
+
+// Every network counts the packets it carries and the fault verdicts it
+// hands out: a lossy run on the ideal network reports net.* counters just
+// as the mesh does.
+func TestLossyRunCountsOnEveryNetwork(t *testing.T) {
+	for _, topo := range []machine.Topology{machine.TopoMesh, machine.TopoIdeal} {
+		cfg := machine.DefaultConfig(8)
+		cfg.Topology = topo
+		cfg.Net.Fault = &mesh.NetFault{Seed: 3, Drop: 0.02, Dup: 0.02, Reorder: 0.02}
+		m := machine.New(cfg)
+		rt := core.NewDefault(m, core.ModeHybrid)
+		rt.SPMD(func(p *machine.Proc) {
+			for i := 0; i < 8; i++ {
+				rt.Barrier().Sync(p)
+			}
+		})
+		for _, id := range []stats.ID{stats.NetPackets, stats.NetPacketCycles,
+			stats.NetFaultDrops, stats.NetFaultDups, stats.NetFaultReorders} {
+			if m.St.Global.Get(id) == 0 {
+				t.Errorf("topology %d: %v is zero after a lossy run:\n%s", topo, id, m.St)
+			}
+		}
 	}
 }

@@ -36,7 +36,7 @@ func TestTraceCapturesMemoryAndMessages(t *testing.T) {
 
 func TestTraceDisabledByDefault(t *testing.T) {
 	m := machine.New(machine.DefaultConfig(2))
-	if m.Trace != nil {
+	if m.St.Trace != nil {
 		t.Fatal("trace enabled without EnableTrace")
 	}
 	a := m.Store.AllocOn(1, 2)

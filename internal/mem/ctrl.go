@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"alewife/internal/mesh"
-	"alewife/internal/metrics"
 	"alewife/internal/sim"
 	"alewife/internal/stats"
 	"alewife/internal/trace"
@@ -26,14 +25,12 @@ type Fabric struct {
 	Net   mesh.Network
 	Store *Store
 	P     Params
+	// St counts protocol events, records them in its trace and charges
+	// directory/memory pipeline occupancy to the home node's DirPipeline
+	// overlay bucket.
 	St    *stats.Machine
 	Sink  ProcSink
 	Ctrls []*Ctrl
-	// Trace, when non-nil, records protocol events.
-	Trace *trace.Buffer
-	// Prof, when non-nil, meters directory/memory pipeline occupancy
-	// (the DirPipeline overlay bucket, charged at the home node).
-	Prof *metrics.Profiler
 	// Check, when non-nil, validates protocol invariants after every state
 	// transition (see LiveChecker); attach with AttachChecker.
 	Check *LiveChecker
@@ -417,7 +414,7 @@ func (c *Ctrl) Prefetch(a Addr, excl bool) {
 
 // start creates the transaction and fires the request at the home.
 func (c *Ctrl) start(line Addr, want LState, prefetch bool) *txn {
-	c.f.Trace.Emit(c.f.Eng.Now(), c.node, trace.KMiss, uint64(line))
+	c.f.St.Emit(c.f.Eng.Now(), c.node, trace.KMiss, uint64(line))
 	t := c.txnFree
 	if t != nil {
 		c.txnFree = t.next
@@ -458,7 +455,7 @@ func (c *Ctrl) grantArrive(line Addr, granted LState) {
 		panic(fmt.Sprintf("mem: node %d grant for line %#x with no transaction", c.node, uint64(line)))
 	}
 	t := c.txns[ti]
-	c.f.Trace.Emit(c.f.Eng.Now(), c.node, trace.KFill, uint64(line))
+	c.f.St.Emit(c.f.Eng.Now(), c.node, trace.KFill, uint64(line))
 	victim, vstate := c.cache.Insert(line, granted)
 	if vstate == Exclusive {
 		c.writeback(victim)
@@ -485,8 +482,7 @@ func (c *Ctrl) grantArrive(line Addr, granted LState) {
 
 // writeback sends a dirty victim home.
 func (c *Ctrl) writeback(line Addr) {
-	c.f.Trace.Emit(c.f.Eng.Now(), c.node, trace.KWriteback, uint64(line))
-	c.f.St.Inc(c.node, stats.CacheWritebacks)
+	c.f.St.Event(c.node, stats.CacheWritebacks, c.f.Eng.Now(), trace.KWriteback, uint64(line))
 	c.f.Check.wbSent(c.node, line)
 	if c.f.Fault.dropWriteback() {
 		return
@@ -669,7 +665,7 @@ func (c *Ctrl) sendGrant(line Addr, to int, st LState, withData bool, at sim.Tim
 // invArrive handles an invalidation at a sharer. Acks go back to the home
 // even when the line was silently evicted (the directory pointer was stale).
 func (c *Ctrl) invArrive(line Addr) {
-	c.f.Trace.Emit(c.f.Eng.Now(), c.node, trace.KInval, uint64(line))
+	c.f.St.Emit(c.f.Eng.Now(), c.node, trace.KInval, uint64(line))
 	if !c.f.Fault.dropInval() {
 		c.cache.SetState(line, Invalid)
 	}
@@ -718,7 +714,7 @@ func (c *Ctrl) invAckArrive(line Addr, from int) {
 // owner's writeback is already in flight and will resolve the home's
 // pending state, so nothing is sent.
 func (c *Ctrl) recallArrive(line Addr, forWrite bool) {
-	c.f.Trace.Emit(c.f.Eng.Now(), c.node, trace.KRecall, uint64(line))
+	c.f.St.Emit(c.f.Eng.Now(), c.node, trace.KRecall, uint64(line))
 	st := c.cache.State(line)
 	if st == Invalid {
 		return // WB raced ahead of the recall

@@ -110,8 +110,7 @@ func (lc *LiveChecker) violate(kind trace.Kind, node int, line Addr, format stri
 	v := Violation{At: lc.f.Eng.Now(), Node: node, Line: line, Event: kind,
 		Msg: fmt.Sprintf(format, args...)}
 	lc.violations = append(lc.violations, v)
-	lc.f.St.Inc(node, stats.CheckViolations)
-	lc.f.Trace.Emit(v.At, node, trace.KCheckFail, uint64(line))
+	lc.f.St.Event(node, stats.CheckViolations, v.At, trace.KCheckFail, uint64(line))
 	if lc.OnViolation != nil {
 		lc.OnViolation(v)
 	}

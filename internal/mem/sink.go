@@ -89,9 +89,7 @@ func (c *Ctrl) occupyOp(busy uint64, op uint32, line Addr, target int) {
 		t = c.dirFreeAt
 	}
 	c.dirFreeAt = t + busy
-	if c.f.Prof != nil {
-		c.f.Prof.Add(c.node, metrics.DirPipeline, busy)
-	}
+	c.f.St.Charge(c.node, metrics.DirPipeline, busy)
 	eng.AtSink(t, c.f, op|uint32(c.node)<<opNodeShift,
 		uint64(line), uint64(target)|busy<<16)
 }

@@ -80,19 +80,48 @@ type Mesh struct {
 	wrap bool
 	// links[dir][node] is the outgoing link from node in direction dir.
 	links [4][]link
-	st    *stats.Machine
-	// Prof, when non-nil, meters every packet's unloaded wire time
-	// (NetTransit) and its delay beyond that (NetQueue: link contention,
-	// FIFO clamps, jitter), charged to the source node as overlay buckets.
-	Prof *metrics.Profiler
+	// The routed path is naturally FIFO (monotone link reservations), but
+	// jittered or loopback packets of different sizes could otherwise
+	// overtake: the tail's per-pair clamp orders them.
+	tail
 
 	faultPkts uint64 // packet ordinal the NetFault verdicts hash
-	// lastDeliver enforces point-to-point FIFO delivery for every pair;
-	// the routed path is naturally FIFO (monotone link reservations), but
-	// jittered or loopback packets of different sizes could otherwise
-	// overtake. It is dense — indexed src*Nodes()+dst and sized once at
-	// construction — so it never grows with traffic.
-	lastDeliver []sim.Time
+}
+
+// tail is the per-packet epilogue Mesh and Ideal share: the per-pair FIFO
+// clamp, the packet counters and the transit/queue profiler charge.
+type tail struct {
+	st *stats.Machine
+	n  int // endpoints
+	// last is each pair's latest delivery time. It is dense — indexed
+	// src*n+dst and sized once — so it never grows with traffic.
+	last []sim.Time
+}
+
+func newTail(st *stats.Machine, n int) tail {
+	return tail{st: st, n: n, last: make([]sim.Time, n*n)}
+}
+
+// deliver clamps delivery time t strictly after the pair's previous
+// delivery, counts the packet against src, and charges its delay since
+// the requested departure at0 to the source node's overlay buckets:
+// unloaded cycles of NetTransit, the rest (link contention, FIFO clamps,
+// jitter) NetQueue. at is the injection time, at0 plus any jitter.
+func (tl *tail) deliver(src, dst int, at0, at, t sim.Time, unloaded uint64) sim.Time {
+	pair := src*tl.n + dst
+	if prev := tl.last[pair]; t <= prev {
+		t = prev + 1
+	}
+	tl.last[pair] = t
+	tl.st.Inc(src, stats.NetPackets)
+	tl.st.Add(src, stats.NetPacketCycles, int64(t-at))
+	total := uint64(t - at0)
+	if total < unloaded {
+		unloaded = total // FIFO clamps cannot shrink a delay; guard anyway
+	}
+	tl.st.Charge(src, metrics.NetTransit, unloaded)
+	tl.st.Charge(src, metrics.NetQueue, total-unloaded)
+	return t
 }
 
 // Engine is the subset of *sim.Engine the mesh needs; aliased for clarity.
@@ -111,18 +140,17 @@ func New(eng *Engine, w, h int, p Params, st *stats.Machine) *Mesh {
 	if w < 1 || h < 1 {
 		panic(fmt.Sprintf("mesh: invalid dimensions %dx%d", w, h))
 	}
-	m := &Mesh{eng: eng, w: w, h: h, p: p, st: st}
+	m := &Mesh{eng: eng, w: w, h: h, p: p, tail: newTail(st, w*h)}
 	for d := range m.links {
 		m.links[d] = make([]link, w*h)
 	}
-	m.lastDeliver = make([]sim.Time, w*h*w*h)
 	return m
 }
 
 // PairStateWords reports the per-pair bookkeeping footprint in words. It is
 // a constant for a given machine size — tests assert it does not scale with
 // traffic.
-func (m *Mesh) PairStateWords() int { return len(m.lastDeliver) }
+func (m *Mesh) PairStateWords() int { return len(m.last) }
 
 // NewTorus builds a W×H torus: the mesh plus wrap-around links, each
 // dimension routed the shorter way. A 1×N or N×1 torus is a ring.
@@ -215,16 +243,13 @@ func (m *Mesh) route(src, dst int, bytes int, at sim.Time, jitter uint64) sim.Ti
 		at = m.eng.Now()
 	}
 	f := m.flits(bytes)
-	m.st.Inc(src, stats.NetPackets)
 	m.st.Add(src, stats.NetFlits, int64(f))
 	at0 := at // requested departure; delay beyond unloaded time is queueing
 	at += jitter
 	if src == dst {
 		// Loopback through the network interface without touching links.
-		t := m.fifo(src, dst, at+m.p.InjectDelay+m.p.EjectDelay+f*m.p.FlitCycles)
-		m.st.Add(src, stats.NetPacketCycles, int64(t-at))
-		m.profNet(src, uint64(t-at0), m.p.InjectDelay+m.p.EjectDelay+f*m.p.FlitCycles)
-		return t
+		u := m.p.InjectDelay + m.p.EjectDelay + f*m.p.FlitCycles
+		return m.deliver(src, dst, at0, at, at+u, u)
 	}
 	head := at + m.p.InjectDelay
 	x, y := m.coord(src)
@@ -260,35 +285,8 @@ func (m *Mesh) route(src, dst int, bytes int, at sim.Time, jitter uint64) sim.Ti
 			y = (y - 1 + m.h) % m.h
 		}
 	}
-	t := m.fifo(src, dst, head+f*m.p.FlitCycles+m.p.EjectDelay)
-	m.st.Add(src, stats.NetPacketCycles, int64(t-at))
-	m.profNet(src, uint64(t-at0),
+	return m.deliver(src, dst, at0, at, head+f*m.p.FlitCycles+m.p.EjectDelay,
 		m.p.InjectDelay+uint64(m.Dist(src, dst))*m.p.RouterDelay+f*m.p.FlitCycles+m.p.EjectDelay)
-	return t
-}
-
-// profNet splits one packet's delivery delay into its unloaded wire time
-// and everything beyond it (contention, FIFO clamps, jitter).
-func (m *Mesh) profNet(src int, total, unloaded uint64) {
-	if m.Prof == nil {
-		return
-	}
-	if total < unloaded {
-		unloaded = total // FIFO clamps cannot shrink a delay; guard anyway
-	}
-	m.Prof.Add(src, metrics.NetTransit, unloaded)
-	m.Prof.Add(src, metrics.NetQueue, total-unloaded)
-}
-
-// fifo clamps a delivery time so packets between the same endpoints arrive
-// strictly in send order.
-func (m *Mesh) fifo(src, dst int, t sim.Time) sim.Time {
-	pair := src*m.Nodes() + dst
-	if prev := m.lastDeliver[pair]; t <= prev {
-		t = prev + 1
-	}
-	m.lastDeliver[pair] = t
-	return t
 }
 
 // plan returns the hop count and direction (forward = increasing
@@ -320,11 +318,11 @@ type Ideal struct {
 	Eng           *Engine
 	N             int
 	Latency       uint64 // flat one-way latency
-	PerByte       uint64 // additional cycles per byte (can be zero)
 	BytesPerCycle int    // wire rate; 0 = infinite
-	// Prof mirrors Mesh.Prof: constant latency plus serialization is
-	// transit; the FIFO clamp is the only queueing an ideal network has.
-	Prof *metrics.Profiler
+	// St counts packets and faults as Mesh does; constant latency plus
+	// serialization is profiled as transit, and the FIFO clamp is the only
+	// queueing an ideal network has. May be nil.
+	St *stats.Machine
 
 	// Fault mirrors Mesh: when non-nil the ideal network is perturbed too.
 	// The schedule explorer depends on this — it runs the protocol over
@@ -332,8 +330,8 @@ type Ideal struct {
 	// while still exploring drop/dup placements through NetFault.Chooser.
 	Fault *NetFault
 
-	lastArrival []sim.Time // dense per-pair floor, sized N*N on first use
-	faultPkts   uint64     // packet ordinal the NetFault verdicts hash
+	tail             // built on first send
+	faultPkts uint64 // packet ordinal the NetFault verdicts hash
 }
 
 // Nodes implements Network.
@@ -347,8 +345,7 @@ func (i *Ideal) Dist(src, dst int) int {
 	return 1
 }
 
-// SendMsg implements Network, applying Fault exactly as Mesh does; an
-// ideal network has no stats wiring, so its faults go uncounted.
+// SendMsg implements Network, applying Fault exactly as Mesh does.
 //
 //alewife:engine-only
 func (i *Ideal) SendMsg(src, dst int, bytes int, at sim.Time, s sim.Sink, op uint32, p0, p1 uint64) {
@@ -358,36 +355,24 @@ func (i *Ideal) SendMsg(src, dst int, bytes int, at sim.Time, s sim.Sink, op uin
 	}
 	i.faultPkts++
 	f := i.Fault.resolve(src, dst, i.faultPkts)
-	f.land(i.Eng, nil, src, i.arrival(src, dst, bytes, at, f.jitter), s, op, p0, p1)
+	f.land(i.Eng, i.St, src, i.arrival(src, dst, bytes, at, f.jitter), s, op, p0, p1)
 }
 
 // arrival is Ideal's cost model: constant latency plus serialization,
-// injected jitter cycles late, then the per-pair FIFO clamp.
+// injected jitter cycles late, then the shared tail. Its strict per-pair
+// FIFO matters here too: equal-time delivery would let a chasing recall
+// be processed before the resume of the processor its grant just woke,
+// livelocking the retry loop.
 func (i *Ideal) arrival(src, dst int, bytes int, at sim.Time, jitter uint64) sim.Time {
 	if at < i.Eng.Now() {
 		at = i.Eng.Now()
 	}
-	unloaded := i.Latency + i.PerByte*uint64(bytes)
+	unloaded := i.Latency
 	if i.BytesPerCycle > 0 {
 		unloaded += uint64((bytes + i.BytesPerCycle - 1) / i.BytesPerCycle)
 	}
-	t := at + jitter + unloaded
-	if i.lastArrival == nil {
-		i.lastArrival = make([]sim.Time, i.N*i.N)
+	if i.last == nil {
+		i.tail = newTail(i.St, i.N)
 	}
-	// Strict FIFO per pair: a later packet arrives strictly after an
-	// earlier one (one wire delivers distinct packets at distinct times).
-	// Equal-time delivery would let a chasing recall be processed before
-	// the resume of the processor its grant just woke, livelocking the
-	// retry loop.
-	pair := src*i.N + dst
-	if prev := i.lastArrival[pair]; t <= prev {
-		t = prev + 1
-	}
-	i.lastArrival[pair] = t
-	if i.Prof != nil {
-		i.Prof.Add(src, metrics.NetTransit, unloaded)
-		i.Prof.Add(src, metrics.NetQueue, uint64(t-at)-unloaded)
-	}
-	return t
+	return i.deliver(src, dst, at, at+jitter, at+jitter+unloaded, unloaded)
 }

@@ -168,7 +168,7 @@ func TestOutOfRangePanics(t *testing.T) {
 
 func TestIdealNetwork(t *testing.T) {
 	eng := sim.NewEngine()
-	n := &Ideal{Eng: eng, N: 4, Latency: 10, PerByte: 1}
+	n := &Ideal{Eng: eng, N: 4, Latency: 10, BytesPerCycle: 1}
 	var at sim.Time
 	send(n, 0, 3, 5, 0, func() { at = eng.Now() })
 	eng.Run()

@@ -141,7 +141,7 @@ func (ft *NetFault) resolve(src, dst int, n uint64) fate {
 
 // land schedules a routed packet's delivery at t per its fate — none for a
 // drop, a second copy f.delay later for a dup, one f.delay late for a
-// reorder — and counts the fault against src in st (nil: uncounted).
+// reorder — and counts the fault against src in st.
 // Reorder delays land after the per-pair FIFO clamp, so a delayed packet
 // genuinely arrives behind later traffic between the same endpoints.
 func (f fate) land(eng *sim.Engine, st *stats.Machine, src int, t sim.Time, s sim.Sink, op uint32, p0, p1 uint64) {

@@ -13,10 +13,10 @@
 //     busy time overlaps processor time and therefore must not enter the
 //     sum-to-elapsed identity.
 //
-// A nil *Profiler is the disabled state: every instrumented subsystem
-// holds a possibly-nil pointer and guards its bookkeeping with a single
-// nil check, so a run without metrics executes the exact pre-metrics
-// code path.
+// A nil *Profiler is the disabled state. Instrumented subsystems reach
+// the profiler through the machine's instrumentation handle
+// (stats.Machine.Prof, charged with stats.Machine.Charge), so a run
+// without metrics pays one nil check per hook.
 package metrics
 
 import (
@@ -104,8 +104,8 @@ func (p *Profiler) Nodes() int {
 	return len(p.counts)
 }
 
-// Add charges cycles to a bucket on a node. Nil-safe so cold call sites
-// can skip the guard; hot paths guard themselves and never reach a nil p.
+// Add charges cycles to a bucket on a node. Nil-safe, so no call site
+// guards it.
 //
 //alewife:hotpath
 func (p *Profiler) Add(node int, b Bucket, cycles uint64) {

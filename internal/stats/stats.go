@@ -1,8 +1,10 @@
-// Package stats collects typed counters for a simulation run: coherence
-// traffic, message counts by type, cache hits/misses, cycles stolen by
-// interrupt handlers, link utilization. Counters are plain integers — the
-// whole simulator is single-threaded by construction — and are grouped per
-// node plus machine-wide aggregates.
+// Package stats is the simulator's instrumentation handle. It collects
+// typed counters for a simulation run — coherence traffic, message counts
+// by type, cache hits/misses, cycles stolen by interrupt handlers, link
+// utilization — and carries the run's optional event trace and
+// cycle-attribution profiler, so one pointer reaches all three consumers.
+// Counters are plain integers — the whole simulator is single-threaded by
+// construction — and are grouped per node plus machine-wide aggregates.
 //
 // A counter is an ID that indexes a fixed array, so counting an event is one
 // indexed add; the dotted names ("cache.hits") are resolved only when a
@@ -14,6 +16,9 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
+
+	"alewife/internal/metrics"
+	"alewife/internal/trace"
 )
 
 // ID names one counter.
@@ -195,14 +200,20 @@ func (s *Set) Diff(prev map[string]int64) map[string]int64 {
 	return out
 }
 
-// Machine aggregates a global set plus one set per node. A nil *Machine is
-// the disabled state: every method is a no-op (enforced by the nilrecv
+// Machine is a machine's one instrumentation handle: a global counter set
+// plus one set per node, the event trace and the cycle-attribution
+// profiler. machine.New hands the same pointer to every subsystem, so
+// turning a consumer on is one field assignment. A nil *Machine is the
+// disabled state, and a nil Trace or Prof turns off that consumer alone:
+// every method is a no-op on what is off (enforced by the nilrecv
 // analyzer), so components built without stats need no guards.
 //
 //alewife:nil-safe
 type Machine struct {
 	Global *Set
 	Node   []*Set
+	Trace  *trace.Buffer     // nil: no event records
+	Prof   *metrics.Profiler // nil: no cycle attribution
 }
 
 // NewMachine returns stats for n nodes.
@@ -232,7 +243,40 @@ func (m *Machine) Inc(node int, id ID) {
 	m.Add(node, id, 1)
 }
 
-// Reset zeroes everything.
+// Emit records a trace event; a no-op while tracing is off.
+//
+//alewife:hotpath
+func (m *Machine) Emit(at uint64, node int, kind trace.Kind, arg uint64) {
+	if m == nil {
+		return
+	}
+	m.Trace.Emit(at, node, kind, arg)
+}
+
+// Charge adds cycles to a profiler bucket on node; a no-op while profiling
+// is off.
+//
+//alewife:hotpath
+func (m *Machine) Charge(node int, b metrics.Bucket, cycles uint64) {
+	if m == nil {
+		return
+	}
+	m.Prof.Add(node, b, cycles)
+}
+
+// Event counts one id on node and records it in the trace as kind with
+// arg at time at: one call for an event both consumers see.
+//
+//alewife:hotpath
+func (m *Machine) Event(node int, id ID, at uint64, kind trace.Kind, arg uint64) {
+	if m == nil {
+		return
+	}
+	m.Inc(node, id)
+	m.Trace.Emit(at, node, kind, arg)
+}
+
+// Reset zeroes every counter.
 func (m *Machine) Reset() {
 	if m == nil {
 		return

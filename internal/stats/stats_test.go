@@ -8,6 +8,9 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"alewife/internal/metrics"
+	"alewife/internal/trace"
 )
 
 func TestSetBasics(t *testing.T) {
@@ -230,24 +233,58 @@ func TestPropertyMatchesMapModel(t *testing.T) {
 	}
 }
 
-// A nil *Machine is the disabled state: counting into it is a no-op.
+// A nil *Machine is the disabled state: counting into it is a no-op, and
+// so is every other per-event call; so are tracing and charging into a
+// handle whose Trace and Prof are nil.
 func TestNilMachineIsNoop(t *testing.T) {
 	var m *Machine
 	m.Inc(3, CacheHits)
 	m.Add(3, CacheHits, 9)
+	m.Emit(1, 3, trace.KMiss, 0x40)
+	m.Charge(3, metrics.Compute, 7)
+	m.Event(3, CacheWritebacks, 1, trace.KWriteback, 0x40)
 	m.Reset()
 	if m.String() != "" {
 		t.Fatal("nil machine renders counters")
 	}
+	m = NewMachine(4)
+	m.Emit(1, 3, trace.KMiss, 0x40)
+	m.Charge(3, metrics.Compute, 7)
+	m.Event(3, CacheWritebacks, 1, trace.KWriteback, 0x40)
+	if got := m.Global.Get(CacheWritebacks); got != 1 {
+		t.Fatalf("Event with tracing off counted %d, want 1", got)
+	}
 }
 
-// Counting is an indexed add: no hashing, no allocation.
+// Event feeds both consumers: one count and one trace record.
+func TestEventCountsAndTraces(t *testing.T) {
+	m := NewMachine(4)
+	m.Trace = trace.New(8)
+	m.Event(2, RelRetransmits, 30, trace.KRetransmit, 5)
+	if got := m.Node[2].Get(RelRetransmits); got != 1 {
+		t.Fatalf("node 2 counted %d retransmits, want 1", got)
+	}
+	want := []trace.Event{{At: 30, Node: 2, Kind: trace.KRetransmit, Arg: 5}}
+	if got := m.Trace.Events(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("trace holds %v, want %v", got, want)
+	}
+}
+
+// Counting is an indexed add: no hashing, no allocation; tracing and
+// charging write preallocated arrays.
 func TestCountingDoesNotAllocate(t *testing.T) {
 	m := NewMachine(4)
-	if n := testing.AllocsPerRun(1000, func() { m.Inc(2, NetPackets) }); n != 0 {
-		t.Fatalf("Machine.Inc allocates %.1f times per call", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() { m.Add(3, NetFlits, 5) }); n != 0 {
-		t.Fatalf("Machine.Add allocates %.1f times per call", n)
+	m.Trace = trace.New(16)
+	m.Prof = metrics.New(4)
+	for name, f := range map[string]func(){
+		"Inc":    func() { m.Inc(2, NetPackets) },
+		"Add":    func() { m.Add(3, NetFlits, 5) },
+		"Emit":   func() { m.Emit(1, 3, trace.KMiss, 0x40) },
+		"Charge": func() { m.Charge(3, metrics.NetTransit, 9) },
+		"Event":  func() { m.Event(0, MsgsSent, 1, trace.KMsgSend, 4) },
+	} {
+		if n := testing.AllocsPerRun(1000, f); n != 0 {
+			t.Fatalf("Machine.%s allocates %.1f times per call", name, n)
+		}
 	}
 }

@@ -144,7 +144,7 @@ func execute(cfg Config, prog [][]Op) Result {
 	fail := func(at sim.Time, msg string) {
 		if len(res.Violations) == 0 {
 			res.FirstAt = at
-			res.TraceTail = m.Trace.Format(50)
+			res.TraceTail = m.St.Trace.Format(50)
 		}
 		res.Violations = append(res.Violations, msg)
 	}
@@ -290,8 +290,8 @@ func execute(cfg Config, prog [][]Op) Result {
 	res.TotalOps = m.St.Global.Get(stats.StressOps)
 	if cfg.Capture {
 		res.History = hist
-		res.TraceDigest = m.Trace.Digest()
-		res.TraceEvents = m.Trace.Events()
+		res.TraceDigest = m.St.Trace.Digest()
+		res.TraceEvents = m.St.Trace.Events()
 		res.StatsText = m.St.String()
 	}
 

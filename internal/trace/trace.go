@@ -82,13 +82,14 @@ func (b *Buffer) Emit(at uint64, node int, kind Kind, arg uint64) {
 	if b == nil {
 		return
 	}
+	// Full or not, the next slot is start+n: on a full ring that is the
+	// oldest event's slot, which the new event overwrites.
+	b.ring[(b.start+b.n)%len(b.ring)] = Event{At: at, Node: node, Kind: kind, Arg: arg}
 	if b.n == len(b.ring) {
-		b.ring[b.start] = Event{At: at, Node: node, Kind: kind, Arg: arg}
 		b.start = (b.start + 1) % len(b.ring)
 		b.dropped++
 		return
 	}
-	b.ring[(b.start+b.n)%len(b.ring)] = Event{At: at, Node: node, Kind: kind, Arg: arg}
 	b.n++
 }
 
