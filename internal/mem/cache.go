@@ -5,7 +5,8 @@ package mem
 // an invalidation-based write-allocate protocol).
 type LState uint8
 
-// Cache line states.
+// Cache line states, weakest first: a line held Exclusive also satisfies
+// a probe for Shared (see Touch).
 const (
 	Invalid LState = iota
 	Shared
@@ -34,10 +35,17 @@ type cline struct {
 // Cache is a set-associative cache holding coherence metadata only (values
 // live in the Store). It is a mechanical tag array: all protocol decisions
 // live in Ctrl.
+//
+// The tag array is kept in pages of pageSets sets. Until Insert fills a line
+// in a page, the page aliases cold, the cache's one all-Invalid page: the
+// probes scan it like any other page and find nothing, so a cache pays host
+// memory only for the pages its run fills.
 type Cache struct {
-	sets, ways int
-	lines      []cline // sets*ways entries, set-major
-	tick       uint64
+	mask  uint // sets-1
+	ways  int
+	pages [][]cline // per pageSets sets: their lines, set-major
+	cold  []cline   // the all-Invalid page every unfilled page aliases
+	tick  uint64
 
 	// hold, when non-nil, is the holder index a LiveChecker reads; every
 	// state change is mirrored into it for node, the cache's owner. Nil
@@ -45,6 +53,10 @@ type Cache struct {
 	hold *holderIndex
 	node int
 }
+
+// pageSets is the number of sets in a page of the tag array (a cache with
+// fewer sets is one page).
+const pageSets = 64
 
 // NewCache builds a cache of the given geometry. sets must be a power of
 // two.
@@ -55,33 +67,34 @@ func NewCache(sets, ways int) *Cache {
 	if ways <= 0 {
 		panic("mem: cache ways must be positive")
 	}
-	return &Cache{sets: sets, ways: ways, lines: make([]cline, sets*ways)}
+	c := &Cache{mask: uint(sets - 1), ways: ways,
+		pages: make([][]cline, (sets+pageSets-1)/pageSets),
+		cold:  make([]cline, min(sets, pageSets)*ways)}
+	for i := range c.pages {
+		c.pages[i] = c.cold
+	}
+	return c
 }
 
 // Sets returns the number of sets; Ways the associativity.
-func (c *Cache) Sets() int { return c.sets }
+func (c *Cache) Sets() int { return int(c.mask) + 1 }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
-// base returns the first index of the set holding line; the set occupies
-// lines[base : base+ways]. Hot paths index from it directly rather than
-// reslicing per probe.
-func (c *Cache) base(line Addr) int {
-	return int(uint64(line/LineWords)&uint64(c.sets-1)) * c.ways
+// set returns the ways of the set holding line.
+func (c *Cache) set(line Addr) []cline {
+	s := uint(line/LineWords) & c.mask
+	return c.pages[s/pageSets][int(s%pageSets)*c.ways:][:c.ways]
 }
 
-func (c *Cache) set(line Addr) []cline {
-	b := c.base(line)
-	return c.lines[b : b+c.ways]
-}
+// isCold reports whether page p is the shared all-Invalid page.
+func (c *Cache) isCold(p []cline) bool { return &p[0] == &c.cold[0] }
 
 // State returns the coherence state of the line containing a.
 func (c *Cache) State(a Addr) LState {
 	line := a.Line()
-	b := c.base(line)
-	for i := b; i < b+c.ways; i++ {
-		l := &c.lines[i]
+	for _, l := range c.set(line) {
 		if l.state != Invalid && l.tag == line {
 			return l.state
 		}
@@ -89,27 +102,27 @@ func (c *Cache) State(a Addr) LState {
 	return Invalid
 }
 
-// Touch refreshes LRU for a resident line (hit path).
-func (c *Cache) Touch(a Addr) {
+// Touch refreshes LRU for the line containing a when it is resident in
+// state want (Shared or Exclusive) or stronger, and reports whether it was:
+// the hit test and the hit's LRU update in one set scan.
+func (c *Cache) Touch(a Addr, want LState) bool {
 	line := a.Line()
-	b := c.base(line)
-	for i := b; i < b+c.ways; i++ {
-		l := &c.lines[i]
-		if l.state != Invalid && l.tag == line {
+	s := c.set(line)
+	for i, l := range s {
+		if l.state >= want && l.tag == line {
 			c.tick++
-			l.lru = c.tick
-			return
+			s[i].lru = c.tick
+			return true
 		}
 	}
+	return false
 }
 
 // Prefetched reports whether the resident line was filled by a prefetch that
 // has not yet been consumed by a demand write.
 func (c *Cache) Prefetched(a Addr) bool {
 	line := a.Line()
-	b := c.base(line)
-	for i := b; i < b+c.ways; i++ {
-		l := &c.lines[i]
+	for _, l := range c.set(line) {
 		if l.state != Invalid && l.tag == line {
 			return l.pf
 		}
@@ -121,11 +134,10 @@ func (c *Cache) Prefetched(a Addr) bool {
 // when absent.
 func (c *Cache) SetPrefetched(a Addr, v bool) {
 	line := a.Line()
-	b := c.base(line)
-	for i := b; i < b+c.ways; i++ {
-		l := &c.lines[i]
+	s := c.set(line)
+	for i, l := range s {
 		if l.state != Invalid && l.tag == line {
-			l.pf = v
+			s[i].pf = v
 			return
 		}
 	}
@@ -166,6 +178,10 @@ func (c *Cache) SetState(a Addr, st LState) {
 //alewife:hotpath
 func (c *Cache) Insert(a Addr, st LState) (victim Addr, victimState LState) {
 	line := a.Line()
+	// A cold page gets its own lines before the first one is filled.
+	if p := &c.pages[uint(line/LineWords)&c.mask/pageSets]; c.isCold(*p) {
+		*p = make([]cline, len(c.cold))
+	}
 	s := c.set(line)
 	c.tick++
 	// Already resident: update state.
@@ -202,22 +218,42 @@ func (c *Cache) Insert(a Addr, st LState) (victim Addr, victimState LState) {
 // Resident counts valid lines (for tests and occupancy stats).
 func (c *Cache) Resident() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].state != Invalid {
-			n++
+	c.each(func(*cline) error { n++; return nil })
+	return n
+}
+
+// each calls fn on every resident line in set order, skipping cold pages,
+// and returns fn's first error.
+func (c *Cache) each(fn func(l *cline) error) error {
+	for _, p := range c.pages {
+		if c.isCold(p) {
+			continue
+		}
+		for i := range p {
+			if p[i].state == Invalid {
+				continue
+			}
+			if err := fn(&p[i]); err != nil {
+				return err
+			}
 		}
 	}
-	return n
+	return nil
 }
 
 // InvalidateAll drops every line (used by tests and machine reset).
 //
 //alewife:hotpath
 func (c *Cache) InvalidateAll() {
-	for i := range c.lines {
-		if l := &c.lines[i]; l.state != Invalid {
-			c.held(l.tag, Invalid)
+	for _, p := range c.pages {
+		if c.isCold(p) {
+			continue
 		}
-		c.lines[i] = cline{}
+		for i := range p {
+			if p[i].state != Invalid {
+				c.held(p[i].tag, Invalid)
+			}
+		}
+		clear(p)
 	}
 }

@@ -31,11 +31,7 @@ func (f *Fabric) CheckConsistency() error {
 		}
 	}
 	for _, c := range f.Ctrls {
-		for i := range c.cache.lines {
-			l := &c.cache.lines[i]
-			if l.state == Invalid {
-				continue
-			}
+		err := c.cache.each(func(l *cline) error {
 			home := f.Ctrls[f.Store.Home(l.tag)]
 			e := home.dir.get(l.tag)
 			if e == nil {
@@ -54,6 +50,10 @@ func (f *Fabric) CheckConsistency() error {
 						c.node, uint64(l.tag), e.state, e.owner)
 				}
 			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -51,6 +51,7 @@ func NewFabric(eng *sim.Engine, net mesh.Network, store *Store, p Params,
 			f:     f,
 			node:  i,
 			cache: NewCache(cacheSets, cacheWays),
+			dir:   dirTab{base: Addr(uint64(i) * store.wordsPer)},
 			txns:  make([]*txn, 0, p.TxnLimit),
 		}
 	}
@@ -151,8 +152,8 @@ type Ctrl struct {
 
 	cache *Cache
 
-	// Directory for lines whose home is this node: an open-addressed line
-	// table with slab-pooled entries (see dirtab.go).
+	// Directory for lines whose home is this node: a page table indexed by
+	// the line's offset in this node's memory (see dirtab.go).
 	dir       dirTab
 	dirFreeAt sim.Time // memory/directory occupancy
 
@@ -205,8 +206,7 @@ func (c *Ctrl) findTxn(line Addr) *txn {
 //
 //alewife:engine-only
 func (c *Ctrl) FastRead(a Addr) bool {
-	if c.cache.State(a) != Invalid {
-		c.cache.Touch(a)
+	if c.cache.Touch(a, Shared) {
 		c.f.St.Inc(c.node, stats.CacheHits)
 		return true
 	}
@@ -217,8 +217,7 @@ func (c *Ctrl) FastRead(a Addr) bool {
 //
 //alewife:engine-only
 func (c *Ctrl) FastWrite(a Addr) bool {
-	if c.cache.State(a) == Exclusive {
-		c.cache.Touch(a)
+	if c.cache.Touch(a, Exclusive) {
 		c.f.St.Inc(c.node, stats.CacheHits)
 		return true
 	}
@@ -235,8 +234,7 @@ func (c *Ctrl) FastWrite(a Addr) bool {
 //alewife:engine-only
 func (c *Ctrl) Read(ctx *sim.Context, a Addr) {
 	for {
-		if c.cache.State(a) != Invalid {
-			c.cache.Touch(a)
+		if c.cache.Touch(a, Shared) {
 			return
 		}
 		c.f.St.Inc(c.node, stats.CacheMisses)
@@ -252,8 +250,7 @@ func (c *Ctrl) Read(ctx *sim.Context, a Addr) {
 //alewife:engine-only
 func (c *Ctrl) Write(ctx *sim.Context, a Addr) {
 	for {
-		if c.cache.State(a) == Exclusive {
-			c.cache.Touch(a)
+		if c.cache.Touch(a, Exclusive) {
 			return
 		}
 		if c.cache.State(a) == Shared {
@@ -279,10 +276,9 @@ func (c *Ctrl) Write(ctx *sim.Context, a Addr) {
 //
 //alewife:engine-only
 func (c *Ctrl) AcquireExclusive(ctx *sim.Context, a Addr) {
-	for c.cache.State(a) != Exclusive {
+	for !c.cache.Touch(a, Exclusive) {
 		c.Write(ctx, a)
 	}
-	c.cache.Touch(a)
 }
 
 // miss joins or starts a transaction for the line and blocks until it
@@ -353,11 +349,10 @@ func (tk FillTicket) Wait(ctx *sim.Context) {
 //
 //alewife:engine-only
 func (c *Ctrl) StartMiss(a Addr, want LState) FillTicket {
-	st := c.cache.State(a)
-	if st == Exclusive || (st == Shared && want == Shared) {
-		c.cache.Touch(a)
+	if c.cache.Touch(a, want) {
 		return FillTicket{}
 	}
+	st := c.cache.State(a)
 	if st == Shared && want == Exclusive && c.cache.Prefetched(a) {
 		// The transaction-store artifact still applies; the caller pays it
 		// through an extra round of the retry loop with this timed gate.

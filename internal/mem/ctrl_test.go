@@ -497,7 +497,7 @@ func TestCacheLRUAndGeometry(t *testing.T) {
 	// Three lines mapping to set 0: 0, 4, 8 (LineWords=2, sets=2).
 	c.Insert(0, Shared)
 	c.Insert(4, Shared)
-	c.Touch(0) // 4 becomes LRU
+	c.Touch(0, Shared) // 4 becomes LRU
 	v, vs := c.Insert(8, Shared)
 	if v != 4 || vs != Shared {
 		t.Fatalf("evicted %d/%v, want 4/S", v, vs)

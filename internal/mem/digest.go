@@ -6,10 +6,10 @@ import "alewife/internal/sim"
 // every protocol-visible datum — directory entries, cache tags and states,
 // outstanding transactions — used to recognize that two explored schedules
 // have converged to the same state and prune the later one. Containers
-// whose internal order is not protocol-visible (the directory hash table,
-// the sharer list, a cache set's ways) combine entries commutatively, so
-// layout accidents (probe order, way position) never make equal states
-// hash unequal. Purely temporal observables — LRU ticks, pipeline
+// whose internal order is not protocol-visible (the directory's entries,
+// the sharer list, a cache's pages and a set's ways) combine entries
+// commutatively, so layout accidents (walk order, way position) never make
+// equal states hash unequal. Purely temporal observables — LRU ticks, pipeline
 // occupancy deadlines, the clock — are deliberately excluded: two states
 // that differ only in timing still enable the same protocol transitions,
 // which is the equivalence pruning wants.
@@ -32,17 +32,14 @@ func (c *Ctrl) digest() uint64 {
 	// age only affect *when* future evictions happen, not what the protocol
 	// can do now, so the combination is commutative and lru is skipped.
 	var sum uint64
-	for i := range c.cache.lines {
-		l := &c.cache.lines[i]
-		if l.state == Invalid {
-			continue
-		}
+	c.cache.each(func(l *cline) error {
 		x := uint64(l.tag)<<8 | uint64(l.state)<<1
 		if l.pf {
 			x |= 1
 		}
 		sum += sim.SplitMix64(x)
-	}
+		return nil
+	})
 	h = sim.SplitMix64(h ^ sum)
 
 	// Directory: full entry state per line, sharer sets combined
@@ -104,7 +101,7 @@ func (f *Fabric) EventInfo(op uint32, p0, p1 uint64) (int32, uint64) {
 const memKeySalt = 1 << 62
 
 // EachDirEntry visits every directory entry homed at this controller in
-// table order, reporting the protocol-visible summary DirInfo gives plus
+// ascending line address order, reporting the protocol-visible summary DirInfo gives plus
 // the deferred-request count. Tests (the explorer's directory corner-state
 // probes) use it to watch for transient configurations without knowing
 // which lines exist.

@@ -1,122 +1,72 @@
 package mem
 
-// dirTab maps home line addresses to directory entries. It replaces the
-// map[Addr]*dirEntry the directory machine used to hash on every request:
-// open addressing with linear probing over power-of-two arrays, a Fibonacci
-// mix of the line index as the hash, and entries carved from slabs. Entries
-// are never freed — a line that has ever been requested at this home keeps
-// its entry for the life of the run, exactly the lifetime the map gave them —
-// so entry pointers are stable and the steady state allocates nothing.
-//
-// A slot is empty iff vals[i] == nil (line address 0 is a legal key: node
-// 0's first allocation starts at word 0).
+import "math/bits"
+
+// dirTab holds one home's directory entries in a page table indexed by the
+// line's offset in the home's memory, the way Store and the holder index
+// keep their per-home state. The entries of dirChunkLines consecutive lines
+// are allocated together the first time one of them is requested, and the
+// chunk's used bitmap records which of them have been. Entries are never
+// freed — a line that has ever been requested at this home keeps its entry
+// for the life of the run — and a chunk's entries never move when the chunk
+// index grows, so entry pointers are stable and the steady state allocates
+// nothing.
 type dirTab struct {
-	keys []Addr
-	vals []*dirEntry
-	n    int        // occupied slots
-	slab []dirEntry // current allocation block, consumed from the front
+	base   Addr       // first word of the home's memory
+	chunks []dirChunk // per dirChunkLines lines of the home's memory, from base
 }
 
-const (
-	dirTabInit = 64 // initial slots (power of two)
-	dirSlab    = 64 // entries allocated per slab block
-)
-
-func dirHash(line Addr) uint64 {
-	h := uint64(line/LineWords) * 0x9e3779b97f4a7c15
-	return h ^ h>>29
+// dirChunk is dirChunkLines consecutive lines of a home's memory: bit i of
+// used is set once line i has been requested, and entries is allocated with
+// the first such bit.
+type dirChunk struct {
+	used    uint64
+	entries *[dirChunkLines]dirEntry
 }
+
+const dirChunkLines = 64
 
 // get returns the entry for line, or nil when the line has never been
 // requested at this home.
 func (t *dirTab) get(line Addr) *dirEntry {
-	if t.n == 0 {
-		return nil
+	i := uint64(line-t.base) / LineWords
+	if c := i / dirChunkLines; c < uint64(len(t.chunks)) && t.chunks[c].used&(1<<(i%dirChunkLines)) != 0 {
+		return &t.chunks[c].entries[i%dirChunkLines]
 	}
-	mask := uint64(len(t.keys) - 1)
-	for i := dirHash(line) & mask; ; i = (i + 1) & mask {
-		e := t.vals[i]
-		if e == nil {
-			return nil
-		}
-		if t.keys[i] == line {
-			return e
-		}
-	}
+	return nil
 }
 
 // getOrCreate returns the entry for line, creating an idle one on first
 // request.
 func (t *dirTab) getOrCreate(line Addr) *dirEntry {
-	if len(t.keys) == 0 {
-		t.keys = make([]Addr, dirTabInit)
-		t.vals = make([]*dirEntry, dirTabInit)
+	i := uint64(line-t.base) / LineWords
+	c, bit := i/dirChunkLines, uint64(1)<<(i%dirChunkLines)
+	if n := uint64(len(t.chunks)); c >= n {
+		t.chunks = append(t.chunks, make([]dirChunk, c+1-n)...)
 	}
-	mask := uint64(len(t.keys) - 1)
-	i := dirHash(line) & mask
-	for t.vals[i] != nil {
-		if t.keys[i] == line {
-			return t.vals[i]
-		}
-		i = (i + 1) & mask
+	ch := &t.chunks[c]
+	if ch.entries == nil {
+		ch.entries = new([dirChunkLines]dirEntry)
 	}
-	if t.n >= len(t.keys)*3/4 {
-		t.grow()
-		mask = uint64(len(t.keys) - 1)
-		i = dirHash(line) & mask
-		for t.vals[i] != nil {
-			i = (i + 1) & mask
-		}
+	e := &ch.entries[i%dirChunkLines]
+	if ch.used&bit == 0 {
+		ch.used |= bit
+		e.state = dIdle
+		e.owner = -1
 	}
-	e := t.alloc()
-	e.state = dIdle
-	e.owner = -1
-	t.keys[i] = line
-	t.vals[i] = e
-	t.n++
 	return e
 }
 
-// alloc hands out one pooled entry, cutting a new slab when the current one
-// is spent.
-func (t *dirTab) alloc() *dirEntry {
-	if len(t.slab) == 0 {
-		t.slab = make([]dirEntry, dirSlab)
-	}
-	e := &t.slab[0]
-	t.slab = t.slab[1:]
-	return e
-}
-
-// grow doubles the table and rehashes every occupied slot.
-func (t *dirTab) grow() {
-	oldKeys, oldVals := t.keys, t.vals
-	size := len(oldKeys) * 2
-	t.keys = make([]Addr, size)
-	t.vals = make([]*dirEntry, size)
-	mask := uint64(size - 1)
-	for j, e := range oldVals {
-		if e == nil {
-			continue
-		}
-		i := dirHash(oldKeys[j]) & mask
-		for t.vals[i] != nil {
-			i = (i + 1) & mask
-		}
-		t.keys[i] = oldKeys[j]
-		t.vals[i] = e
-	}
-}
-
-// each visits every entry in table order (deterministic, unlike the map it
-// replaced). Used only by quiescence sweeps, never on the hot path.
+// each visits every entry in ascending line address order. Used only by
+// quiescence sweeps, never on the hot path.
 func (t *dirTab) each(fn func(line Addr, e *dirEntry) error) error {
-	for i, e := range t.vals {
-		if e == nil {
-			continue
-		}
-		if err := fn(t.keys[i], e); err != nil {
-			return err
+	for c := range t.chunks {
+		ch := &t.chunks[c]
+		for u := ch.used; u != 0; u &= u - 1 {
+			j := bits.TrailingZeros64(u)
+			if err := fn(t.base+Addr((c*dirChunkLines+j)*LineWords), &ch.entries[j]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -14,16 +14,13 @@ import (
 func scanHolders(f *Fabric) map[Addr][]LState {
 	out := make(map[Addr][]LState)
 	for _, c := range f.Ctrls {
-		for i := range c.cache.lines {
-			l := &c.cache.lines[i]
-			if l.state == Invalid {
-				continue
-			}
+		c.cache.each(func(l *cline) error {
 			if out[l.tag] == nil {
 				out[l.tag] = make([]LState, len(f.Ctrls))
 			}
 			out[l.tag][c.node] = l.state
-		}
+			return nil
+		})
 	}
 	return out
 }

@@ -80,11 +80,10 @@ func (f *Fabric) AttachChecker() *LiveChecker {
 	hold := newHolderIndex(f.Store, len(f.Ctrls))
 	for _, c := range f.Ctrls {
 		c.cache.hold, c.cache.node = hold, c.node
-		for i := range c.cache.lines {
-			if l := &c.cache.lines[i]; l.state != Invalid {
-				hold.set(l.tag, c.node, l.state)
-			}
-		}
+		c.cache.each(func(l *cline) error {
+			hold.set(l.tag, c.node, l.state)
+			return nil
+		})
 	}
 	lc := &LiveChecker{f: f, hold: hold, pendingWB: make(map[Addr][]int)}
 	f.Check = lc

@@ -6,6 +6,7 @@ package mem
 // LimitLESS-overflow paths exercised on pooled entries.
 
 import (
+	"math/rand"
 	"testing"
 
 	"alewife/internal/mesh"
@@ -18,7 +19,7 @@ func TestDirTabBasics(t *testing.T) {
 	if tab.get(0) != nil {
 		t.Fatal("empty table returned an entry")
 	}
-	// Insert well past the initial size to force several grows, including
+	// Insert across several chunks so the chunk index grows, starting at
 	// line address 0 (a legal key: node 0's memory starts at word 0).
 	const n = 500
 	ptrs := make([]*dirEntry, n)
@@ -31,26 +32,133 @@ func TestDirTabBasics(t *testing.T) {
 		e.owner = i // mark so reuse is detectable
 		ptrs[i] = e
 	}
-	if tab.n != n {
-		t.Fatalf("occupancy %d, want %d", tab.n, n)
+	if got := dirCount(&tab); got != n {
+		t.Fatalf("occupancy %d, want %d", got, n)
 	}
 	for i := 0; i < n; i++ {
 		line := Addr(i * LineWords)
 		if got := tab.get(line); got != ptrs[i] {
-			t.Fatalf("line %d: entry pointer moved across growth", i)
+			t.Fatalf("line %d: entry pointer moved as the chunk index grew", i)
 		}
 		if got := tab.getOrCreate(line); got != ptrs[i] || got.owner != i {
 			t.Fatalf("line %d: getOrCreate did not find existing entry", i)
 		}
 	}
-	// each visits every entry exactly once.
-	seen := 0
-	_ = tab.each(func(line Addr, e *dirEntry) error {
-		seen++
+	// Finding the existing entries created none.
+	if got := dirCount(&tab); got != n {
+		t.Fatalf("each visited %d entries, want %d", got, n)
+	}
+}
+
+// dirCount counts the entries each visits.
+func dirCount(tab *dirTab) int {
+	n := 0
+	_ = tab.each(func(Addr, *dirEntry) error {
+		n++
 		return nil
 	})
-	if seen != n {
-		t.Fatalf("each visited %d entries, want %d", seen, n)
+	return n
+}
+
+// The directory agrees with a map from line to entry under seeded random
+// requests at two homes, for the power-of-two module size and one that is
+// not. The requests cover each home's first and last line and spread over
+// several chunks, and a first pass grows the chunk index one chunk at a
+// time while checking every pointer handed out so far.
+func TestDirTabMatchesMapReference(t *testing.T) {
+	for _, wp := range storeSizes {
+		const homes = 2
+		lines := wp / LineWords
+		tabs := make([]dirTab, homes)
+		for h := range tabs {
+			tabs[h].base = Addr(uint64(h) * wp)
+		}
+		ref := make(map[Addr]*dirEntry)
+		rng := rand.New(rand.NewSource(int64(wp)))
+		create := func(h int, line Addr) {
+			e := tabs[h].getOrCreate(line)
+			if want, ok := ref[line]; ok {
+				if e != want {
+					t.Fatalf("wp %d: getOrCreate(%#x) moved the entry", wp, uint64(line))
+				}
+				return
+			}
+			if e.state != dIdle || e.owner != -1 {
+				t.Fatalf("wp %d: fresh entry for %#x not idle", wp, uint64(line))
+			}
+			e.pendFrom = int(line) // mark, so a shared or moved entry shows
+			ref[line] = e
+		}
+		check := func(line Addr, e *dirEntry) {
+			if want := ref[line]; e != want || (e != nil && e.pendFrom != int(line)) {
+				t.Fatalf("wp %d: entry for %#x is %p, want %p", wp, uint64(line), e, want)
+			}
+		}
+		// Grow each home's chunk index one chunk at a time.
+		for c := uint64(0); c*dirChunkLines < lines; c++ {
+			for h := range tabs {
+				off := min(c*dirChunkLines+uint64(rng.Int63n(dirChunkLines)), lines-1)
+				create(h, tabs[h].base+Addr(off*LineWords))
+				for line := range ref {
+					check(line, tabs[uint64(line)/wp].get(line))
+				}
+			}
+		}
+		for i := 0; i < 4000; i++ {
+			h := rng.Intn(homes)
+			var off uint64
+			switch rng.Intn(8) {
+			case 0: // first line
+			case 1:
+				off = lines - 1
+			default:
+				off = uint64(rng.Int63n(int64(lines)))
+			}
+			line := tabs[h].base + Addr(off*LineWords)
+			if rng.Intn(3) == 0 {
+				create(h, line)
+			} else {
+				check(line, tabs[h].get(line))
+			}
+		}
+		// Every line, requested or not, reads as the reference says: a line
+		// never requested reads nil even inside an allocated chunk.
+		holes := 0
+		for h := range tabs {
+			for off := uint64(0); off < lines; off++ {
+				line := tabs[h].base + Addr(off*LineWords)
+				check(line, tabs[h].get(line))
+				if ref[line] == nil && tabs[h].chunks[off/dirChunkLines].entries != nil {
+					holes++
+				}
+			}
+		}
+		if holes == 0 {
+			t.Fatalf("wp %d: no never-requested line inside an allocated chunk was checked", wp)
+		}
+		// each visits every created line once, in ascending address order.
+		for h := range tabs {
+			var prev Addr
+			n := 0
+			_ = tabs[h].each(func(line Addr, e *dirEntry) error {
+				if n > 0 && line <= prev {
+					t.Fatalf("wp %d home %d: each visited %#x after %#x", wp, h, uint64(line), uint64(prev))
+				}
+				check(line, e)
+				prev = line
+				n++
+				return nil
+			})
+			want := 0
+			for line := range ref {
+				if uint64(line)/wp == uint64(h) {
+					want++
+				}
+			}
+			if n != want {
+				t.Fatalf("wp %d home %d: each visited %d entries, want %d", wp, h, n, want)
+			}
+		}
 	}
 }
 

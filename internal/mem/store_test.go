@@ -110,8 +110,10 @@ func TestStoreAddressPastLastModulePanics(t *testing.T) {
 	}
 }
 
-// Read and Write run on every simulated load and store, so they must stay
-// inlinable; Write's body sits at the compiler's budget.
+// The accessors every simulated load, store and protocol request runs must
+// stay inlinable: the store's Read and Write (Write sits at the compiler's
+// budget), the cache probes the hit and miss paths call, and the
+// directory's lookup.
 func TestStoreAccessorsInline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the package with -gcflags=-m=2")
@@ -124,14 +126,22 @@ func TestStoreAccessorsInline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("go build -gcflags=-m=2: %v\n%s", err, out)
 	}
-	for _, fn := range []string{"Read", "Write"} {
-		if !strings.Contains(string(out), "can inline (*Store)."+fn+" with cost") {
+	for _, fn := range []string{
+		"(*Store).Read",
+		"(*Store).Write",
+		"(*Cache).State",
+		"(*Cache).Touch",
+		"(*Cache).Prefetched",
+		"(*Cache).SetPrefetched",
+		"(*dirTab).get",
+	} {
+		if !strings.Contains(string(out), "can inline "+fn+" with cost") {
 			for _, l := range strings.Split(string(out), "\n") {
-				if strings.Contains(l, "inline (*Store)."+fn+":") {
+				if strings.Contains(l, "inline "+fn+":") {
 					t.Error(l)
 				}
 			}
-			t.Errorf("(*Store).%s is not inlinable", fn)
+			t.Errorf("%s is not inlinable", fn)
 		}
 	}
 }
