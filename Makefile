@@ -20,6 +20,11 @@
 #                  against the committed results/: any printed figure
 #                  that moved fails (refresh results/ with the command in
 #                  README when a change means to move them)
+#   make digest-check  run each e2ebench workload once (seed 1, 1 s,
+#                  untraced): fails when a sim_digest no longer matches
+#                  e2ebench/baseline.json (run.sh exits 1) or when any run
+#                  fails its checks (nonzero fail_frac); about 20 s plus
+#                  the build
 #   make stress    the longer fuzz run used before cutting a release
 #   make perf      fixed workload suite -> BENCH_sim.json (ops/sec,
 #                  wall-clock, allocs/op); later PRs gate on regressions
@@ -41,9 +46,9 @@ GO ?= go
 
 COVER_FLOOR ?= 60
 
-.PHONY: check build vet fmt lint test e2ebench-test cover stress-smoke stress-smoke-lossy explore-smoke results-check stress bench perf perf-check perf-quick
+.PHONY: check build vet fmt lint test e2ebench-test cover stress-smoke stress-smoke-lossy explore-smoke results-check digest-check stress bench perf perf-check perf-quick
 
-check: build vet fmt lint test e2ebench-test cover stress-smoke stress-smoke-lossy explore-smoke results-check perf-check
+check: build vet fmt lint test e2ebench-test cover stress-smoke stress-smoke-lossy explore-smoke results-check digest-check perf-check
 
 build:
 	$(GO) build ./...
@@ -98,6 +103,17 @@ results-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/alewife-bench -all -parallel 0 -csv "$$tmp" > "$$tmp/full_run_64procs.txt" && \
 	diff -r results "$$tmp" && echo "results-check: results/ matches a fresh alewife-bench -all"
+
+E2E_WORKLOADS = paper-sm paper-mp stress stress-lossy
+
+digest-check:
+	@for w in $(E2E_WORKLOADS); do \
+		out=$$(bash e2ebench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0) || \
+			{ printf '%s\n' "$$out"; echo "digest-check: $$w exited nonzero"; exit 1; }; \
+		printf '%s: ' $$w; printf '%s\n' "$$out" | grep '^sim_digest'; \
+		printf '%s\n' "$$out" | grep -q '^fail_frac 0 ' || \
+			{ printf '%s\n' "$$out"; echo "digest-check: $$w has failing runs"; exit 1; }; \
+	done
 
 stress:
 	$(GO) run ./cmd/alewife-stress -ops 5000 -seeds 64 -parallel 0

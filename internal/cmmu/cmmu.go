@@ -112,12 +112,6 @@ func (e *Env) Now() sim.Time { return e.cm.eng.Now() }
 // Handler processes one received message.
 type Handler func(*Env)
 
-// ProcSink absorbs cycles stolen from a node's processor by interrupt
-// handlers; the machine layer provides it.
-type ProcSink interface {
-	StealCycles(node int, cycles uint64)
-}
-
 // CMMU is one node's network interface.
 type CMMU struct {
 	node     int
@@ -127,7 +121,6 @@ type CMMU struct {
 	ctrl     *mem.Ctrl
 	p        Params
 	st       *stats.Machine // counts, traces and profiles this node's messages
-	sink     ProcSink
 	handlers map[int]Handler
 
 	peers []*CMMU
@@ -180,12 +173,14 @@ func (c *CMMU) putEnv(e *Env) {
 // once after constructing all interfaces.
 func (c *CMMU) SetPeers(all []*CMMU) { c.peers = all }
 
-// New builds a CMMU for one node. st and sink may be nil.
+// New builds a CMMU for one node; ctrl is the node's cache controller,
+// which also books the cycles handlers take from the node's processor. st
+// may be nil.
 func New(node int, eng *sim.Engine, net mesh.Network, store *mem.Store,
-	ctrl *mem.Ctrl, p Params, st *stats.Machine, sink ProcSink) *CMMU {
+	ctrl *mem.Ctrl, p Params, st *stats.Machine) *CMMU {
 	return &CMMU{
 		node: node, eng: eng, net: net, store: store, ctrl: ctrl,
-		p: p, st: st, sink: sink, handlers: make(map[int]Handler),
+		p: p, st: st, handlers: make(map[int]Handler),
 	}
 }
 
@@ -279,7 +274,8 @@ func (c *CMMU) arrive(env *Env) {
 		// Input port busy with an earlier packet's handler. Each deferral
 		// charges its wait segment; segments sum to the packet's total
 		// port-queueing delay. (Handler occupancy itself reaches the
-		// profiler through the processor-steal path, keeping its origin.)
+		// profiler when the processor's Flush pays the controller's
+		// handler counter.)
 		c.st.Charge(c.node, metrics.MsgQueue, uint64(c.rxFreeAt-now))
 		c.eng.AtSink(c.rxFreeAt, c, opEnvArrive, uint64(env.id), 0)
 		return
@@ -297,8 +293,6 @@ func (c *CMMU) arrive(env *Env) {
 	total := env.cycles
 	c.putEnv(env)
 	c.rxFreeAt = now + total
-	if c.sink != nil {
-		c.sink.StealCycles(c.node, total)
-	}
+	c.ctrl.StealHandler(total)
 	c.st.Add(c.node, stats.IntStolenCycles, int64(total))
 }

@@ -115,41 +115,6 @@ type Node struct {
 	M    *Machine
 	Ctrl *mem.Ctrl
 	CMMU *cmmu.CMMU
-
-	// stolen accumulates interrupt-handler and LimitLESS-trap cycles that
-	// the node's processor has not yet paid; the running Proc drains it.
-	stolen uint64
-	// stolenDir/stolenMsg split stolen by origin (directory trap vs message
-	// handler) for attribution.
-	stolenDir uint64
-	stolenMsg uint64
-}
-
-// StealCycles implements mem.ProcSink and cmmu.ProcSink; cycles charged
-// through it directly carry no attribution origin (tests use this).
-//
-//alewife:engine-only
-func (m *Machine) StealCycles(node int, cycles uint64) {
-	m.Nodes[node].stolen += cycles
-}
-
-// dirSteal and msgSteal are the sinks the memory system and the CMMU
-// actually charge through: same accounting as Machine.StealCycles, plus
-// the origin split the profiler needs.
-type dirSteal struct{ m *Machine }
-
-func (s dirSteal) StealCycles(node int, cycles uint64) {
-	n := s.m.Nodes[node]
-	n.stolen += cycles
-	n.stolenDir += cycles
-}
-
-type msgSteal struct{ m *Machine }
-
-func (s msgSteal) StealCycles(node int, cycles uint64) {
-	n := s.m.Nodes[node]
-	n.stolen += cycles
-	n.stolenMsg += cycles
 }
 
 // New builds a machine per cfg.
@@ -187,13 +152,12 @@ func New(cfg Config) *Machine {
 		m.Net = m.Rel
 	}
 	m.Store = mem.NewStore(cfg.Nodes, cfg.WordsPerNode)
-	m.Fab = mem.NewFabric(m.Eng, m.Net, m.Store, cfg.Mem, m.St, dirSteal{m},
-		cfg.CacheSets, cfg.CacheWays)
+	m.Fab = mem.NewFabric(m.Eng, m.Net, m.Store, cfg.Mem, m.St, cfg.CacheSets, cfg.CacheWays)
 	m.Nodes = make([]*Node, cfg.Nodes)
 	ifaces := make([]*cmmu.CMMU, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
 		n := &Node{ID: i, M: m, Ctrl: m.Fab.Ctrls[i]}
-		n.CMMU = cmmu.New(i, m.Eng, m.Net, m.Store, n.Ctrl, cfg.CMMU, m.St, msgSteal{m})
+		n.CMMU = cmmu.New(i, m.Eng, m.Net, m.Store, n.Ctrl, cfg.CMMU, m.St)
 		ifaces[i] = n.CMMU
 		m.Nodes[i] = n
 	}

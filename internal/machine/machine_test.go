@@ -207,13 +207,14 @@ func TestDeadlockDetected(t *testing.T) {
 }
 
 func TestStolenCyclesDrainAtFlush(t *testing.T) {
-	// Directly inject stolen cycles and check the next flush pays them.
+	// Book handler cycles on the node's controller directly and check the
+	// next flush pays them.
 	m := machine.New(machine.DefaultConfig(1))
 	var done sim.Time
 	m.Spawn(0, 0, "p", func(p *machine.Proc) {
 		p.Elapse(10)
 		p.Flush()
-		m.StealCycles(0, 40)
+		m.Nodes[0].Ctrl.StealHandler(40)
 		p.Elapse(5)
 		p.Flush()
 		done = p.Ctx.Now()

@@ -120,22 +120,25 @@ func TestMetricsNeverChangeTiming(t *testing.T) {
 	}
 }
 
-func TestMetricsUntaggedStealFoldsIntoTimeline(t *testing.T) {
-	// Machine.StealCycles (test hook, no origin tag) must not break the
-	// invariant: untagged stolen cycles land in the compute remainder.
+func TestMetricsHandlerStealLandsInHandler(t *testing.T) {
+	// Handler cycles booked on the node's controller are paid at the next
+	// flush and keep their origin: they land in handler, not in compute.
 	m := machine.New(machine.DefaultConfig(1))
 	prof := m.EnableMetrics()
 	m.Spawn(0, 0, "p", func(p *machine.Proc) {
 		p.Elapse(10)
-		m.StealCycles(0, 90)
+		m.Nodes[0].Ctrl.StealHandler(90)
 		p.Flush()
 	})
 	m.Run()
 	if err := prof.Finalize(uint64(m.Eng.Now())); err != nil {
 		t.Fatalf("Finalize: %v", err)
 	}
-	if got := prof.Get(0, metrics.Compute); got != 100 {
-		t.Errorf("compute = %d, want 100 (10 own + 90 untagged stolen)", got)
+	if got := prof.Get(0, metrics.Handler); got != 90 {
+		t.Errorf("handler = %d, want 90 (the booked handler cycles)", got)
+	}
+	if got := prof.Get(0, metrics.Compute); got != 10 {
+		t.Errorf("compute = %d, want 10 (the proc's own cycles)", got)
 	}
 }
 

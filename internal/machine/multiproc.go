@@ -112,9 +112,9 @@ func (mp *MultiProc) grantNext() {
 }
 
 // stall retires this context's pipeline work, hands the pipeline over
-// while the fill is pending, and reacquires it after the fill lands. The
-// ticket's generation check makes the handoff safe: if the fill retires
-// while Flush is yielding below, Wait returns immediately.
+// while the fill is pending, and reacquires it after the fill lands. A
+// ticket stays safe to wait on after its wait is over (see mem.FillTicket):
+// if the fill retires while Flush is yielding below, Wait returns at once.
 func (c *MPContext) stall(tk mem.FillTicket) {
 	mp := c.mp
 	c.P.Flush() // our cycles retire before anyone else runs
@@ -138,29 +138,24 @@ func (c *MPContext) Elapse(n uint64) { c.P.Elapse(n) }
 
 // Read performs a shared-memory load, switching contexts on a miss.
 func (c *MPContext) Read(a mem.Addr) uint64 {
-	mpar := &c.P.Node.M.Cfg.Mem
-	for {
-		tk := c.ctrl().StartMiss(a, mem.Shared)
-		if tk.Hit() {
-			c.P.Elapse(mpar.CacheHit)
-			return c.P.Store().Read(a)
+	if ctrl := c.ctrl(); !ctrl.FastRead(a) {
+		for tk := ctrl.StartMiss(a, mem.Shared); !tk.Hit(); tk = ctrl.StartMiss(a, mem.Shared) {
+			c.stall(tk)
 		}
-		c.stall(tk)
 	}
+	c.P.Elapse(c.P.mp().CacheHit)
+	return c.P.Store().Read(a)
 }
 
 // Write performs a shared-memory store, switching contexts on a miss.
 func (c *MPContext) Write(a mem.Addr, v uint64) {
-	mpar := &c.P.Node.M.Cfg.Mem
-	for {
-		tk := c.ctrl().StartMiss(a, mem.Exclusive)
-		if tk.Hit() {
-			c.P.Elapse(mpar.CacheHit)
-			c.P.Store().Write(a, v)
-			return
+	if ctrl := c.ctrl(); !ctrl.FastWrite(a) {
+		for tk := ctrl.StartMiss(a, mem.Exclusive); !tk.Hit(); tk = ctrl.StartMiss(a, mem.Exclusive) {
+			c.stall(tk)
 		}
-		c.stall(tk)
 	}
+	c.P.Elapse(c.P.mp().CacheHit)
+	c.P.Store().Write(a, v)
 }
 
 // ReadF is the float64 view of Read.

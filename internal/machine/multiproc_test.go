@@ -6,6 +6,7 @@ import (
 	"alewife/internal/machine"
 	"alewife/internal/mem"
 	"alewife/internal/sim"
+	"alewife/internal/stats"
 )
 
 // remoteSumBodies builds k context bodies that each sum a disjoint slice
@@ -65,6 +66,35 @@ func TestMultithreadingHidesLatency(t *testing.T) {
 	}
 	if float64(t2) > 0.7*float64(t1) {
 		t.Fatalf("multithreading hides too little latency: %d vs %d", t2, t1)
+	}
+}
+
+func TestMPContextCountsHitsLikeProc(t *testing.T) {
+	// One hardware context reading 64 remote words (32 lines) counts a miss
+	// per line and a hit per second word, as a Proc making the same reads
+	// does, and takes the same cycles as one always has.
+	const words = 64
+	proc := machine.New(machine.DefaultConfig(2))
+	arr := proc.Store.AllocOn(1, words)
+	proc.Spawn(0, 0, "p", func(p *machine.Proc) {
+		for w := uint64(0); w < words; w++ {
+			p.Read(arr + mem.Addr(w))
+			p.Elapse(2)
+		}
+	})
+	proc.Run()
+	multi := machine.New(machine.DefaultConfig(2))
+	sums := make([]uint64, 1)
+	multi.SpawnMulti(0, 0, remoteSumBodies(multi, 1, words, sums))
+	multi.Run()
+	for name, m := range map[string]*machine.Machine{"Proc": proc, "MPContext": multi} {
+		hits, misses := m.St.Global.Get(stats.CacheHits), m.St.Global.Get(stats.CacheMisses)
+		if hits != words/2 || misses != words/2 {
+			t.Errorf("%s: hits/misses = %d/%d, want %d/%d", name, hits, misses, words/2, words/2)
+		}
+	}
+	if got := multi.Eng.Now(); got != 1222 {
+		t.Errorf("one context finished at cycle %d, want 1222", got)
 	}
 }
 

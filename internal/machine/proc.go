@@ -48,31 +48,29 @@ func (p *Proc) Elapse(n uint64) { p.ahead += n }
 func (p *Proc) Now() sim.Time { return p.Ctx.Now() + p.ahead }
 
 // Flush synchronizes the processor with the global clock: run-ahead cycles
-// and any cycles stolen by interrupt handlers or directory traps are paid
-// before the next visible action. With the profiler on, the retired
-// cycles are decomposed into buckets as they hit the wall clock: stolen
-// cycles keep their origin (message handler, directory trap); the proc's
-// own run-ahead splits into its access classes, or redirects wholesale
-// to the active region (a barrier spin's reads and waits are sync time,
-// not memory time).
+// and the cycles the node's controller booked against it (directory traps
+// and message handlers, see mem.Ctrl.TakeStolen) are paid before the next
+// visible action. With the profiler on, the retired cycles are decomposed
+// into buckets as they hit the wall clock: stolen cycles keep their origin
+// (message handler, directory trap); the proc's own run-ahead splits into
+// its access classes, or redirects wholesale to the active region (a
+// barrier spin's reads and waits are sync time, not memory time).
 func (p *Proc) Flush() {
 	n := p.Node
-	p.ahead += n.stolen
-	n.stolen = 0
-	if p.ahead == 0 {
+	dir, msg := n.Ctrl.TakeStolen()
+	own := p.ahead
+	d := own + dir + msg
+	if d == 0 {
 		return
 	}
-	d, hit, miss, snd := p.ahead, p.aheadHit, p.aheadMiss, p.aheadMsg
+	hit, miss, snd := p.aheadHit, p.aheadMiss, p.aheadMsg
 	p.ahead, p.aheadHit, p.aheadMiss, p.aheadMsg = 0, 0, 0, 0
-	msg, dir := n.stolenMsg, n.stolenDir
-	n.stolenMsg, n.stolenDir = 0, 0
 	n.M.St.Add(n.ID, stats.ProcBusyCycles, int64(d))
 	if p.prof != nil {
 		// Stolen cycles never redirect: they are asynchronous work that
 		// landed here, not part of what the region is waiting on.
 		p.prof.Add(n.ID, metrics.DirTrap, dir)
 		p.prof.Add(n.ID, metrics.Handler, msg)
-		own := d - dir - msg // includes untagged StealCycles, folded into compute
 		if b := p.curRegion(); b != metrics.NoBucket {
 			p.prof.Add(n.ID, b, own)
 		} else {

@@ -126,7 +126,7 @@ func TestStartMissJoinsOutstanding(t *testing.T) {
 }
 
 func TestStartMissPrefetchPenaltyGate(t *testing.T) {
-	// Write after a landed shared prefetch gets a timed penalty gate.
+	// Write after a landed shared prefetch gets a timed penalty ticket.
 	h := newHarness(2)
 	a := h.fab.Store.AllocOn(1, 4)
 	h.run(t, func(c *sim.Context) {
@@ -140,7 +140,7 @@ func TestStartMissPrefetchPenaltyGate(t *testing.T) {
 		}
 		tk.Wait(c)
 		if c.Now()-s != h.fab.P.PrefetchWritePenalty {
-			t.Fatalf("penalty gate waited %d, want %d", c.Now()-s, h.fab.P.PrefetchWritePenalty)
+			t.Fatalf("penalty ticket waited %d, want %d", c.Now()-s, h.fab.P.PrefetchWritePenalty)
 		}
 	})
 }

@@ -9,13 +9,6 @@ import (
 	"alewife/internal/trace"
 )
 
-// ProcSink lets the memory system charge cycles to a node's processor for
-// work done in software on its behalf (LimitLESS directory traps). The
-// machine layer implements it; a nil sink discards the charge.
-type ProcSink interface {
-	StealCycles(node int, cycles uint64)
-}
-
 // Fabric owns the memory system of a whole machine: the store, one
 // controller per node, and the network they share. It implements sim.Sink
 // (see sink.go): every protocol message and directory continuation is a
@@ -29,7 +22,6 @@ type Fabric struct {
 	// directory/memory pipeline occupancy to the home node's DirPipeline
 	// overlay bucket.
 	St    *stats.Machine
-	Sink  ProcSink
 	Ctrls []*Ctrl
 	// Check, when non-nil, validates protocol invariants after every state
 	// transition (see LiveChecker); attach with AttachChecker.
@@ -40,10 +32,10 @@ type Fabric struct {
 }
 
 // NewFabric wires up n controllers over the given network and store.
-// st and sink may be nil.
+// st may be nil.
 func NewFabric(eng *sim.Engine, net mesh.Network, store *Store, p Params,
-	st *stats.Machine, sink ProcSink, cacheSets, cacheWays int) *Fabric {
-	f := &Fabric{Eng: eng, Net: net, Store: store, P: p, St: st, Sink: sink}
+	st *stats.Machine, cacheSets, cacheWays int) *Fabric {
+	f := &Fabric{Eng: eng, Net: net, Store: store, P: p, St: st}
 	n := net.Nodes()
 	f.Ctrls = make([]*Ctrl, n)
 	for i := 0; i < n; i++ {
@@ -58,11 +50,12 @@ func NewFabric(eng *sim.Engine, net mesh.Network, store *Store, p Params,
 	return f
 }
 
+// steal books cyc cycles of LimitLESS software trap to node's processor,
+// which pays them at its next Flush. A zero charge counts nothing: even a
+// zero Add would give the counter a key in every snapshot.
 func (f *Fabric) steal(node int, cyc uint64) {
-	if f.Sink != nil && cyc > 0 {
-		f.Sink.StealCycles(node, cyc)
-	}
 	if cyc > 0 {
+		f.Ctrls[node].trapOwed += cyc
 		f.St.Add(node, stats.DirSWTrapCycles, int64(cyc))
 	}
 }
@@ -162,15 +155,31 @@ type Ctrl struct {
 	txns    []*txn
 	txnFree *txn
 	// txnFreed is fired whenever a transaction retires while someone is
-	// stalled on a full transaction buffer; gen-stamped so a stale ticket
-	// never waits on a round it already missed.
+	// stalled on a full transaction buffer.
 	txnFreed      sim.Gate
 	txnFreedArmed bool
-	txnFreedGen   uint64
+
+	// Cycles this node's processor owes for work done on its behalf at
+	// interrupt level: LimitLESS directory traps (booked by the fabric) and
+	// message handlers (booked by the CMMU). Its next Flush takes both.
+	trapOwed    uint64
+	handlerOwed uint64
 }
 
 // Cache exposes the tag array for tests and DMA.
 func (c *Ctrl) Cache() *Cache { return c.cache }
+
+// StealHandler books cycles a message handler took from this node's
+// processor; its next Flush pays them.
+func (c *Ctrl) StealHandler(cycles uint64) { c.handlerOwed += cycles }
+
+// TakeStolen returns the directory-trap and handler cycles booked against
+// this node's processor since the last call, and clears both.
+func (c *Ctrl) TakeStolen() (trap, handler uint64) {
+	trap, handler = c.trapOwed, c.handlerOwed
+	c.trapOwed, c.handlerOwed = 0, 0
+	return trap, handler
+}
 
 // LineState reports this node's cached state for a (tests, assertions).
 func (c *Ctrl) LineState(a Addr) LState { return c.cache.State(a) }
@@ -233,12 +242,8 @@ func (c *Ctrl) FastWrite(a Addr) bool {
 //
 //alewife:engine-only
 func (c *Ctrl) Read(ctx *sim.Context, a Addr) {
-	for {
-		if c.cache.Touch(a, Shared) {
-			return
-		}
-		c.f.St.Inc(c.node, stats.CacheMisses)
-		c.miss(ctx, a, Shared)
+	for tk := c.StartMiss(a, Shared); !tk.Hit(); tk = c.StartMiss(a, Shared) {
+		tk.Wait(ctx)
 	}
 }
 
@@ -249,23 +254,8 @@ func (c *Ctrl) Read(ctx *sim.Context, a Addr) {
 //
 //alewife:engine-only
 func (c *Ctrl) Write(ctx *sim.Context, a Addr) {
-	for {
-		if c.cache.Touch(a, Exclusive) {
-			return
-		}
-		if c.cache.State(a) == Shared {
-			c.f.St.Inc(c.node, stats.CacheUpgrades)
-			if c.cache.Prefetched(a) {
-				// The copy sits in the transaction store: retire it and
-				// re-issue the write (Alewife prefetch-then-write artifact).
-				c.cache.SetPrefetched(a, false)
-				ctx.Sleep(c.f.P.PrefetchWritePenalty)
-				continue
-			}
-		} else {
-			c.f.St.Inc(c.node, stats.CacheMisses)
-		}
-		c.miss(ctx, a, Exclusive)
+	for tk := c.StartMiss(a, Exclusive); !tk.Hit(); tk = c.StartMiss(a, Exclusive) {
+		tk.Wait(ctx)
 	}
 }
 
@@ -281,105 +271,102 @@ func (c *Ctrl) AcquireExclusive(ctx *sim.Context, a Addr) {
 	}
 }
 
-// miss joins or starts a transaction for the line and blocks until it
-// completes. The caller re-checks the cache state afterwards.
-func (c *Ctrl) miss(ctx *sim.Context, a Addr, want LState) {
-	line := a.Line()
-	if t := c.findTxn(line); t != nil {
-		// Outstanding fill; join it. An upgrade wanted while a shared fill
-		// is in flight waits for the fill and retries.
-		if t.prefetch {
-			t.prefetch = false
-			c.f.St.Inc(c.node, stats.PrefetchUseful)
-		}
-		t.gate.Wait(ctx)
-		return
-	}
-	for len(c.txns) >= c.f.P.TxnLimit {
-		// Transaction buffer full: stall until something retires.
-		c.txnFreedArmed = true
-		c.txnFreed.Wait(ctx)
-	}
-	t := c.start(line, want, false)
-	t.gate.Wait(ctx)
+// FillTicket is StartMiss's handle on what a missed access waits for
+// before it probes the cache again; the zero ticket means the access hit.
+// Sparcle switches contexts between StartMiss and Wait, so a ticket may be
+// waited on after its wait is over. A fill ticket carries its pooled
+// record's generation, and Wait returns at once if the fill has retired. A
+// buffer-full ticket waits for a free slot, probes the cache again (a
+// sibling context may have filled the line, and for an Exclusive line the
+// home would defer a second request forever), then joins or issues the
+// fill and waits for it. A penalty ticket waits until a fixed time.
+type FillTicket struct {
+	kind ticketKind
+	t    *txn     // fill: the transaction
+	gen  uint64   // fill: t's generation at issue
+	at   sim.Time // penalty: when the access may probe again
+	c    *Ctrl    // buffer full: the controller, and the access to fill
+	a    Addr
+	want LState
 }
 
-// FillTicket is StartMiss's non-blocking handle on an outstanding fill (or
-// on the stall standing in for one). The zero ticket means the access hit.
-// Because the underlying transaction records and gates are pooled, a ticket
-// held across a yield — Sparcle switches contexts between StartMiss and
-// Wait — validates a generation stamp before waiting: if the fill retired
-// (and its record was possibly reused) in the meantime, Wait returns
-// immediately, exactly as waiting on the retired transaction's fired gate
-// used to.
-type FillTicket struct {
-	c   *Ctrl
-	t   *txn
-	g   *sim.Gate
-	gen uint64
-}
+type ticketKind uint8
+
+const (
+	tkHit ticketKind = iota
+	tkFill
+	tkPenalty
+	tkFull
+)
 
 // Hit reports that the access needs no wait at all.
-func (tk FillTicket) Hit() bool { return tk.g == nil }
+func (tk FillTicket) Hit() bool { return tk.kind == tkHit }
 
-// Wait parks ctx until the fill completes (no-op for hits and for tickets
-// whose transaction already retired).
+// Wait parks ctx until the caller should probe the cache again.
 func (tk FillTicket) Wait(ctx *sim.Context) {
-	switch {
-	case tk.g == nil:
-	case tk.t != nil:
+	switch tk.kind {
+	case tkFill:
 		if tk.t.gen == tk.gen {
-			tk.g.Wait(ctx)
+			tk.t.gate.Wait(ctx)
 		}
-	case tk.c != nil:
-		if tk.c.txnFreedGen == tk.gen {
-			tk.g.Wait(ctx)
+	case tkPenalty:
+		ctx.WaitUntil(tk.at)
+	case tkFull:
+		c := tk.c
+		for len(c.txns) >= c.f.P.TxnLimit {
+			c.txnFreedArmed = true
+			c.txnFreed.Wait(ctx)
 		}
-	default:
-		tk.g.Wait(ctx) // plain timed gate (prefetch-write penalty)
+		if !c.cache.Touch(tk.a, tk.want) {
+			c.fill(tk.a.Line(), tk.want).Wait(ctx)
+		}
 	}
 }
 
-// StartMiss begins or joins a fill for the line containing a, returning a
-// ticket that fires when the caller should re-examine the cache, without
-// blocking. Latency-tolerant processors (Sparcle's block multithreading)
-// use it to switch to another hardware context instead of stalling; the
-// caller must loop until the desired state holds, exactly like the
-// blocking paths. A Hit ticket means the access already hits.
+// StartMiss probes this node's cache for the line containing a in state
+// want. On a miss it counts the miss (or the upgrade) and joins or issues
+// the fill without blocking, and returns the ticket to wait on before
+// probing again; callers loop until a Hit ticket, as Read and Write do.
+// Latency-tolerant processors (Sparcle's block multithreading) switch to
+// another hardware context between StartMiss and Wait instead of stalling.
 //
 //alewife:engine-only
 func (c *Ctrl) StartMiss(a Addr, want LState) FillTicket {
 	if c.cache.Touch(a, want) {
 		return FillTicket{}
 	}
-	st := c.cache.State(a)
-	if st == Shared && want == Exclusive && c.cache.Prefetched(a) {
-		// The transaction-store artifact still applies; the caller pays it
-		// through an extra round of the retry loop with this timed gate.
-		c.cache.SetPrefetched(a, false)
-		g := &sim.Gate{}
-		c.f.Eng.After(c.f.P.PrefetchWritePenalty, g.Fire)
-		return FillTicket{g: g}
-	}
-	if st == Shared && want == Exclusive {
+	if want == Exclusive && c.cache.State(a) == Shared {
 		c.f.St.Inc(c.node, stats.CacheUpgrades)
+		if c.cache.Prefetched(a) {
+			// The copy sits in the transaction store: retire it and
+			// re-issue the write after the penalty (Alewife
+			// prefetch-then-write artifact).
+			c.cache.SetPrefetched(a, false)
+			return FillTicket{kind: tkPenalty, at: c.f.Eng.Now() + c.f.P.PrefetchWritePenalty}
+		}
 	} else {
 		c.f.St.Inc(c.node, stats.CacheMisses)
 	}
 	line := a.Line()
-	if t := c.findTxn(line); t != nil {
-		if t.prefetch {
-			t.prefetch = false
-			c.f.St.Inc(c.node, stats.PrefetchUseful)
-		}
-		return FillTicket{t: t, g: &t.gate, gen: t.gen}
+	if len(c.txns) >= c.f.P.TxnLimit && c.findTxn(line) == nil {
+		// The miss is counted here once, however long the ticket waits.
+		return FillTicket{kind: tkFull, c: c, a: a, want: want}
 	}
-	if len(c.txns) >= c.f.P.TxnLimit {
-		c.txnFreedArmed = true
-		return FillTicket{c: c, g: &c.txnFreed, gen: c.txnFreedGen}
+	return c.fill(line, want)
+}
+
+// fill joins the outstanding transaction for line, or issues one, and
+// returns the ticket that waits for it. An upgrade that joins a shared fill
+// waits for that fill and probes again.
+func (c *Ctrl) fill(line Addr, want LState) FillTicket {
+	t := c.findTxn(line)
+	if t == nil {
+		t = c.start(line, want, false)
+	} else if t.prefetch {
+		t.prefetch = false
+		c.f.St.Inc(c.node, stats.PrefetchUseful)
 	}
-	t := c.start(line, want, false)
-	return FillTicket{t: t, g: &t.gate, gen: t.gen}
+	return FillTicket{kind: tkFill, t: t, gen: t.gen}
 }
 
 // Prefetch issues a non-binding prefetch for the line containing a; excl
@@ -468,7 +455,6 @@ func (c *Ctrl) grantArrive(line Addr, granted LState) {
 	c.txnFree = t
 	if c.txnFreedArmed {
 		c.txnFreedArmed = false
-		c.txnFreedGen++
 		c.txnFreed.Fire()
 		c.txnFreed.Reset()
 	}

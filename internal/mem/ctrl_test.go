@@ -9,20 +9,10 @@ import (
 	"alewife/internal/stats"
 )
 
-type fakeSink struct{ stolen map[int]uint64 }
-
-func (s *fakeSink) StealCycles(node int, c uint64) {
-	if s.stolen == nil {
-		s.stolen = map[int]uint64{}
-	}
-	s.stolen[node] += c
-}
-
 type harness struct {
-	eng  *sim.Engine
-	fab  *Fabric
-	st   *stats.Machine
-	sink *fakeSink
+	eng *sim.Engine
+	fab *Fabric
+	st  *stats.Machine
 }
 
 func newHarness(n int) *harness {
@@ -31,9 +21,8 @@ func newHarness(n int) *harness {
 	st := stats.NewMachine(n)
 	net := mesh.New(eng, w, h, mesh.DefaultParams(), st)
 	store := NewStore(n, 1<<12)
-	sink := &fakeSink{}
-	fab := NewFabric(eng, net, store, DefaultParams(), st, sink, 64, 2)
-	return &harness{eng: eng, fab: fab, st: st, sink: sink}
+	fab := NewFabric(eng, net, store, DefaultParams(), st, 64, 2)
+	return &harness{eng: eng, fab: fab, st: st}
 }
 
 // run spawns one context per body and drains the engine.
@@ -274,17 +263,26 @@ func TestLimitLESSOverflow(t *testing.T) {
 	if h.st.Global.Get(stats.DirOverflows) != 1 {
 		t.Fatalf("overflow events = %d, want 1", h.st.Global.Get(stats.DirOverflows))
 	}
-	if h.sink.stolen[0] == 0 {
+	home := h.fab.Ctrls[0]
+	if home.trapOwed == 0 {
 		t.Fatal("LimitLESS software handling stole no cycles from home processor")
 	}
 	// A writer now invalidates 8 sharers, paying software cost per sharer.
-	stolenBefore := h.sink.stolen[0]
+	stolenBefore := home.trapOwed
 	h.eng.Spawn("w", h.eng.Now(), func(c *sim.Context) {
-		h.fab.Ctrls[0].Write(c, a)
+		home.Write(c, a)
 	})
 	h.eng.Run()
-	if h.sink.stolen[0] <= stolenBefore {
+	if home.trapOwed <= stolenBefore {
 		t.Fatal("overflowed invalidation round stole no software cycles")
+	}
+	// The processor's next Flush takes exactly the trap cycles counted.
+	counted := uint64(h.st.Node[0].Get(stats.DirSWTrapCycles))
+	if trap, handler := home.TakeStolen(); trap != counted || handler != 0 {
+		t.Fatalf("TakeStolen = %d trap, %d handler cycles; want %d and 0", trap, handler, counted)
+	}
+	if trap, handler := home.TakeStolen(); trap != 0 || handler != 0 {
+		t.Fatalf("second TakeStolen = %d, %d; want both cleared", trap, handler)
 	}
 	for i := 1; i < 9; i++ {
 		if st := h.fab.Ctrls[i].LineState(a); st != Invalid {
@@ -320,17 +318,25 @@ func TestPrefetchSharedThenUseful(t *testing.T) {
 }
 
 func TestPrefetchJoinedByDemandMiss(t *testing.T) {
-	h := newHarness(4)
-	a := h.fab.Store.AllocOn(3, 4)
-	h.run(t, func(c *sim.Context) {
-		h.fab.Ctrls[0].Prefetch(a, false)
-		h.fab.Ctrls[0].Read(c, a) // joins in-flight prefetch
-	})
-	if h.st.Global.Get(stats.PrefetchUseful) != 1 {
-		t.Fatalf("prefetch_useful = %d, want 1", h.st.Global.Get(stats.PrefetchUseful))
-	}
-	if h.st.Global.Get(stats.CacheMisses) != 1 {
-		t.Fatalf("misses = %d, want 1 (joined)", h.st.Global.Get(stats.CacheMisses))
+	// A read joining a shared prefetch and a write joining an exclusive one
+	// each count one miss and make the prefetch useful.
+	for _, excl := range []bool{false, true} {
+		h := newHarness(4)
+		a := h.fab.Store.AllocOn(3, 4)
+		h.run(t, func(c *sim.Context) {
+			h.fab.Ctrls[0].Prefetch(a, excl)
+			if excl {
+				h.fab.Ctrls[0].Write(c, a) // joins in-flight prefetch
+			} else {
+				h.fab.Ctrls[0].Read(c, a)
+			}
+		})
+		if h.st.Global.Get(stats.PrefetchUseful) != 1 {
+			t.Fatalf("excl=%v: prefetch_useful = %d, want 1", excl, h.st.Global.Get(stats.PrefetchUseful))
+		}
+		if h.st.Global.Get(stats.CacheMisses) != 1 {
+			t.Fatalf("excl=%v: misses = %d, want 1 (joined)", excl, h.st.Global.Get(stats.CacheMisses))
+		}
 	}
 }
 

@@ -220,8 +220,9 @@ func TestTicketStaleAfterRetire(t *testing.T) {
 
 func TestTxnFullTicketStaleness(t *testing.T) {
 	// Fill the transaction buffer, take a buffer-full ticket, and hold it
-	// until after the txnFreed gate has re-fired: the gen check must make
-	// Wait a no-op rather than park on the reset gate.
+	// until every transaction has retired. Wait must find the free slot
+	// without parking, issue the fill and wait for it; the caller's retry
+	// then hits, and the miss was counted once, by StartMiss.
 	h := newHarness(2)
 	ctrl := h.fab.Ctrls[0]
 	p := h.fab.P
@@ -229,31 +230,32 @@ func TestTxnFullTicketStaleness(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = h.fab.Store.AllocOn(1, 4)
 	}
+	last := addrs[p.TxnLimit]
 	h.run(t, func(c *sim.Context) {
 		for i := 0; i < p.TxnLimit; i++ {
 			ctrl.Prefetch(addrs[i], false)
 		}
-		if len(ctrl.txns) != p.TxnLimit {
-			t.Fatalf("%d transactions outstanding, want %d", len(ctrl.txns), p.TxnLimit)
+		tk := ctrl.StartMiss(last, Exclusive)
+		if tk.kind != tkFull {
+			t.Errorf("StartMiss with %d of %d transactions outstanding returned ticket kind %d, want a buffer-full ticket",
+				len(ctrl.txns), p.TxnLimit, tk.kind)
+			return
 		}
-		tk := ctrl.StartMiss(addrs[p.TxnLimit], Exclusive)
-		if tk.Hit() || tk.c == nil {
-			t.Fatal("buffer-full StartMiss did not return a txnFreed ticket")
+		misses := h.st.Global.Get(stats.CacheMisses)
+		c.Sleep(100000) // every prefetch retires meanwhile
+		if len(ctrl.txns) != 0 {
+			t.Errorf("%d transactions still outstanding after the drain", len(ctrl.txns))
+			return
 		}
-		c.Sleep(100000) // everything retires; txnFreed fired and reset
-		before := c.Now()
-		tk.Wait(c)
-		if c.Now() != before {
-			t.Fatal("stale buffer-full ticket waited on the reset gate")
+		tk.Wait(c) // parking on the empty buffer would deadlock the run
+		if ctrl.LineState(last) != Exclusive {
+			t.Error("held buffer-full ticket did not issue its fill")
 		}
-		// Retry as the caller's loop would; the buffer has room now.
-		tk = ctrl.StartMiss(addrs[p.TxnLimit], Exclusive)
-		if tk.Hit() || tk.t == nil {
-			t.Fatal("retry after buffer drain did not start a fill")
+		if !ctrl.StartMiss(last, Exclusive).Hit() {
+			t.Error("retry after the ticket's fill did not hit")
 		}
-		tk.Wait(c)
-		if ctrl.LineState(addrs[p.TxnLimit]) != Exclusive {
-			t.Fatal("fill did not land after buffer drain")
+		if got := h.st.Global.Get(stats.CacheMisses); got != misses {
+			t.Errorf("misses went from %d to %d after StartMiss counted the access", misses, got)
 		}
 	})
 }
@@ -270,11 +272,10 @@ func cacheHarness(n, sets, ways int) *harness {
 	st := stats.NewMachine(n)
 	net := mesh.New(eng, w, hgt, mesh.DefaultParams(), st)
 	store := NewStore(n, 1<<12)
-	sink := &fakeSink{}
 	p := DefaultParams()
 	p.HWPointers = 2
-	fab := NewFabric(eng, net, store, p, st, sink, sets, ways)
-	return &harness{eng: eng, fab: fab, st: st, sink: sink}
+	fab := NewFabric(eng, net, store, p, st, sets, ways)
+	return &harness{eng: eng, fab: fab, st: st}
 }
 
 func TestPooledEvictionAndOverflow(t *testing.T) {

@@ -21,7 +21,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -239,57 +238,4 @@ func (p *Profiler) String() string {
 		fmt.Fprintf(&sb, "%-13s %14d  %6.2f%%%s\n", b, t, 100*p.Share(b), tag)
 	}
 	return sb.String()
-}
-
-// NodeString renders one node's timeline breakdown on a single line:
-// "n3: compute 120 (12.0%) ...", skipping zero buckets.
-func (p *Profiler) NodeString(node int) string {
-	if p == nil {
-		return ""
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "n%d:", node)
-	for b := Bucket(0); b < NumTimeline; b++ {
-		c := p.counts[node][b]
-		if c == 0 {
-			continue
-		}
-		pct := 0.0
-		if p.elapsed > 0 {
-			pct = 100 * float64(c) / float64(p.elapsed)
-		}
-		fmt.Fprintf(&sb, " %s %d (%.1f%%)", b, c, pct)
-	}
-	return sb.String()
-}
-
-// SortedShares returns (name, share) pairs in descending share order,
-// ties broken by bucket order — a deterministic form for reports.
-func (p *Profiler) SortedShares() []struct {
-	Name  string
-	Share float64
-} {
-	if p == nil {
-		return nil
-	}
-	type row struct {
-		b Bucket
-		s float64
-	}
-	rows := make([]row, 0, NumBuckets)
-	for b := Bucket(0); b < NumBuckets; b++ {
-		if s := p.Share(b); s != 0 {
-			rows = append(rows, row{b, s})
-		}
-	}
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i].s > rows[j].s })
-	out := make([]struct {
-		Name  string
-		Share float64
-	}, len(rows))
-	for i, r := range rows {
-		out[i].Name = r.b.String()
-		out[i].Share = r.s
-	}
-	return out
 }

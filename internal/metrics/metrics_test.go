@@ -110,7 +110,7 @@ func TestShares(t *testing.T) {
 	}
 }
 
-func TestStringAndNodeString(t *testing.T) {
+func TestStringTagsOverlay(t *testing.T) {
 	p := New(1)
 	p.Add(0, Compute, 80)
 	p.Add(0, NetTransit, 40)
@@ -122,26 +122,6 @@ func TestStringAndNodeString(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("String() missing %q:\n%s", want, s)
 		}
-	}
-	ns := p.NodeString(0)
-	if !strings.Contains(ns, "compute 80 (80.0%)") {
-		t.Fatalf("NodeString: %q", ns)
-	}
-}
-
-func TestSortedSharesDeterministic(t *testing.T) {
-	p := New(1)
-	p.Add(0, Compute, 30)
-	p.Add(0, MissStall, 60)
-	if err := p.Finalize(100); err != nil {
-		t.Fatalf("Finalize: %v", err)
-	}
-	rows := p.SortedShares()
-	if len(rows) != 3 { // miss-stall, compute, untracked
-		t.Fatalf("rows = %v", rows)
-	}
-	if rows[0].Name != "miss-stall" || rows[1].Name != "compute" || rows[2].Name != "untracked" {
-		t.Fatalf("order = %v", rows)
 	}
 }
 

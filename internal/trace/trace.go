@@ -154,20 +154,6 @@ func (b *Buffer) NodeActivity() map[int]int {
 	return out
 }
 
-// Filter returns retained events matching kind, oldest first.
-func (b *Buffer) Filter(kind Kind) []Event {
-	if b == nil {
-		return nil
-	}
-	var out []Event
-	for _, e := range b.Events() {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Format renders up to max events as an aligned text listing.
 func (b *Buffer) Format(max int) string {
 	if b == nil {

@@ -39,16 +39,13 @@ func TestRingDropsOldest(t *testing.T) {
 	}
 }
 
-func TestCountByKindAndFilter(t *testing.T) {
+func TestCountByKindAndNodeActivity(t *testing.T) {
 	b := New(16)
 	b.Emit(1, 0, KMiss, 0)
 	b.Emit(2, 0, KMiss, 0)
 	b.Emit(3, 1, KFill, 0)
 	if b.CountByKind()[KMiss] != 2 || b.CountByKind()[KFill] != 1 {
 		t.Fatal("counts wrong")
-	}
-	if len(b.Filter(KMiss)) != 2 || len(b.Filter(KBarrier)) != 0 {
-		t.Fatal("filter wrong")
 	}
 	if b.NodeActivity()[0] != 2 || b.NodeActivity()[1] != 1 {
 		t.Fatal("node activity wrong")
