@@ -61,7 +61,8 @@ type Time = sim.Time
 // RT is the Alewife runtime system.
 type RT = core.RT
 
-// TC is the thread context passed to every task body.
+// TC is the thread context passed to every task body. It is valid only
+// while that body runs: the runtime recycles it for the next task.
 type TC = core.TC
 
 // Future is a single-assignment synchronization cell.

@@ -24,7 +24,6 @@ type core struct {
 	node *machine.Node
 
 	schedProc *machine.Proc
-	current   *Thread
 	rng       *rand.Rand
 
 	// parked is true while the scheduler context is blocked waiting for a
@@ -151,16 +150,14 @@ func (c *core) dispatch(p *machine.Proc, it queueItem) {
 	p.Flush()
 	th := it.thread
 	if th == nil {
-		th = c.rt.newThread(it.task, c)
+		th = c.rt.getThread(it.task, c)
 		c.rt.M.St.Emit(p.Ctx.Now(), c.id, trace.KDispatch, th.id)
-		c.current = th
 		th.start()
 	} else {
 		if th.core != c {
 			panic(fmt.Sprintf("core: thread %d resumed on node %d, pinned to %d", th.id, c.id, th.core.id))
 		}
 		c.rt.M.St.Emit(p.Ctx.Now(), c.id, trace.KDispatch, th.id)
-		c.current = th
 		th.resume()
 	}
 	// Park until the thread hands the processor back; the interval belongs
@@ -168,7 +165,12 @@ func (c *core) dispatch(p *machine.Proc, it queueItem) {
 	p.PushRegion(metrics.NoBucket)
 	p.Ctx.Block()
 	p.PopRegion()
-	c.current = nil
+	// The thread handed the processor back by suspending or finishing. A
+	// finished thread's body has returned, so its record can serve the
+	// next dispatch.
+	if th.finished {
+		c.rt.putThread(th)
+	}
 }
 
 // threadYield is called from a thread context when it finishes or

@@ -23,7 +23,7 @@ type Future struct {
 	rt   *RT
 	home int
 	cell mem.Addr // [flag, value] on one line
-	lock *SpinLock
+	lock SpinLock
 
 	done    bool
 	val     uint64
@@ -36,7 +36,7 @@ func (rt *RT) NewFuture(home int) *Future {
 		rt:   rt,
 		home: home,
 		cell: rt.M.Store.AllocOn(home, mem.LineWords),
-		lock: NewSpinLock(rt.M, home),
+		lock: SpinLock{addr: rt.M.Store.AllocOn(home, mem.LineWords)},
 	}
 }
 

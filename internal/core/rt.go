@@ -114,6 +114,11 @@ type RT struct {
 	watchers map[uint64]func()  // token -> notify-copy watcher
 	nextID   uint64
 
+	// freeTasks and freeThreads hold the records of finished forked tasks
+	// and finished threads for getTask and getThread to reuse.
+	freeTasks   []*Task
+	freeThreads []*Thread
+
 	barrier *Barrier
 }
 

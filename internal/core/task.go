@@ -5,13 +5,20 @@ import (
 	"alewife/internal/mem"
 )
 
-// Task is an unstarted unit of work: a closure plus a descriptor in the
+// Task is an unstarted unit of work: a body plus a descriptor in the
 // creating node's memory. Creation is cheap and local (lazy task creation);
 // communication costs are paid only if the task migrates.
+//
+// A forked task (TC.Fork) keeps its child function and the future that
+// function's result resolves as fields, not inside a wrapping closure, and
+// its record is recycled once the thread it started finishes. Tasks handed
+// to callers — NewInvokeTask's and Run's root task — are never recycled.
 type Task struct {
 	id    uint64
-	fn    func(*TC)
-	desc  mem.Addr // descriptor words in the creating node's memory
+	fn    func(*TC)        // body of a task built by newTask
+	child func(*TC) uint64 // body of a forked task, resolving fut
+	fut   *Future          // nil unless forked
+	desc  mem.Addr         // descriptor words in the creating node's memory
 	words int
 	home  int // creating node
 }
@@ -22,6 +29,38 @@ func (rt *RT) newTask(fn func(*TC)) *Task {
 	t := &Task{id: rt.newTaskID(), fn: fn, words: rt.P.TaskWords, home: -1}
 	rt.tasks[t.id] = t
 	return t
+}
+
+// getTask registers a forked task, reusing a record from the free list
+// (see putTask) when there is one.
+func (rt *RT) getTask(child func(*TC) uint64, fut *Future) *Task {
+	var t *Task
+	if n := len(rt.freeTasks); n > 0 {
+		t = rt.freeTasks[n-1]
+		rt.freeTasks = rt.freeTasks[:n-1]
+	} else {
+		t = new(Task)
+	}
+	*t = Task{id: rt.newTaskID(), child: child, fut: fut, words: rt.P.TaskWords, home: -1}
+	rt.tasks[t.id] = t
+	return t
+}
+
+// putTask returns a forked task whose thread finished to the free list.
+// Its id was released when the thread started; dropping the child and the
+// future keeps the idle record from pinning them.
+func (rt *RT) putTask(t *Task) {
+	t.child, t.fut = nil, nil
+	rt.freeTasks = append(rt.freeTasks, t)
+}
+
+// run executes the task's body on tc.
+func (t *Task) run(tc *TC) {
+	if t.fut != nil {
+		t.fut.Resolve(tc, t.child(tc))
+		return
+	}
+	t.fn(tc)
 }
 
 // materialize writes the task descriptor into node-local memory, charging
@@ -40,6 +79,10 @@ func (t *Task) materialize(p *machine.Proc) {
 
 // TC is the thread context handed to every task body: the processor it is
 // running on, the runtime, and the thread identity used for suspension.
+//
+// A TC is embedded in its Thread and, like the Thread, is valid only while
+// its task runs: once the body returns, the record serves the next task
+// dispatched. A body must not keep its TC past its return.
 type TC struct {
 	P  *machine.Proc
 	RT *RT
@@ -60,9 +103,7 @@ func (tc *TC) Elapse(n uint64) { tc.P.Elapse(n) }
 func (tc *TC) Fork(fn func(*TC) uint64) *Future {
 	rt := tc.RT
 	f := rt.NewFuture(tc.ID())
-	t := rt.newTask(func(child *TC) {
-		f.Resolve(child, fn(child))
-	})
+	t := rt.getTask(fn, f)
 	tc.P.Elapse(rt.P.ForkCycles)
 	tc.core.pushTask(tc.P, t)
 	return f

@@ -1,21 +1,26 @@
 package core
 
 import (
-	"fmt"
-
 	"alewife/internal/machine"
 	"alewife/internal/stats"
 	"alewife/internal/trace"
 )
 
-// Thread is a started task: a green thread with its own simulation context,
-// pinned to the node where it began executing (tasks migrate before they
-// start, never after, as with lazy task creation).
+// Thread is a started task: a green thread with its own processor and
+// simulation context, pinned to the node where it began executing (tasks
+// migrate before they start, never after, as with lazy task creation).
+//
+// A Thread embeds the TC its task body receives and keeps its Proc. The
+// record is valid only while its task runs: when the body returns, the
+// scheduler that dispatched it puts it on the runtime's free list
+// (putThread), and the next dispatch starts another task on the same
+// record, Proc and context (getThread).
 type Thread struct {
+	TC
 	id   uint64
 	task *Task
-	core *core
-	proc *machine.Proc
+	// body is the thread's processor body, built once per record.
+	body func(*machine.Proc)
 
 	// wakeVal carries a future's value delivered with the wake-up message
 	// in hybrid mode (synchronization bundled with data).
@@ -25,47 +30,68 @@ type Thread struct {
 	finished bool
 }
 
-// newThread wraps a task for execution on core c. A started task never
+// getThread readies a thread record for task t on core c, reusing one from
+// the free list (see putThread) when there is one. A started task never
 // travels again, so its id is released; the thread's id stays registered
 // for wake messages until it finishes.
-func (rt *RT) newThread(t *Task, c *core) *Thread {
+func (rt *RT) getThread(t *Task, c *core) *Thread {
 	delete(rt.tasks, t.id)
-	th := &Thread{id: rt.newTaskID(), task: t, core: c}
+	var th *Thread
+	if n := len(rt.freeThreads); n > 0 {
+		th = rt.freeThreads[n-1]
+		rt.freeThreads = rt.freeThreads[:n-1]
+	} else {
+		th = &Thread{}
+		th.RT, th.thread = rt, th
+		th.body = th.run
+	}
+	th.id, th.task, th.core, th.finished = rt.newTaskID(), t, c, false
 	rt.threads[th.id] = th
 	rt.M.St.Inc(c.id, stats.ThreadsCreated)
 	return th
 }
 
-// start spins up the thread's context; it runs until completion or first
-// suspension, then hands the processor back to the scheduler.
+// putThread returns a finished thread's record to the free list, and with
+// it the task it ran when that task was forked.
+func (rt *RT) putThread(th *Thread) {
+	if t := th.task; t.fut != nil {
+		rt.putTask(t)
+	}
+	th.task = nil
+	rt.freeThreads = append(rt.freeThreads, th)
+}
+
+// start runs the thread on its processor, reusing the record's Proc and
+// context; it runs until completion or first suspension, then hands the
+// processor back to the scheduler.
 func (th *Thread) start() {
-	c := th.core
-	rt := c.rt
-	th.proc = rt.M.Spawn(c.id, rt.M.Eng.Now(), fmt.Sprintf("thr%d", th.id),
-		func(p *machine.Proc) {
-			tc := &TC{P: p, RT: rt, thread: th, core: c}
-			th.task.fn(tc)
-			p.Flush()
-			th.finished = true
-			delete(rt.threads, th.id)
-			c.threadYield()
-		})
+	m := th.RT.M
+	th.P = m.Respawn(th.P, th.core.id, m.Eng.Now(), "thr", th.id, th.body)
+}
+
+// run is the thread's processor body.
+func (th *Thread) run(p *machine.Proc) {
+	th.task.run(&th.TC)
+	p.Flush()
+	th.finished = true
+	delete(th.RT.threads, th.id)
+	th.core.threadYield()
 }
 
 // resume continues a suspended thread.
 func (th *Thread) resume() {
-	if th.finished || th.proc == nil {
-		panic("core: resume of unstarted or finished thread")
+	if th.finished {
+		panic("core: resume of finished thread")
 	}
-	th.proc.Ctx.Unblock()
+	th.P.Ctx.Unblock()
 }
 
 // suspend parks the calling thread and gives the processor back to the
 // node's scheduler; the thread becomes runnable again when something
 // enqueues it on its core's wake queue.
 func (th *Thread) suspend() {
-	th.proc.Flush()
-	th.core.rt.M.St.Emit(th.proc.Ctx.Now(), th.core.id, trace.KSuspend, th.id)
+	th.P.Flush()
+	th.RT.M.St.Emit(th.P.Ctx.Now(), th.core.id, trace.KSuspend, th.id)
 	th.core.threadYield()
-	th.proc.Ctx.Block()
+	th.P.Ctx.Block()
 }

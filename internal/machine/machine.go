@@ -187,14 +187,36 @@ func (m *Machine) Micros(cycles uint64) float64 {
 
 // Spawn starts body on node's processor at time `at` and returns its Proc.
 // The runtime system layers threads on top; tests and microbenchmarks use
-// Spawn directly.
+// Spawn directly. The context prints as "n<node>:<name>".
 //
 //alewife:engine-only
 func (m *Machine) Spawn(node int, at sim.Time, name string, body func(*Proc)) *Proc {
-	p := &Proc{Node: m.Nodes[node], prof: m.St.Prof}
-	p.Ctx = m.Eng.Spawn(fmt.Sprintf("n%d:%s", node, name), at, func(ctx *sim.Context) {
-		body(p)
-	})
+	return m.Respawn(nil, node, at, name, 0, body)
+}
+
+// Respawn starts body at time `at` on node's processor, reusing p, a Proc
+// whose body has returned, together with its context; with p nil it builds
+// a new one, as Spawn does. The context prints as "n<node>:<name><id>", or
+// without the id when it is 0 (a runtime thread: "n3:thr1234"). Reuse
+// allocates nothing unless the profiler is on.
+//
+//alewife:engine-only
+func (m *Machine) Respawn(p *Proc, node int, at sim.Time, name string, id uint64, body func(*Proc)) *Proc {
+	var c *sim.Context
+	if p == nil {
+		p = &Proc{}
+		p.entry = func(*sim.Context) {
+			body := p.body
+			p.body = nil
+			body(p)
+		}
+	} else {
+		c = p.Ctx
+	}
+	p.Node, p.prof, p.body = m.Nodes[node], m.St.Prof, body
+	p.ahead, p.aheadHit, p.aheadMiss, p.aheadMsg = 0, 0, 0, 0
+	p.rlen = 0
+	p.Ctx = m.Eng.Respawn(c, name, id, at, p.entry)
 	p.Ctx.Node = int32(node)
 	if p.prof != nil {
 		p.Ctx.BlockNote = p.noteBlock

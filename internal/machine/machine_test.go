@@ -1,6 +1,10 @@
 package machine_test
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"alewife/internal/cmmu"
@@ -193,17 +197,91 @@ func TestMicros(t *testing.T) {
 	}
 }
 
+// deadlockReport runs m and returns the deadlock panic's message, or ""
+// when Run returned normally.
+func deadlockReport(m *machine.Machine) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	m.Run()
+	return ""
+}
+
+// A deadlock names each stuck context as "n<node>:<name>" with its state.
+// Names are built when printed, so this pins the printed text.
 func TestDeadlockDetected(t *testing.T) {
 	m := machine.New(machine.DefaultConfig(1))
 	m.Spawn(0, 0, "stuck", func(p *machine.Proc) {
 		p.Block() // nobody will wake it
 	})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected deadlock panic")
+	msg := deadlockReport(m)
+	if msg == "" {
+		t.Fatal("expected deadlock panic")
+	}
+	if !strings.Contains(msg, "[ctx(n0:stuck,blocked)]") {
+		t.Fatalf("deadlock report %q does not name ctx(n0:stuck,blocked)", msg)
+	}
+}
+
+// A Proc reused by Respawn with a thread id prints as n<node>:thr<id>, on
+// its new node, and is listed once.
+func TestRespawnedProcPrintsThreadName(t *testing.T) {
+	m := machine.New(machine.DefaultConfig(4))
+	first := m.Spawn(0, 0, "t", func(p *machine.Proc) { p.Elapse(5) })
+	m.Spawn(1, 0, "respawner", func(p *machine.Proc) {
+		p.Elapse(20)
+		p.Flush()
+		if again := m.Respawn(first, 2, p.Now(), "thr", 1234, func(p *machine.Proc) { p.Block() }); again != first {
+			t.Error("Respawn built a new Proc instead of reusing the finished one")
 		}
-	}()
+	})
+	msg := deadlockReport(m)
+	if !strings.Contains(msg, "[ctx(n2:thr1234,blocked)]") {
+		t.Fatalf("deadlock report %q does not name ctx(n2:thr1234,blocked)", msg)
+	}
+	if stuck := m.Eng.Stuck(); len(stuck) != 1 || stuck[0] != "ctx(n2:thr1234,blocked)" {
+		t.Fatalf("Stuck() = %v, want [ctx(n2:thr1234,blocked)]", stuck)
+	}
+	if first.ID() != 2 {
+		t.Fatalf("reused Proc on node %d, want 2", first.ID())
+	}
+}
+
+// A finished Proc kept for reuse pins neither its body closure nor what
+// the body captured, after one life or two.
+func TestFinishedProcReleasesBody(t *testing.T) {
+	m := machine.New(machine.DefaultConfig(2))
+	var freed atomic.Int32
+	body := func() func(*machine.Proc) {
+		payload := new([64]uint64)
+		runtime.SetFinalizer(payload, func(*[64]uint64) { freed.Add(1) })
+		return func(p *machine.Proc) {
+			p.Elapse(1)
+			p.Flush()
+			payload[0]++
+		}
+	}
+	p := m.Spawn(0, 0, "holder", body())
+	var midRun bool
+	m.Spawn(1, 0, "watcher", func(w *machine.Proc) {
+		w.Elapse(10) // the holder's first life finished at cycle 1
+		w.Flush()
+		m.Respawn(p, 0, w.Now(), "holder", 0, body())
+		w.Elapse(10)
+		w.Flush()
+		for i := 0; i < 100 && freed.Load() < 2; i++ {
+			runtime.GC()
+			runtime.Gosched()
+		}
+		midRun = freed.Load() == 2
+	})
 	m.Run()
+	if !midRun {
+		t.Fatalf("finished Proc pinned its bodies' captures: %d of 2 freed", freed.Load())
+	}
+	runtime.KeepAlive(p)
 }
 
 func TestStolenCyclesDrainAtFlush(t *testing.T) {

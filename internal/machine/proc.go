@@ -16,7 +16,8 @@ import (
 // event cost.
 //
 // Several Procs may exist for one node (the runtime's green threads), but
-// the runtime guarantees only one runs at a time.
+// the runtime guarantees only one runs at a time. Once its body returns, a
+// Proc can be started again with Machine.Respawn.
 type Proc struct {
 	Node *Node
 	Ctx  *sim.Context
@@ -36,6 +37,12 @@ type Proc struct {
 	prof   *metrics.Profiler
 	region [4]metrics.Bucket
 	rlen   int
+
+	// body is the current life's body, dropped when it starts so a
+	// finished Proc pins nothing it captured; entry, built once per Proc,
+	// is the context body that runs it.
+	body  func(*Proc)
+	entry func(*sim.Context)
 }
 
 // mp returns the memory cost model.

@@ -91,18 +91,33 @@ func BenchmarkContextPingPong(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkSpawnFinish measures a context's whole life: spawned by a
+// BenchmarkSpawnFinish measures a context's whole life: started by a
 // running context, one sleep, return. Runtime threads are contexts, so this
-// is the per-thread engine cost; coroutine reuse keeps it to one allocation.
+// is the per-thread engine cost. Coroutine reuse keeps a fresh Spawn to one
+// allocation, the Context; Respawn of a finished context, the path runtime
+// threads take, allocates nothing.
 func BenchmarkSpawnFinish(b *testing.B) {
-	b.ReportAllocs()
-	e := NewEngine()
-	e.Spawn("spawner", 0, func(c *Context) {
-		for i := 0; i < b.N; i++ {
-			e.Spawn("t", c.Now(), func(t *Context) { t.Sleep(1) })
-			c.Sleep(2)
+	body := func(t *Context) { t.Sleep(1) }
+	for _, reuse := range []bool{false, true} {
+		name := "spawn"
+		if reuse {
+			name = "respawn"
 		}
-	})
-	b.ResetTimer()
-	e.Run()
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			e := NewEngine()
+			e.Spawn("spawner", 0, func(c *Context) {
+				var t *Context
+				for i := 0; i < b.N; i++ {
+					if !reuse {
+						t = nil
+					}
+					t = e.Respawn(t, "t", 0, c.Now(), body)
+					c.Sleep(2)
+				}
+			})
+			b.ResetTimer()
+			e.Run()
+		})
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"iter"
 	"runtime/debug"
+	"strconv"
 )
 
 // Context is a simulated sequential agent (a processor, a thread). Its body
@@ -18,18 +19,26 @@ import (
 // loop (advance) itself and yields to the driver only when another context
 // is due next or the run stops.
 type Context struct {
-	eng  *Engine
+	eng *Engine
+	// name and id make up the debug name, formatted only when printed
+	// (see Name): a label such as "thr", numbered by id when id is not 0.
 	name string
+	id   uint64
 	// co runs the body. Once the body returns, co may serve another
 	// context; a finished context never touches it again.
 	co   *coroutine
 	done bool
 	// gen counts resumptions; wake events capture the generation at which
 	// they were armed so a stale wake (context already resumed by another
-	// path) is dropped instead of corrupting the park/resume protocol.
+	// path) is dropped instead of corrupting the park/resume protocol. It
+	// keeps counting across the lives Respawn gives a context, so a wake
+	// armed in an earlier life can never match.
 	gen uint64
 	// blocked is informational: true while parked with no wake event queued.
 	blocked bool
+	// listed is true while the context is on Engine.ctxs, so a reused
+	// context is listed once.
+	listed bool
 
 	// BlockNote, when non-nil, observes every Block on this context: it is
 	// called with the park time and the wake time once the context resumes.
@@ -39,13 +48,26 @@ type Context struct {
 	BlockNote func(parked, woke Time)
 
 	// Node identifies the processor this context models, for Chooser
-	// descriptors; -1 (the default) means the context belongs to no
-	// particular node and its wakes are opaque to partial-order reduction.
+	// descriptors and as the prefix of Name; -1 (the default) means the
+	// context belongs to no particular node and its wakes are opaque to
+	// partial-order reduction.
 	Node int32
 }
 
-// Name returns the context's debug name.
-func (c *Context) Name() string { return c.name }
+// Name returns the context's debug name: its label, numbered by its id
+// when it has one, and prefixed with its node when it has one — a runtime
+// thread prints as "n3:thr1234". It is built on each call, so contexts that
+// are never printed never format a name.
+func (c *Context) Name() string {
+	name := c.name
+	if c.id != 0 {
+		name += strconv.FormatUint(c.id, 10)
+	}
+	if c.Node >= 0 {
+		name = "n" + strconv.Itoa(int(c.Node)) + ":" + name
+	}
+	return name
+}
 
 // Engine returns the owning engine.
 func (c *Context) Engine() *Engine { return c.eng }
@@ -61,21 +83,47 @@ func (c *Context) Done() bool { return c.done }
 //
 //alewife:engine-only
 func (e *Engine) Spawn(name string, at Time, fn func(*Context)) *Context {
-	c := &Context{eng: e, name: name, Node: -1}
+	return e.Respawn(nil, name, 0, at, fn)
+}
+
+// Respawn starts fn at time `at` on c, a context whose body has returned,
+// or on a new context when c is nil; it returns the context. The context
+// starts its new life as Spawn leaves a new one: named name (numbered by
+// id when id is not 0, see Name), on no node, with no BlockNote. Reuse
+// allocates nothing. The generation keeps counting instead of restarting
+// at 0: the new life opens a new one, so a wake still queued from an
+// earlier life is stale when it comes up and is dropped.
+//
+//alewife:engine-only
+func (e *Engine) Respawn(c *Context, name string, id uint64, at Time, fn func(*Context)) *Context {
+	if c == nil {
+		c = &Context{eng: e}
+	} else if !c.done {
+		panic("sim: respawn of live context " + c.Name())
+	} else {
+		c.gen++
+	}
+	c.name, c.id, c.Node, c.BlockNote = name, id, -1, nil
+	c.done, c.blocked = false, false
+	if c.listed {
+		e.ndone-- // finished in its last life, not yet pruned
+	} else {
+		c.listed = true
+		e.ctxs = append(e.ctxs, c)
+	}
 	e.nlive++
-	e.ctxs = append(e.ctxs, c)
 	co := e.idleCoroutine()
 	co.ctx, co.body = c, fn
 	c.co = co
-	e.atWake(at, c, 0) // the start event is an ordinary wake (gen 0)
+	e.atWake(at, c, c.gen) // the start event is an ordinary wake
 	return c
 }
 
 // coroutine runs context bodies one after another. When a body returns, the
-// coroutine parks on Engine.idle instead of exiting, and the next Spawn in
-// the same run reuses it: the goroutine and iter.Pull's allocations are paid
-// per coroutine, not per context. drive stops the idle ones when the run
-// ends, so no goroutine outlives the contexts it served.
+// coroutine parks on Engine.idle instead of exiting, and the next Spawn or
+// Respawn in the same run reuses it: the goroutine and iter.Pull's
+// allocations are paid per coroutine, not per context. drive stops the idle
+// ones when the run ends, so no goroutine outlives the contexts it served.
 type coroutine struct {
 	next  func() (struct{}, bool)
 	stop  func()
@@ -113,7 +161,7 @@ func (co *coroutine) run(e *Engine) {
 	c := co.ctx
 	defer func() {
 		if r := recover(); r != nil {
-			e.ctxPanic = &panicValue{ctx: c.name, val: r, stack: string(debug.Stack())}
+			e.ctxPanic = &panicValue{ctx: c.Name(), val: r, stack: string(debug.Stack())}
 		}
 		c.done = true
 		co.ctx, co.body = nil, nil // an idle coroutine must not pin the body
@@ -202,7 +250,7 @@ func (c *Context) Unblock() { c.UnblockAt(c.eng.now) }
 // dropped if the context resumed through another path first.
 func (c *Context) UnblockAt(t Time) {
 	if c.done {
-		panic("sim: unblock of finished context " + c.name)
+		panic("sim: unblock of finished context " + c.Name())
 	}
 	c.wakeAt(t)
 }
@@ -286,7 +334,9 @@ func (e *Engine) retire() {
 func (e *Engine) pruneCtxs() {
 	kept := e.ctxs[:0]
 	for _, c := range e.ctxs {
-		if !c.done {
+		if c.done {
+			c.listed = false
+		} else {
 			kept = append(kept, c)
 		}
 	}
@@ -318,5 +368,5 @@ func (c *Context) String() string {
 	} else if c.blocked {
 		state = "blocked"
 	}
-	return fmt.Sprintf("ctx(%s,%s)", c.name, state)
+	return fmt.Sprintf("ctx(%s,%s)", c.Name(), state)
 }

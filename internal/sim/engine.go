@@ -12,7 +12,8 @@
 // same OS thread, with no run queue, no idle-P wakeup and no futex, so a
 // serial simulation never enters the Go scheduler and runs as fast on N
 // cores as on one. A coroutine whose body returned waits on Engine.idle
-// for the next Spawn of the run, and the run's end stops the idle ones.
+// for the next Spawn or Respawn of the run, and the run's end stops the
+// idle ones. Respawn also reuses the finished Context itself.
 // The Run caller is the driver: it runs the dispatch loop (advance) and
 // resumes the context whose wake comes up. A parking context runs the same
 // loop inline; if its own wake comes up first it continues without
@@ -56,8 +57,8 @@ type Engine struct {
 	// next: the parker yields to the driver, which resumes this one. A yield
 	// that leaves it nil means a stop condition ended the run.
 	handoff *Context
-	// idle holds coroutines whose body finished, for Spawn to reuse
-	// until the run ends.
+	// idle holds coroutines whose body finished, for Spawn and Respawn to
+	// reuse until the run ends.
 	idle   []*coroutine
 	nlive  int // live (un-finished) contexts
 	halted bool
@@ -70,8 +71,9 @@ type Engine struct {
 	// ctxPanic carries a panic out of a context body so the driver can
 	// re-raise it from Run where callers can see it.
 	ctxPanic *panicValue
-	// ctxs tracks spawned contexts for deadlock diagnostics. Finished
-	// contexts are pruned by amortized compaction (retire) and by Stuck.
+	// ctxs tracks spawned contexts for deadlock diagnostics, each once
+	// however often Respawn reuses it. Finished contexts are pruned by
+	// amortized compaction (retire) and by Stuck.
 	ctxs  []*Context
 	ndone int // finished contexts not yet pruned from ctxs
 	// chooser, when non-nil, decides which of several same-cycle events

@@ -285,35 +285,138 @@ func TestFinishedContextsLeaveNoGoroutines(t *testing.T) {
 
 // A finished context must not pin its body closure (nor what the body
 // captured) while the Engine and the Context themselves are still reachable
-// — not even mid-run, while the body's coroutine waits idle for reuse.
+// — not even mid-run, while the body's coroutine waits idle for reuse, and
+// not after Respawn gave the context a second life that finished too.
 func TestFinishedContextReleasesBody(t *testing.T) {
-	e := NewEngine()
-	var freed atomic.Bool
-	spawn := func() *Context {
-		payload := new([64]uint64)
-		runtime.SetFinalizer(payload, func(*[64]uint64) { freed.Store(true) })
-		return e.Spawn("holder", 0, func(c *Context) {
-			c.Sleep(1)
-			payload[0]++
+	for _, reuse := range []bool{false, true} {
+		name := "spawn"
+		if reuse {
+			name = "respawn"
+		}
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine()
+			var freed atomic.Int32
+			body := func() func(*Context) {
+				payload := new([64]uint64)
+				runtime.SetFinalizer(payload, func(*[64]uint64) { freed.Add(1) })
+				return func(c *Context) {
+					c.Sleep(1)
+					payload[0]++
+				}
+			}
+			want := int32(1)
+			c := e.Spawn("holder", 0, body())
+			if reuse {
+				want = 2
+				e.Spawn("respawner", 0, func(r *Context) {
+					r.Sleep(5) // the holder finished at cycle 1
+					e.Respawn(c, "holder", 0, r.Now(), body())
+				})
+			}
+			awaitFreed := func() bool {
+				for i := 0; i < 100 && freed.Load() < want; i++ {
+					runtime.GC()
+					runtime.Gosched()
+				}
+				return freed.Load() == want
+			}
+			var midRun bool
+			e.Spawn("watcher", 0, func(w *Context) {
+				w.Sleep(10) // every life of the holder has finished
+				midRun = awaitFreed()
+			})
+			e.Run()
+			if !midRun {
+				t.Fatalf("finished context pinned its bodies' captures during the run: %d of %d freed", freed.Load(), want)
+			}
+			runtime.KeepAlive(e)
+			runtime.KeepAlive(c)
 		})
 	}
-	c := spawn()
-	awaitFreed := func() bool {
-		for i := 0; i < 100 && !freed.Load(); i++ {
-			runtime.GC()
-			runtime.Gosched()
+}
+
+// A context reused by Respawn keeps counting generations, so a wake armed
+// in its previous life cannot resume the new body; and the deadlock roster
+// lists the reused context once.
+func TestRespawnIgnoresStaleWake(t *testing.T) {
+	e := NewEngine()
+	a := e.Spawn("a", 0, func(c *Context) { c.Sleep(10) })
+	var resumed bool
+	e.Spawn("b", 0, func(c *Context) {
+		c.Sleep(5)
+		a.UnblockAt(100) // armed while a sleeps; stale once a wakes at 10
+		c.Sleep(15)
+		if !a.Done() {
+			t.Fatal("a has not finished by cycle 20")
 		}
-		return freed.Load()
-	}
-	var midRun bool
-	e.Spawn("watcher", 0, func(w *Context) {
-		w.Sleep(10) // the holder finished at cycle 1
-		midRun = awaitFreed()
+		e.Respawn(a, "a", 0, c.Now(), func(c *Context) {
+			c.Block()
+			resumed = true
+		})
 	})
 	e.Run()
-	if !midRun {
-		t.Fatal("finished context pinned its body's captures during the run")
+	if resumed {
+		t.Fatalf("a wake armed in the context's previous life resumed its new body at cycle %d", e.Now())
 	}
-	runtime.KeepAlive(e)
-	runtime.KeepAlive(c)
+	if stuck := e.Stuck(); len(stuck) != 1 || stuck[0] != "ctx(a,blocked)" {
+		t.Fatalf("stuck = %v, want the reused context once", stuck)
+	}
+}
+
+// Respawn lists a context on the deadlock roster once, whether or not the
+// roster pruned it between its lives.
+func TestRespawnListsContextOnce(t *testing.T) {
+	for _, pruned := range []bool{false, true} {
+		e := NewEngine()
+		a := e.Spawn("a", 0, func(c *Context) {})
+		e.Spawn("b", 0, func(c *Context) {
+			c.Sleep(1)
+			if pruned {
+				e.Stuck()
+			}
+			e.Respawn(a, "a", 0, c.Now(), func(c *Context) { c.Block() })
+		})
+		e.Run()
+		if n := e.Live(); n != 1 {
+			t.Fatalf("pruned=%v: %d live contexts, want 1", pruned, n)
+		}
+		if stuck := e.Stuck(); len(stuck) != 1 || stuck[0] != "ctx(a,blocked)" {
+			t.Fatalf("pruned=%v: stuck = %v, want the reused context once", pruned, stuck)
+		}
+	}
+}
+
+// Respawn of a context whose body is still running is a bug in the caller.
+func TestRespawnOfLiveContextPanics(t *testing.T) {
+	e := NewEngine()
+	a := e.Spawn("a", 0, func(c *Context) { c.Sleep(10) })
+	e.Spawn("b", 0, func(c *Context) {
+		defer func() {
+			if recover() == nil {
+				t.Error("respawn of a live context did not panic")
+			}
+		}()
+		e.Respawn(a, "a", 0, c.Now(), func(*Context) {})
+	})
+	e.Run()
+}
+
+// A context prints its label, numbered by its id and prefixed with its
+// node when it has them; Respawn replaces all three.
+func TestContextNameParts(t *testing.T) {
+	e := NewEngine()
+	c := e.Respawn(nil, "thr", 1234, 0, func(*Context) {})
+	if got := c.Name(); got != "thr1234" {
+		t.Fatalf("Name() = %q, want thr1234", got)
+	}
+	c.Node = 3
+	if got := c.String(); got != "ctx(n3:thr1234,runnable)" {
+		t.Fatalf("String() = %q, want ctx(n3:thr1234,runnable)", got)
+	}
+	e.Run()
+	e.Respawn(c, "sched", 0, e.Now(), func(*Context) {})
+	if got := c.Name(); got != "sched" {
+		t.Fatalf("reused Name() = %q, want sched", got)
+	}
+	e.Run()
 }
