@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -25,18 +27,31 @@ func TestEveryExperimentRunsQuick(t *testing.T) {
 	}
 }
 
+// TestRunAllQuick pins every figure of a quick 16-node run of all the
+// experiments, so a change that moves a simulated cycle fails tier-1. 16
+// nodes is enough to overflow LimitLESS pointers. A change meant to move
+// cycles regenerates the golden (make golden) in the same commit.
 func TestRunAllQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("RunAll is not short")
 	}
-	var sb strings.Builder
-	RunAll(Config{Nodes: 4, Quick: true}, &sb)
-	out := sb.String()
-	for _, e := range Experiments() {
-		if !strings.Contains(out, "==> "+e.ID+":") {
-			t.Fatalf("RunAll missing experiment %s", e.ID)
+	want, err := os.ReadFile("testdata/all_quick_16.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	RunAll(Config{Nodes: 16, Quick: true}, &b)
+	got := b.Bytes()
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if !bytes.Equal(gl[i], wl[i]) {
+			t.Fatalf("RunAll differs from testdata/all_quick_16.txt at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
 		}
 	}
+	t.Fatalf("RunAll has %d lines, testdata/all_quick_16.txt %d", len(gl), len(wl))
 }
 
 func TestDefaultConfig(t *testing.T) {
