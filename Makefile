@@ -18,8 +18,12 @@
 #   make results-check  regenerate every table and CSV of a full-scale
 #                  `alewife-bench -all` into a temp dir and diff it
 #                  against the committed results/: any printed figure
-#                  that moved fails (refresh results/ with the command in
-#                  README when a change means to move them)
+#                  that moved fails. Its quick tier-1 counterpart is the
+#                  golden internal/bench/testdata/all_quick_16.txt
+#                  (`alewife-bench -all -quick -nodes 16`), which
+#                  TestRunAllQuick compares byte for byte
+#   make golden    regenerate both, results/ and the quick golden, when a
+#                  change means to move simulated cycles
 #   make digest-check  run each e2ebench workload once (seed 1, 1 s,
 #                  untraced): fails when a sim_digest no longer matches
 #                  e2ebench/baseline.json (run.sh exits 1) or when any run
@@ -46,7 +50,7 @@ GO ?= go
 
 COVER_FLOOR ?= 60
 
-.PHONY: check build vet fmt lint test e2ebench-test cover stress-smoke stress-smoke-lossy explore-smoke results-check digest-check stress bench perf perf-check perf-quick
+.PHONY: check build vet fmt lint test e2ebench-test cover stress-smoke stress-smoke-lossy explore-smoke results-check golden digest-check stress bench perf perf-check perf-quick
 
 check: build vet fmt lint test e2ebench-test cover stress-smoke stress-smoke-lossy explore-smoke results-check digest-check perf-check
 
@@ -103,6 +107,11 @@ results-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/alewife-bench -all -parallel 0 -csv "$$tmp" > "$$tmp/full_run_64procs.txt" && \
 	diff -r results "$$tmp" && echo "results-check: results/ matches a fresh alewife-bench -all"
+
+golden:
+	rm -f results/*.csv
+	$(GO) run ./cmd/alewife-bench -all -parallel 0 -csv results > results/full_run_64procs.txt
+	$(GO) run ./cmd/alewife-bench -all -quick -nodes 16 -parallel 0 > internal/bench/testdata/all_quick_16.txt
 
 E2E_WORKLOADS = paper-sm paper-mp stress stress-lossy
 

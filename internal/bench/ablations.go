@@ -88,7 +88,7 @@ func runAblateSteal(cfg Config, w io.Writer) {
 		}
 		var cyc [2]uint64
 		for i, mode := range []core.Mode{core.ModeSharedMemory, core.ModeHybrid} {
-			rt := core.New(newMachine(cfg, cfg.Nodes), mode, core.DefaultParams(), pol)
+			rt := core.New(newMachine(cfg, cfg.Nodes), mode, pol)
 			r := apps.GrainParallel(rt, depth, 0)
 			cyc[i] = r.Cycles
 		}

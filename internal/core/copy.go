@@ -53,7 +53,7 @@ const noAck = ^uint64(0)
 // sendCopy emits one bulk message.
 func (rt *RT) sendCopy(p *machine.Proc, dstNode int, dst, src mem.Addr,
 	words, id, ackTo, token uint64) {
-	p.Elapse(rt.P.CopySetup)
+	p.Elapse(copySetup)
 	p.SendMessage(cmmu.Descriptor{
 		Type:    msgCopy,
 		Dst:     dstNode,
@@ -109,7 +109,7 @@ func (rt *RT) FetchMP(p *machine.Proc, srcNode int, dst, src mem.Addr, words uin
 	op := &copyOp{}
 	id := rt.newTaskID()
 	rt.copies[id] = op
-	p.Elapse(rt.P.CopySetup)
+	p.Elapse(copySetup)
 	p.SendMessage(cmmu.Descriptor{
 		Type: msgCopyReq,
 		Dst:  srcNode,
@@ -123,7 +123,7 @@ func (rt *RT) FetchMP(p *machine.Proc, srcNode int, dst, src mem.Addr, words uin
 // completion gate, run the notify watcher, or acknowledge the sender.
 func (c *core) onCopy(e *cmmu.Env) {
 	e.ReadOps(4)
-	e.Elapse(c.rt.P.CopyHandler)
+	e.Elapse(copyHandler)
 	base := mem.Addr(e.Ops[0])
 	id := e.Ops[1]
 	ackTo := e.Ops[2]
@@ -153,7 +153,7 @@ func (c *core) onCopyAck(e *cmmu.Env) {
 // onCopyReq serves a pull: reply with one bulk message gathered by DMA.
 func (c *core) onCopyReq(e *cmmu.Env) {
 	e.ReadOps(5)
-	e.Elapse(c.rt.P.CopyHandler)
+	e.Elapse(copyHandler)
 	src := mem.Addr(e.Ops[0])
 	words := e.Ops[1]
 	dst := e.Ops[2]

@@ -33,10 +33,8 @@ type core struct {
 	// handler runs; it closes the window where the reply lands while the
 	// scheduler is still flushing toward its park.
 	stealPending bool
-	// idleFails drives exponential backoff between fruitless steal sweeps,
-	// so a big idle machine doesn't keep every queue's metadata shared by
-	// dozens of probing thieves (which would turn each push into a
-	// LimitLESS invalidation storm).
+	// idleFails counts fruitless steal rounds since the last dispatch; it
+	// sets the next backoff (see nextBackoff).
 	idleFails uint
 	// nextProbe gates remote steal sweeps in the shared-memory idle loop;
 	// the loop keeps polling its own (local, cached) queues in between.
@@ -50,21 +48,18 @@ type core struct {
 	htaskq hybridQueue
 	hwakeq hybridQueue
 
-	// scratch is the marshaling buffer batched steal replies gather their
+	// scratch is the marshaling buffer a steal reply gathers its
 	// descriptor words from.
 	scratch mem.Addr
 }
 
 func newCore(rt *RT, id int) *core {
-	if rt.P.StealBatch < 1 || rt.P.StealBatch > 15 {
-		panic("core: StealBatch must be in 1..15 (descriptor operand limit)")
-	}
 	c := &core{rt: rt, id: id, node: rt.M.Nodes[id], rng: rng(id)}
 	if rt.Mode == ModeSharedMemory {
-		c.taskq = newSMQueue(rt.M, id, uint64(rt.P.QueueCap))
+		c.taskq = newSMQueue(rt.M, id, queueCap)
 		c.wakeq = newSMQueue(rt.M, id, 1024)
 	}
-	c.scratch = rt.M.Store.AllocOn(id, uint64(rt.P.StealBatch*rt.P.TaskWords))
+	c.scratch = rt.M.Store.AllocOn(id, taskWords)
 	return c
 }
 
@@ -76,7 +71,7 @@ func (c *core) boot() {
 // pushLocalBoot seeds the initial task before the schedulers run.
 func (c *core) pushLocalBoot(t *Task) {
 	if c.rt.Mode == ModeSharedMemory {
-		t.desc = c.rt.M.Store.AllocOn(c.id, uint64(t.words))
+		t.desc = c.rt.M.Store.AllocOn(c.id, taskWords)
 		t.home = c.id
 		c.taskq.bootPush(c.rt.M, queueItem{task: t})
 	} else {
@@ -90,7 +85,7 @@ func (c *core) pushTask(p *machine.Proc, t *Task) {
 		t.materialize(p)
 		c.taskq.push(p, queueItem{task: t})
 	} else {
-		c.htaskq.push(p, c.rt.P.QueueOpCycles, queueItem{task: t})
+		c.htaskq.push(p, queueItem{task: t})
 	}
 }
 
@@ -108,10 +103,10 @@ func (c *core) next(p *machine.Proc) queueItem {
 		}
 		return queueItem{}
 	}
-	if it := c.hwakeq.pop(p, c.rt.P.QueueOpCycles); !it.empty() {
+	if it := c.hwakeq.pop(p); !it.empty() {
 		return it
 	}
-	return c.htaskq.pop(p, c.rt.P.QueueOpCycles)
+	return c.htaskq.pop(p)
 }
 
 // loop is the scheduler body. The whole loop runs under an Idle
@@ -126,27 +121,50 @@ func (c *core) loop(p *machine.Proc) {
 			c.steal(p)
 			continue
 		}
-		c.idleFails = 0
 		c.dispatch(p, it)
 	}
 }
 
-// backoff sleeps between fruitless sweeps, doubling up to a cap.
-func (c *core) backoff(p *machine.Proc) {
-	d := c.rt.P.IdleBackoff << c.idleFails
-	if max := c.rt.P.IdleBackoff * 32; d > max {
-		d = max
-	} else if c.idleFails < 16 {
+// nextBackoff returns the idle loop's next delay after a fruitless steal
+// round and advances the schedule: idleBackoff doubling per round up to 32
+// times it (50, 100, 200, 400, 800, 1600, 1600, … cycles); dispatch
+// restarts it. The cap balances two pathologies: back off too little and
+// dozens of idle thieves keep every queue's metadata line shared, so each
+// push pays a LimitLESS invalidation storm; back off too much and the
+// divide-and-conquer unfold starves. 32 is the measured sweet spot of the
+// shared-memory scheduler at 64 nodes.
+func (c *core) nextBackoff() uint64 {
+	d := uint64(idleBackoff) << c.idleFails
+	if c.idleFails < 5 {
 		c.idleFails++
 	}
+	return d
+}
+
+// idle spends d cycles of idle-loop time on the processor.
+func (c *core) idle(p *machine.Proc, d uint64) {
 	c.rt.M.St.Add(c.id, stats.IdleCycles, int64(d))
 	p.Elapse(d)
 	p.Flush()
 }
 
+// park blocks the hybrid scheduler until a message handler wakes it
+// (wakeIdle) or, when d > 0, until d cycles pass; the time parked is idle.
+func (c *core) park(p *machine.Proc, d uint64) {
+	c.parked = true
+	start := p.Ctx.Now()
+	if d > 0 {
+		p.Ctx.UnblockAt(start + d)
+	}
+	p.Ctx.Block()
+	c.parked = false
+	c.rt.M.St.Add(c.id, stats.IdleCycles, int64(p.Ctx.Now()-start))
+}
+
 // dispatch runs one ready item to completion or suspension.
 func (c *core) dispatch(p *machine.Proc, it queueItem) {
-	p.Elapse(c.rt.P.SwitchCycles)
+	c.idleFails = 0
+	p.Elapse(switchCycles)
 	p.Flush()
 	th := it.thread
 	if th == nil {
@@ -206,13 +224,12 @@ func (c *core) victim(round int) int {
 
 // steal attempts to obtain work from other nodes, then backs off.
 func (c *core) steal(p *machine.Proc) {
-	if c.rt.Cores() == 1 {
-		c.backoff(p)
-		return
-	}
-	if c.rt.Mode == ModeSharedMemory {
+	switch {
+	case c.rt.Cores() == 1:
+		c.idle(p, c.nextBackoff())
+	case c.rt.Mode == ModeSharedMemory:
 		c.stealSM(p)
-	} else {
+	default:
 		c.stealHybrid(p)
 	}
 }
@@ -223,99 +240,48 @@ func (c *core) steal(p *machine.Proc) {
 // keeps polling its own queues at the base period (local cached reads).
 func (c *core) stealSM(p *machine.Proc) {
 	if p.Ctx.Now() >= c.nextProbe {
-		found := false
-		for i := 0; i < c.rt.P.MaxProbes && !c.rt.done; i++ {
+		for i := 0; i < maxProbes && !c.rt.done; i++ {
 			v := c.rt.cores[c.victim(i)]
-			if v.id == c.id {
-				continue
-			}
 			c.rt.M.St.Inc(c.id, stats.StealAttempts)
-			if v.taskq.probeEmpty(p) {
+			var it queueItem
+			if !v.taskq.probeEmpty(p) {
+				it = v.taskq.stealPop(p)
+			}
+			if it.empty() {
 				c.rt.M.St.Inc(c.id, stats.StealFailures)
 				continue
 			}
-			batch := v.taskq.stealBatch(p, c.rt.P.StealBatch)
-			if len(batch) == 0 {
-				c.rt.M.St.Inc(c.id, stats.StealFailures)
-				continue
-			}
-			c.rt.M.St.Add(c.id, stats.ThreadsStolen, int64(len(batch)))
-			c.rt.M.St.Emit(p.Ctx.Now(), c.id, trace.KSteal, uint64(v.id))
-			c.idleFails = 0
-			found = true
-			// Keep the extras locally, run the first.
-			for _, extra := range batch[1:] {
-				c.taskq.push(p, extra)
-			}
-			c.dispatch(p, batch[0])
-			break
-		}
-		if !found {
-			// The backoff cap balances two SM-scheduler pathologies: probe
-			// too fast and dozens of thieves keep every queue's metadata
-			// line in the shared state (each push then pays a LimitLESS
-			// invalidation storm); probe too slowly and the divide-and-
-			// conquer unfold starves. The cap below is the measured sweet
-			// spot at 64 nodes.
-			shift := c.idleFails
-			if shift > 5 {
-				shift = 5
-			}
-			c.nextProbe = p.Ctx.Now() + c.rt.P.IdleBackoff<<shift
-			if c.idleFails < 16 {
-				c.idleFails++
-			}
-		} else {
+			c.rt.M.St.Event(c.id, stats.ThreadsStolen, p.Ctx.Now(), trace.KSteal, uint64(v.id))
+			c.dispatch(p, it)
 			return
 		}
+		c.nextProbe = p.Ctx.Now() + c.nextBackoff()
 	}
 	// Poll period for the local queues.
-	c.rt.M.St.Add(c.id, stats.IdleCycles, int64(c.rt.P.IdleBackoff))
-	p.Elapse(c.rt.P.IdleBackoff)
-	p.Flush()
+	c.idle(p, idleBackoff)
 }
 
 // stealHybrid sends a steal-request message and parks until some message
 // handler wakes the scheduler (task arrival, explicit no-task reply, a
 // wake-up for a local thread, or termination).
 func (c *core) stealHybrid(p *machine.Proc) {
-	v := c.victim(0)
-	if v == c.id {
-		c.backoff(p)
-		return
-	}
 	c.rt.M.St.Inc(c.id, stats.StealAttempts)
 	c.stealPending = true
 	p.SendMessage(cmmu.Descriptor{
 		Type: msgSteal,
-		Dst:  v,
+		Dst:  c.victim(0),
 		Ops:  []uint64{uint64(c.id)},
 	})
 	p.Flush()
 	// The reply (or other work) may have landed during the flush; only park
 	// if it is still outstanding and nothing became runnable.
 	if c.stealPending && len(c.hwakeq.items) == 0 && len(c.htaskq.items) == 0 && !c.rt.done {
-		c.parked = true
-		parkStart := p.Ctx.Now()
-		p.Ctx.Block()
-		c.parked = false
-		c.rt.M.St.Add(c.id, stats.IdleCycles, int64(p.Ctx.Now()-parkStart))
+		c.park(p, 0)
 	}
 	// Loop re-checks the queues; after a fruitless round, back off to avoid
 	// hammering victims with request storms. The backoff is a timed park:
 	// any incoming work message cuts it short via wakeIdle.
 	if len(c.hwakeq.items) == 0 && len(c.htaskq.items) == 0 && !c.rt.done {
-		d := c.rt.P.IdleBackoff << c.idleFails
-		if max := c.rt.P.IdleBackoff * 32; d > max {
-			d = max
-		} else if c.idleFails < 16 {
-			c.idleFails++
-		}
-		c.parked = true
-		parkStart := p.Ctx.Now()
-		p.Ctx.UnblockAt(parkStart + d)
-		p.Ctx.Block()
-		c.parked = false
-		c.rt.M.St.Add(c.id, stats.IdleCycles, int64(p.Ctx.Now()-parkStart))
+		c.park(p, c.nextBackoff())
 	}
 }

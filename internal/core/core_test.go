@@ -360,7 +360,7 @@ func TestSpinLockMutualExclusion(t *testing.T) {
 func TestStealPolicies(t *testing.T) {
 	for _, pol := range []StealPolicy{StealRandom, StealScan} {
 		for _, mode := range []Mode{ModeSharedMemory, ModeHybrid} {
-			rt := New(machine.New(machine.DefaultConfig(4)), mode, DefaultParams(), pol)
+			rt := New(machine.New(machine.DefaultConfig(4)), mode, pol)
 			v, _ := rt.Run(func(tc *TC) uint64 { return treeSum(tc, 5) })
 			if v != 32 {
 				t.Fatalf("mode=%v pol=%v: sum=%d want 32", mode, pol, v)

@@ -6,8 +6,8 @@ import (
 )
 
 // registerHandlers installs this core's runtime message handlers. Both
-// modes register them: hybrid primitives are also benchmarked standalone
-// against a shared-memory runtime.
+// modes register them, so the bulk-copy primitives also run on a
+// shared-memory runtime.
 func (c *core) registerHandlers() {
 	cm := c.node.CMMU
 	cm.Register(msgSteal, c.onSteal)
@@ -23,45 +23,38 @@ func (c *core) registerHandlers() {
 }
 
 // onSteal serves a steal request at the victim: pop the oldest local task
-// (or a batch, with StealBatch > 1) and reply with everything needed to
-// run it in one message, or decline.
+// and reply with everything needed to run it in one message, or decline.
 func (c *core) onSteal(e *cmmu.Env) {
 	e.ReadOps(1)
 	thief := int(e.Ops[0])
-	e.Elapse(c.rt.P.HandlerQueueOp)
-	batch := c.htaskq.handlerStealBatch(c.rt.P.StealBatch)
-	if len(batch) == 0 {
+	e.Elapse(handlerQueueOp)
+	it := c.htaskq.handlerStealPop()
+	if it.empty() {
 		e.Reply(cmmu.Descriptor{Type: msgNoTask, Dst: thief})
 		return
 	}
-	// All the information needed to run the threads is marshaled into a
-	// single message (Section 4.3): ids as operands, descriptor words
-	// gathered from the marshaling buffer by DMA.
-	ops := make([]uint64, 1, 1+len(batch))
-	ops[0] = uint64(len(batch))
-	for _, it := range batch {
-		ops = append(ops, it.task.id)
-		e.Elapse(c.rt.P.QueueOpCycles) // marshal one descriptor
-	}
+	// All the information needed to run the thread is marshaled into a
+	// single message (Section 4.3): a count and the task id as operands,
+	// and the descriptor words gathered from the marshaling buffer by DMA.
+	// The count is always 1; dropping it would shorten the message and
+	// move the cycles of every hybrid steal.
+	e.Elapse(queueOpCycles) // marshal the descriptor
 	e.Reply(cmmu.Descriptor{
 		Type:    msgTask,
 		Dst:     thief,
-		Ops:     ops,
-		Regions: []cmmu.Region{{Base: c.scratch, Words: uint64(len(batch) * c.rt.P.TaskWords)}},
+		Ops:     []uint64{1, it.task.id},
+		Regions: []cmmu.Region{{Base: c.scratch, Words: taskWords}},
 	})
 }
 
-// onTask lands migrated tasks at the thief and unpacks them straight into
-// the local queue, atomically, inside the handler.
+// onTask lands a migrated task at the thief and puts it straight into the
+// local queue, atomically, inside the handler.
 func (c *core) onTask(e *cmmu.Env) {
-	e.ReadOps(len(e.Ops))
-	n := int(e.Ops[0])
-	for i := 0; i < n; i++ {
-		t := c.rt.task(e.Ops[1+i])
-		e.Elapse(c.rt.P.HandlerQueueOp)
-		c.htaskq.handlerPush(queueItem{task: t})
-		c.rt.M.St.Inc(c.id, stats.ThreadsStolen)
-	}
+	e.ReadOps(2)
+	t := c.rt.task(e.Ops[1])
+	e.Elapse(handlerQueueOp)
+	c.htaskq.handlerPush(queueItem{task: t})
+	c.rt.M.St.Inc(c.id, stats.ThreadsStolen)
 	c.stealPending = false
 	c.wakeIdle()
 }
@@ -80,23 +73,18 @@ func (c *core) onWake(e *cmmu.Env) {
 	th := c.rt.thread(e.Ops[0])
 	th.wakeVal = e.Ops[1]
 	th.hasWakeVal = true
-	e.Elapse(c.rt.P.HandlerQueueOp)
+	e.Elapse(handlerQueueOp)
 	c.hwakeq.handlerPush(queueItem{thread: th})
 	c.wakeIdle()
 }
 
 // onInvoke queues a remotely invoked task (message-passing remote thread
-// invocation): unpack and enqueue atomically, no locks, no round trips.
+// invocation, sent only by a hybrid runtime): unpack and enqueue
+// atomically, no locks, no round trips.
 func (c *core) onInvoke(e *cmmu.Env) {
 	e.ReadOps(len(e.Ops))
 	t := c.rt.task(e.Ops[0])
-	e.Elapse(c.rt.P.HandlerQueueOp)
-	if c.rt.Mode == ModeSharedMemory {
-		// Standalone benchmark use on an SM runtime: enqueue through the
-		// simulated queue at boot-level cost (handler-side atomic push).
-		c.taskq.bootPush(c.rt.M, queueItem{task: t})
-	} else {
-		c.htaskq.handlerPush(queueItem{task: t})
-	}
+	e.Elapse(handlerQueueOp)
+	c.htaskq.handlerPush(queueItem{task: t})
 	c.wakeIdle()
 }

@@ -38,9 +38,9 @@ func (rt *RT) invokeSM(p *machine.Proc, dst int, t *Task) {
 
 // invokeMP marshals the task into one message.
 func (rt *RT) invokeMP(p *machine.Proc, dst int, t *Task) {
-	ops := make([]uint64, 1, 1+rt.P.TaskWords)
+	ops := make([]uint64, 1, 1+taskWords)
 	ops[0] = t.id
-	for w := 0; w < rt.P.TaskWords; w++ {
+	for w := 0; w < taskWords; w++ {
 		ops = append(ops, t.id) // descriptor words ride in the packet
 	}
 	p.SendMessage(cmmu.Descriptor{Type: msgInvoke, Dst: dst, Ops: ops})

@@ -33,7 +33,6 @@ type smQueue struct {
 	slots mem.Addr
 	cap   uint64
 	items []queueItem // mirror, index parallel to head..tail
-	head  uint64
 	tail  uint64
 }
 
@@ -108,53 +107,29 @@ func (q *smQueue) probeEmpty(p *machine.Proc) bool {
 	return head == tail
 }
 
-// stealPop removes from the head (oldest). Only unstarted tasks are
-// stealable; a thread at the head makes the steal fail (threads are pinned,
-// and in practice they only ever sit in wake queues, which are never steal
-// targets).
+// stealPop removes the oldest task under the lock; the thief reads the
+// stolen task's descriptor out of the victim's memory. Only unstarted tasks
+// are stealable; a thread at the head makes the steal fail (threads are
+// pinned, and in practice they only ever sit in wake queues, which are
+// never steal targets).
 func (q *smQueue) stealPop(p *machine.Proc) queueItem {
-	out := q.stealBatch(p, 1)
-	if len(out) == 0 {
-		return queueItem{}
-	}
-	return out[0]
-}
-
-// stealBatch removes up to max (capped at half the queue, rounded up)
-// oldest tasks under one lock acquisition; the thief reads each stolen
-// task's descriptor out of the victim's memory.
-func (q *smQueue) stealBatch(p *machine.Proc, max int) []queueItem {
 	q.lock.Acquire(p)
 	head := p.Read(q.meta)
 	tail := p.Read(q.meta + 1)
-	if head == tail {
+	if head == tail || q.items[0].task == nil {
 		q.lock.Release(p)
-		return nil
+		return queueItem{}
 	}
-	if half := int(tail-head+1) / 2; max > half && half > 0 {
-		max = half
+	it := q.items[0]
+	_ = p.Read(q.slots + mem.Addr(head%q.cap))
+	for w := 0; w < taskWords; w++ {
+		_ = p.Read(it.task.desc + mem.Addr(w))
 	}
-	var out []queueItem
-	for len(out) < max && head != tail && q.items[0].task != nil {
-		it := q.items[0]
-		_ = p.Read(q.slots + mem.Addr(head%q.cap))
-		for w := 0; w < it.task.words; w++ {
-			_ = p.Read(it.task.desc + mem.Addr(w))
-		}
-		q.items = q.items[1:]
-		head++
-		out = append(out, it)
-	}
-	if len(out) > 0 {
-		p.Write(q.meta, head)
-		q.head = head
-	}
+	q.items = q.items[1:]
+	p.Write(q.meta, head+1)
 	q.lock.Release(p)
-	return out
+	return it
 }
-
-// size reports the mirror length (tests only; no cycles).
-func (q *smQueue) size() int { return len(q.items) }
 
 // hybridQueue is the hybrid scheduler's local ready queue: ordinary local
 // memory manipulated with interrupts masked, since message handlers push
@@ -164,17 +139,17 @@ type hybridQueue struct {
 }
 
 // push appends at the tail from processor context.
-func (q *hybridQueue) push(p *machine.Proc, cost uint64, it queueItem) {
+func (q *hybridQueue) push(p *machine.Proc, it queueItem) {
 	p.MaskInterrupts()
-	p.Elapse(cost)
+	p.Elapse(queueOpCycles)
 	q.items = append(q.items, it)
 	p.UnmaskInterrupts()
 }
 
 // pop removes from the tail from processor context.
-func (q *hybridQueue) pop(p *machine.Proc, cost uint64) queueItem {
+func (q *hybridQueue) pop(p *machine.Proc) queueItem {
 	p.MaskInterrupts()
-	p.Elapse(cost)
+	p.Elapse(queueOpCycles)
 	var it queueItem
 	if n := len(q.items); n > 0 {
 		it = q.items[n-1]
@@ -195,20 +170,4 @@ func (q *hybridQueue) handlerStealPop() queueItem {
 	it := q.items[0]
 	q.items = q.items[1:]
 	return it
-}
-
-// handlerStealBatch removes up to max of the oldest stealable tasks, but
-// never more than half the queue (rounded up) — steal-half leaves the
-// victim with work.
-func (q *hybridQueue) handlerStealBatch(max int) []queueItem {
-	half := (len(q.items) + 1) / 2
-	if max > half {
-		max = half
-	}
-	var out []queueItem
-	for len(out) < max && len(q.items) > 0 && q.items[0].task != nil {
-		out = append(out, q.items[0])
-		q.items = q.items[1:]
-	}
-	return out
 }

@@ -25,7 +25,7 @@ func (h *queueHarness) drive(node int, fn func(p *machine.Proc)) {
 	h.m.Run()
 }
 
-func mkTask(id uint64) *Task { return &Task{id: id, words: 0} }
+func mkTask(id uint64) *Task { return &Task{id: id} }
 
 func TestSMQueuePushPopLIFO(t *testing.T) {
 	h := newQueueHarness()

@@ -46,43 +46,21 @@ const (
 	StealScan                      // round-robin scan from node+1
 )
 
-// Params is the runtime-system cost model (cycles charged for software
-// paths that are not themselves simulated instruction by instruction).
-type Params struct {
-	SwitchCycles   uint64 // dispatch a thread onto the processor
-	ForkCycles     uint64 // create a task descriptor (lazy creation is cheap)
-	QueueOpCycles  uint64 // hybrid-mode local queue op (masked, in-cache)
-	HandlerQueueOp uint64 // queue op performed inside a message handler
-	IdleBackoff    uint64 // idle-loop backoff between steal sweeps
-	MaxProbes      int    // victims probed per steal sweep
-	TaskWords      int    // task descriptor size in words (migration cost)
-	QueueCap       int    // slots per simulated ready queue
-	CopySetup      uint64 // sender-side software setup of a bulk transfer
-	CopyHandler    uint64 // receiver-side software cost of a bulk transfer
-
-	// StealBatch is the maximum number of tasks one steal takes (steal-half
-	// up to this cap). 1 reproduces the paper's single-task migration; in
-	// hybrid mode a batch rides one reply message, in shared-memory mode
-	// one lock acquisition pops the whole batch.
-	StealBatch int
-}
-
-// DefaultParams returns the calibrated runtime cost model.
-func DefaultParams() Params {
-	return Params{
-		SwitchCycles:   40,
-		ForkCycles:     10,
-		QueueOpCycles:  8,
-		HandlerQueueOp: 25,
-		IdleBackoff:    50,
-		MaxProbes:      2,
-		TaskWords:      8,
-		QueueCap:       4096,
-		CopySetup:      200,
-		CopyHandler:    260,
-		StealBatch:     1,
-	}
-}
+// The runtime's cost model: cycles charged for software paths that are not
+// themselves simulated instruction by instruction, and the sizes of its
+// structures.
+const (
+	switchCycles   = 40   // dispatch a thread onto the processor
+	forkCycles     = 10   // create a task descriptor (lazy creation is cheap)
+	queueOpCycles  = 8    // hybrid-mode local queue op (masked, in-cache)
+	handlerQueueOp = 25   // queue op performed inside a message handler
+	idleBackoff    = 50   // idle poll period and first backoff step
+	maxProbes      = 2    // victims probed per steal sweep
+	taskWords      = 8    // task descriptor size in words (migration cost)
+	queueCap       = 4096 // slots per simulated ready queue
+	copySetup      = 200  // sender-side software setup of a bulk transfer
+	copyHandler    = 260  // receiver-side software cost of a bulk transfer
+)
 
 // Message types owned by the runtime.
 const (
@@ -102,7 +80,6 @@ const (
 type RT struct {
 	M    *machine.Machine
 	Mode Mode
-	P    Params
 	Pol  StealPolicy
 
 	cores []*core
@@ -123,10 +100,10 @@ type RT struct {
 }
 
 // New builds a runtime over m in the given mode and installs its message
-// handlers (both modes install them: the hybrid bulk-copy and invocation
-// primitives are also exercised standalone by benchmarks).
-func New(m *machine.Machine, mode Mode, p Params, pol StealPolicy) *RT {
-	rt := &RT{M: m, Mode: mode, P: p, Pol: pol,
+// handlers. Both modes install them, so the bulk-copy primitives (CopyMP,
+// FetchMP and the rest) also run on a shared-memory runtime.
+func New(m *machine.Machine, mode Mode, pol StealPolicy) *RT {
+	rt := &RT{M: m, Mode: mode, Pol: pol,
 		tasks:    make(map[uint64]*Task),
 		threads:  make(map[uint64]*Thread),
 		copies:   make(map[uint64]*copyOp),
@@ -142,9 +119,9 @@ func New(m *machine.Machine, mode Mode, p Params, pol StealPolicy) *RT {
 	return rt
 }
 
-// NewDefault builds a runtime with default parameters.
+// NewDefault builds a runtime with the default (random) steal policy.
 func NewDefault(m *machine.Machine, mode Mode) *RT {
-	return New(m, mode, DefaultParams(), StealRandom)
+	return New(m, mode, StealRandom)
 }
 
 // Cores returns the number of processors.

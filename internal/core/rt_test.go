@@ -51,7 +51,7 @@ func TestUnknownThreadPanics(t *testing.T) {
 
 func TestVictimNeverSelf(t *testing.T) {
 	for _, pol := range []StealPolicy{StealRandom, StealScan} {
-		rt := New(machine.New(machine.DefaultConfig(8)), ModeHybrid, DefaultParams(), pol)
+		rt := New(machine.New(machine.DefaultConfig(8)), ModeHybrid, pol)
 		c := rt.cores[3]
 		for round := 0; round < 200; round++ {
 			if v := c.victim(round); v == 3 || v < 0 || v > 7 {
@@ -69,7 +69,7 @@ func TestVictimSingleNode(t *testing.T) {
 }
 
 func TestScanPolicyCoversAllVictims(t *testing.T) {
-	rt := New(machine.New(machine.DefaultConfig(5)), ModeHybrid, DefaultParams(), StealScan)
+	rt := New(machine.New(machine.DefaultConfig(5)), ModeHybrid, StealScan)
 	seen := map[int]bool{}
 	for round := 0; round < 8; round++ {
 		seen[rt.cores[2].victim(round)] = true
@@ -80,21 +80,13 @@ func TestScanPolicyCoversAllVictims(t *testing.T) {
 }
 
 func TestRandomPolicyEventuallyCoversAll(t *testing.T) {
-	rt := New(machine.New(machine.DefaultConfig(6)), ModeHybrid, DefaultParams(), StealRandom)
+	rt := New(machine.New(machine.DefaultConfig(6)), ModeHybrid, StealRandom)
 	seen := map[int]bool{}
 	for round := 0; round < 500; round++ {
 		seen[rt.cores[0].victim(round)] = true
 	}
 	if len(seen) != 5 {
 		t.Fatalf("random covered %d victims, want 5", len(seen))
-	}
-}
-
-func TestDefaultParamsSane(t *testing.T) {
-	p := DefaultParams()
-	if p.SwitchCycles == 0 || p.TaskWords == 0 || p.QueueCap < 64 ||
-		p.IdleBackoff == 0 || p.MaxProbes == 0 {
-		t.Fatalf("degenerate defaults: %+v", p)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"alewife/internal/machine"
 	"alewife/internal/stats"
+	"alewife/internal/trace"
 )
 
 func TestDeepForkTree(t *testing.T) {
@@ -201,4 +202,67 @@ func TestStolenCyclesChargedToVictim(t *testing.T) {
 	if rt.M.St.Node[1].Get(stats.IntStolenCycles) == 0 {
 		t.Fatal("no stolen cycles recorded on the bombarded node")
 	}
+}
+
+// wantBackoff is the idle loop's one backoff schedule: idleBackoff doubled
+// per fruitless steal round, capped at 32 times it.
+var wantBackoff = []uint64{50, 100, 200, 400, 800, 1600, 1600, 1600}
+
+// backoffRounds drives node 1 of a fresh 2-node runtime as its scheduler
+// through two rounds of fruitless steals, with a dispatch between them that
+// must restart the schedule, and checks the backoff fruitless measures for
+// each steal.
+func backoffRounds(t *testing.T, rt *RT, fruitless func(p *machine.Proc) uint64) {
+	t.Helper()
+	c := rt.cores[1]
+	rt.M.Spawn(1, 0, "sched", func(p *machine.Proc) {
+		c.schedProc = p
+		for round := 0; round < 2; round++ {
+			for k, want := range wantBackoff {
+				if got := fruitless(p); got != want {
+					t.Errorf("round %d, fruitless steal %d: backoff %d cycles, want %d", round, k, got, want)
+				}
+			}
+			c.dispatch(p, queueItem{task: rt.newTask(func(*TC) {})})
+		}
+	})
+	rt.M.Run()
+}
+
+// An SM core spends its backoff behind the probe gate: after a fruitless
+// sweep it polls its own queues once per idleBackoff cycles until the gate
+// opens, so the polls up to the next sweep count the backoff.
+func TestBackoffSMProbeGate(t *testing.T) {
+	rt := newRT(2, ModeSharedMemory)
+	c := rt.cores[1]
+	sweep := func(p *machine.Proc) (calls uint64) {
+		for a := rt.M.St.Node[1].Get(stats.StealAttempts); rt.M.St.Node[1].Get(stats.StealAttempts) == a; calls++ {
+			c.stealSM(p)
+		}
+		return calls
+	}
+	backoffRounds(t, rt, func(p *machine.Proc) uint64 {
+		if c.idleFails == 0 {
+			sweep(p) // the first fruitless sweep since boot or the dispatch
+		}
+		return sweep(p) * idleBackoff
+	})
+}
+
+// A hybrid core spends its backoff in a timed park that starts when the
+// victim's no-task reply lands and ends when the backoff runs out.
+func TestBackoffHybridTimedPark(t *testing.T) {
+	rt := newRT(2, ModeHybrid)
+	buf := rt.M.EnableTrace(64)
+	backoffRounds(t, rt, func(p *machine.Proc) uint64 {
+		rt.cores[1].stealHybrid(p)
+		evs := buf.Events()
+		for i := len(evs) - 1; i >= 0; i-- {
+			if e := evs[i]; e.Node == 1 && e.Kind == trace.KMsgRecv && e.Arg == msgNoTask {
+				return p.Ctx.Now() - e.At
+			}
+		}
+		t.Error("no no-task reply landed")
+		return 0
+	})
 }

@@ -18,15 +18,14 @@ type Task struct {
 	fn    func(*TC)        // body of a task built by newTask
 	child func(*TC) uint64 // body of a forked task, resolving fut
 	fut   *Future          // nil unless forked
-	desc  mem.Addr         // descriptor words in the creating node's memory
-	words int
-	home  int // creating node
+	desc  mem.Addr         // taskWords descriptor words in the creating node's memory
+	home  int              // creating node
 }
 
 // newTask registers a closure as a schedulable task without allocating its
 // simulated descriptor (boot tasks, handler-built tasks carried by value).
 func (rt *RT) newTask(fn func(*TC)) *Task {
-	t := &Task{id: rt.newTaskID(), fn: fn, words: rt.P.TaskWords, home: -1}
+	t := &Task{id: rt.newTaskID(), fn: fn, home: -1}
 	rt.tasks[t.id] = t
 	return t
 }
@@ -41,7 +40,7 @@ func (rt *RT) getTask(child func(*TC) uint64, fut *Future) *Task {
 	} else {
 		t = new(Task)
 	}
-	*t = Task{id: rt.newTaskID(), child: child, fut: fut, words: rt.P.TaskWords, home: -1}
+	*t = Task{id: rt.newTaskID(), child: child, fut: fut, home: -1}
 	rt.tasks[t.id] = t
 	return t
 }
@@ -71,8 +70,8 @@ func (t *Task) materialize(p *machine.Proc) {
 		return
 	}
 	t.home = p.ID()
-	t.desc = p.Store().AllocOn(t.home, uint64(t.words))
-	for w := 0; w < t.words; w++ {
+	t.desc = p.Store().AllocOn(t.home, taskWords)
+	for w := 0; w < taskWords; w++ {
 		p.Write(t.desc+mem.Addr(w), t.id)
 	}
 }
@@ -104,7 +103,7 @@ func (tc *TC) Fork(fn func(*TC) uint64) *Future {
 	rt := tc.RT
 	f := rt.NewFuture(tc.ID())
 	t := rt.getTask(fn, f)
-	tc.P.Elapse(rt.P.ForkCycles)
+	tc.P.Elapse(forkCycles)
 	tc.core.pushTask(tc.P, t)
 	return f
 }

@@ -84,10 +84,11 @@ type dirEntry struct {
 	sharers  []int
 	owner    int
 	overflow bool
-	// ovList is the software overflow pointer array in home memory,
-	// allocated on first overflow (LimitLESS empties the hardware pointers
-	// into a software structure and thereafter traps every request on the
-	// line to software).
+	// ovList reserves the range of the software overflow pointer array in
+	// home memory, allocated on the entry's first overflow. Nothing is
+	// written there: the sharer set stays in sharers, and the trap's cost
+	// is charged as cycles. The allocation keeps every later address where
+	// it would be.
 	ovList   Addr
 	pendFrom int
 	pendAcks int
@@ -590,9 +591,9 @@ func (c *Ctrl) serveWrite(line Addr, e *dirEntry, from int) {
 }
 
 // addSharer records a reader, returning extra software cycles if the entry
-// overflows its hardware pointers (LimitLESS). On first overflow the
-// hardware pointers are emptied into a software array in home memory;
-// afterwards every pointer insert is a software write.
+// overflows its hardware pointers (LimitLESS). The first overflow traps to
+// empty the hardware pointers into a software array in home memory;
+// afterwards every pointer insert traps too.
 func (c *Ctrl) addSharer(e *dirEntry, n int) (sw uint64) {
 	if c.f.Fault.forgetSharer() {
 		return 0
@@ -610,16 +611,11 @@ func (c *Ctrl) addSharer(e *dirEntry, n int) (sw uint64) {
 		if e.ovList == 0 {
 			e.ovList = c.f.Store.AllocOn(c.node, uint64(c.f.Net.Nodes()))
 		}
-		// The trap empties the hardware pointers into the software array.
-		for i, s := range e.sharers {
-			c.f.Store.Write(e.ovList+Addr(i), uint64(s))
-		}
 		sw = c.f.P.TrapCycles + uint64(len(e.sharers))*c.f.P.SWInvalCycles
 		c.f.steal(c.node, sw)
 		return sw
 	}
-	// Already in software: one pointer write per insert.
-	c.f.Store.Write(e.ovList+Addr(len(e.sharers)-1), uint64(n))
+	// Already in software: one trap per insert.
 	sw = c.f.P.TrapCycles
 	c.f.steal(c.node, sw)
 	return sw

@@ -291,6 +291,38 @@ func TestLimitLESSOverflow(t *testing.T) {
 	}
 }
 
+// The overflow array only reserves home memory: the sharer set lives in the
+// directory entry, so an overflow writes no simulated word, and the
+// reservation keeps every later allocation at its address.
+func TestLimitLESSOverflowWritesNoMemory(t *testing.T) {
+	h := newHarness(9)
+	a := h.fab.Store.AllocOn(0, 4)
+	for i := Addr(0); i < 4; i++ {
+		h.fab.Store.Write(a+i, uint64(i)+1)
+	}
+	wrote := len(h.fab.Store.mods[0])
+	bodies := make([]func(*sim.Context), 0, 8)
+	for i := 1; i < 9; i++ {
+		i := i
+		bodies = append(bodies, func(c *sim.Context) {
+			c.Sleep(uint64(i) * 200)
+			h.fab.Ctrls[i].Read(c, a)
+		})
+	}
+	h.run(t, bodies...)
+	if _, n, _, overflow := h.fab.Ctrls[0].DirInfo(a); n != 8 || !overflow {
+		t.Fatalf("dir sharers=%d overflow=%v, want 8/true", n, overflow)
+	}
+	if got := len(h.fab.Store.mods[0]); got != wrote {
+		t.Fatalf("node 0's store grew from %d to %d words on overflow", wrote, got)
+	}
+	// a holds words 0-3 and the overflow array one word per node, 4-12,
+	// so the next line-aligned allocation starts at word 14.
+	if got := h.fab.Store.AllocOn(0, 1); got != 14 {
+		t.Fatalf("next allocation on node 0 at %d, want 14", got)
+	}
+}
+
 func TestPrefetchSharedThenUseful(t *testing.T) {
 	h := newHarness(4)
 	a := h.fab.Store.AllocOn(3, 4)
