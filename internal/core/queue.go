@@ -33,7 +33,6 @@ type smQueue struct {
 	slots mem.Addr
 	cap   uint64
 	items []queueItem // mirror, index parallel to head..tail
-	tail  uint64
 }
 
 func newSMQueue(m *machine.Machine, node int, cap uint64) *smQueue {
@@ -48,10 +47,10 @@ func newSMQueue(m *machine.Machine, node int, cap uint64) *smQueue {
 
 // bootPush seeds the queue before any processor runs (no cycles charged).
 func (q *smQueue) bootPush(m *machine.Machine, it queueItem) {
-	m.Store.Write(q.meta+1, q.tail+1)
-	m.Store.Write(q.slots+mem.Addr(q.tail%q.cap), it.ref())
+	tail := m.Store.Read(q.meta + 1)
+	m.Store.Write(q.meta+1, tail+1)
+	m.Store.Write(q.slots+mem.Addr(tail%q.cap), it.ref())
 	q.items = append(q.items, it)
-	q.tail++
 }
 
 // ref is the word a slot holds for this item (a task or thread id).
@@ -76,7 +75,6 @@ func (q *smQueue) push(p *machine.Proc, it queueItem) {
 	p.Write(q.slots+mem.Addr(tail%q.cap), it.ref())
 	p.Write(q.meta+1, tail+1)
 	q.items = append(q.items, it)
-	q.tail = tail + 1
 	q.lock.Release(p)
 }
 
@@ -94,7 +92,6 @@ func (q *smQueue) pop(p *machine.Proc) queueItem {
 	p.Write(q.meta+1, tail-1)
 	it := q.items[len(q.items)-1]
 	q.items = q.items[:len(q.items)-1]
-	q.tail = tail - 1
 	q.lock.Release(p)
 	return it
 }

@@ -33,7 +33,7 @@ type Config struct {
 	Nodes int
 	// WordsPerNode is the size of each node's address range in 8-byte
 	// words: the most AllocOn hands out on one node. It is not host
-	// memory, which grows only as far as a node's highest written word.
+	// memory: the store allocates a page only where a run writes.
 	WordsPerNode uint64
 	CacheSets    int
 	CacheWays    int

@@ -45,7 +45,7 @@ func (f *Fabric) CheckConsistency() error {
 						c.node, uint64(l.tag), e.state, e.hasSharer(c.node))
 				}
 			case Exclusive:
-				if e.state != dExcl || e.owner != c.node {
+				if e.state != dExcl || int(e.owner) != c.node {
 					return fmt.Errorf("node %d caches %#x Exclusive but home state=%d owner=%d",
 						c.node, uint64(l.tag), e.state, e.owner)
 				}

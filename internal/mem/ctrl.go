@@ -79,24 +79,34 @@ type dreq struct {
 	from  int
 }
 
+// dirEntry is one line's directory state at its home. A run keeps about a
+// million of them, so the entry stays at 48 bytes (TestDirEntrySize): node
+// numbers are int32, and the deferred-request queue, which few entries ever
+// use, sits behind a pointer.
 type dirEntry struct {
+	sharers []int
+	// wait is the FIFO of requests parked behind a transient state,
+	// allocated on the entry's first deferral and kept after it drains.
+	wait     *dirWait
+	owner    int32
+	pendFrom int32
+	pendAcks int32
 	state    dirState
-	sharers  []int
-	owner    int
 	overflow bool
-	// ovList reserves the range of the software overflow pointer array in
-	// home memory, allocated on the entry's first overflow. Nothing is
-	// written there: the sharer set stays in sharers, and the trap's cost
-	// is charged as cycles. The allocation keeps every later address where
-	// it would be.
-	ovList   Addr
-	pendFrom int
-	pendAcks int
-	// deferred is a FIFO of requests parked behind a transient state,
-	// consumed from defHead so the backing array's capacity survives
-	// drain/refill cycles instead of being resliced away.
-	deferred []dreq
-	defHead  int
+	// ovReserved records that the entry's first overflow has reserved the
+	// range of the software overflow pointer array in home memory. Nothing
+	// is written there: the sharer set stays in sharers, and the trap's
+	// cost is charged as cycles. The reservation keeps every later address
+	// where it would be, and is made once per entry.
+	ovReserved bool
+}
+
+// dirWait is a deferred-request FIFO, consumed from head so the backing
+// array's capacity survives drain/refill cycles instead of being resliced
+// away.
+type dirWait struct {
+	reqs []dreq
+	head int
 }
 
 func (e *dirEntry) hasSharer(n int) bool {
@@ -117,8 +127,21 @@ func (e *dirEntry) dropSharer(n int) {
 	}
 }
 
+// park queues a request behind the entry's transient state.
+func (e *dirEntry) park(write bool, from int) {
+	if e.wait == nil {
+		e.wait = new(dirWait)
+	}
+	e.wait.reqs = append(e.wait.reqs, dreq{write: write, from: from})
+}
+
 // numDeferred reports the requests still parked on the entry.
-func (e *dirEntry) numDeferred() int { return len(e.deferred) - e.defHead }
+func (e *dirEntry) numDeferred() int {
+	if e.wait == nil {
+		return 0
+	}
+	return len(e.wait.reqs) - e.wait.head
+}
 
 // ---------------------------------------------------------------------------
 // Requester-side transactions.
@@ -191,7 +214,7 @@ func (c *Ctrl) DirInfo(a Addr) (state string, sharers int, owner int, overflow b
 	if e == nil {
 		return "idle", 0, -1, false
 	}
-	return dirStateName(e.state), len(e.sharers), e.owner, e.overflow
+	return dirStateName(e.state), len(e.sharers), int(e.owner), e.overflow
 }
 
 func (c *Ctrl) home(a Addr) int { return c.f.Store.Home(a) }
@@ -498,12 +521,12 @@ func (c *Ctrl) reqArrive(line Addr, from int, write bool) {
 	}
 	switch e.state {
 	case dPendR, dPendW, dPendInv:
-		e.deferred = append(e.deferred, dreq{write: write, from: from})
+		e.park(write, from)
 		return
 	case dExcl:
-		if e.owner == from {
+		if int(e.owner) == from {
 			// The owner's writeback must be in flight; serve after it lands.
-			e.deferred = append(e.deferred, dreq{write: write, from: from})
+			e.park(write, from)
 			return
 		}
 	}
@@ -525,8 +548,8 @@ func (c *Ctrl) serveRead(line Addr, e *dirEntry, from int) {
 		c.occupyOp(c.f.P.DirCycles+c.f.P.MemCycles+sw, opDirGrant|flagData, line, from)
 	case dExcl:
 		e.state = dPendR
-		e.pendFrom = from
-		c.occupyOp(c.f.P.DirCycles, opDirRecall, line, e.owner)
+		e.pendFrom = int32(from)
+		c.occupyOp(c.f.P.DirCycles, opDirRecall, line, int(e.owner))
 	default:
 		panic("mem: serveRead on transient entry")
 	}
@@ -538,9 +561,9 @@ func (c *Ctrl) serveWrite(line Addr, e *dirEntry, from int) {
 	switch e.state {
 	case dIdle:
 		e.state = dExcl
-		e.owner = from
+		e.owner = int32(from)
 		if c.f.Fault.wrongOwner() {
-			e.owner = (from + 1) % len(c.f.Ctrls)
+			e.owner = int32((from + 1) % len(c.f.Ctrls))
 		}
 		e.sharers = e.sharers[:0]
 		e.overflow = false
@@ -556,7 +579,7 @@ func (c *Ctrl) serveWrite(line Addr, e *dirEntry, from int) {
 		if targets == 0 || c.f.Fault.skipInval() {
 			// Lone sharer upgrading: grant without data.
 			e.state = dExcl
-			e.owner = from
+			e.owner = int32(from)
 			e.sharers = e.sharers[:0]
 			e.overflow = false
 			c.occupyOp(c.f.P.DirCycles, opDirGrant|flagExcl, line, from)
@@ -570,12 +593,12 @@ func (c *Ctrl) serveWrite(line Addr, e *dirEntry, from int) {
 		}
 		hadLine := e.hasSharer(from)
 		e.state = dPendInv
-		e.pendFrom = from
-		e.pendAcks = targets
+		e.pendFrom = int32(from)
+		e.pendAcks = int32(targets)
 		// Remember whether the grant needs data once acks are in.
 		e.owner = -1
 		if hadLine {
-			e.owner = from // sentinel: upgrade, no data needed
+			e.owner = int32(from) // sentinel: upgrade, no data needed
 		}
 		c.f.St.Inc(c.node, stats.ProtoInvals)
 		// The fan-out recomputes its target list (sharers minus pendFrom) at
@@ -583,8 +606,8 @@ func (c *Ctrl) serveWrite(line Addr, e *dirEntry, from int) {
 		c.occupyOp(c.f.P.DirCycles+sw, opDirFanout, line, 0)
 	case dExcl:
 		e.state = dPendW
-		e.pendFrom = from
-		c.occupyOp(c.f.P.DirCycles, opDirRecall|flagWrite, line, e.owner)
+		e.pendFrom = int32(from)
+		c.occupyOp(c.f.P.DirCycles, opDirRecall|flagWrite, line, int(e.owner))
 	default:
 		panic("mem: serveWrite on transient entry")
 	}
@@ -608,8 +631,9 @@ func (c *Ctrl) addSharer(e *dirEntry, n int) (sw uint64) {
 	if !e.overflow {
 		e.overflow = true
 		c.f.St.Inc(c.node, stats.DirOverflows)
-		if e.ovList == 0 {
-			e.ovList = c.f.Store.AllocOn(c.node, uint64(c.f.Net.Nodes()))
+		if !e.ovReserved {
+			e.ovReserved = true
+			c.f.Store.AllocOn(c.node, uint64(c.f.Net.Nodes()))
 		}
 		sw = c.f.P.TrapCycles + uint64(len(e.sharers))*c.f.P.SWInvalCycles
 		c.f.steal(c.node, sw)
@@ -669,10 +693,10 @@ func (c *Ctrl) invAckArrive(line Addr, from int) {
 		c.f.Check.event(trace.KInval, c.node, line)
 		return
 	}
-	to := e.pendFrom
-	withData := e.owner != to // owner sentinel: == to means pure upgrade
+	to := int(e.pendFrom)
+	withData := int(e.owner) != to // owner sentinel: == to means pure upgrade
 	e.state = dExcl
-	e.owner = to
+	e.owner = e.pendFrom
 	e.sharers = e.sharers[:0]
 	e.overflow = false
 	busy := c.f.P.DirCycles
@@ -718,7 +742,7 @@ func (c *Ctrl) recallDataArrive(line Addr, from int) {
 	e := c.entry(line)
 	switch e.state {
 	case dPendR:
-		to := e.pendFrom
+		to := int(e.pendFrom)
 		e.state = dShared
 		e.sharers = e.sharers[:0]
 		e.overflow = false
@@ -727,9 +751,9 @@ func (c *Ctrl) recallDataArrive(line Addr, from int) {
 		e.owner = -1
 		c.occupyOp(c.f.P.DirCycles+c.f.P.MemCycles+sw, opDirGrant|flagData, line, to)
 	case dPendW:
-		to := e.pendFrom
+		to := int(e.pendFrom)
 		e.state = dExcl
-		e.owner = to
+		e.owner = e.pendFrom
 		e.sharers = e.sharers[:0]
 		e.overflow = false
 		c.occupyOp(c.f.P.DirCycles+c.f.P.MemCycles, opDirGrant|flagExcl|flagData, line, to)
@@ -746,7 +770,7 @@ func (c *Ctrl) wbArrive(line Addr, from int) {
 	e := c.entry(line)
 	switch e.state {
 	case dExcl:
-		if e.owner != from {
+		if int(e.owner) != from {
 			panic(fmt.Sprintf("mem: WB for %#x from %d but owner %d", uint64(line), from, e.owner))
 		}
 		e.state = dIdle
@@ -774,15 +798,16 @@ func (c *Ctrl) settle(line Addr) {
 		case dPendR, dPendW, dPendInv:
 			return
 		}
-		d := e.deferred[e.defHead]
-		if e.state == dExcl && e.owner == d.from {
+		w := e.wait
+		d := w.reqs[w.head]
+		if e.state == dExcl && int(e.owner) == d.from {
 			// Still waiting for that node's writeback.
 			return
 		}
-		e.defHead++
-		if e.defHead == len(e.deferred) {
-			e.deferred = e.deferred[:0]
-			e.defHead = 0
+		w.head++
+		if w.head == len(w.reqs) {
+			w.reqs = w.reqs[:0]
+			w.head = 0
 		}
 		if d.write {
 			c.serveWrite(line, e, d.from)

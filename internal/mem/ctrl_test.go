@@ -292,15 +292,14 @@ func TestLimitLESSOverflow(t *testing.T) {
 }
 
 // The overflow array only reserves home memory: the sharer set lives in the
-// directory entry, so an overflow writes no simulated word, and the
-// reservation keeps every later allocation at its address.
+// directory entry, so an overflow writes no simulated word and allocates no
+// store page, and the reservation keeps every later allocation at its
+// address. Nothing writes a's words, so a write into the array would be the
+// first on its page.
 func TestLimitLESSOverflowWritesNoMemory(t *testing.T) {
 	h := newHarness(9)
 	a := h.fab.Store.AllocOn(0, 4)
-	for i := Addr(0); i < 4; i++ {
-		h.fab.Store.Write(a+i, uint64(i)+1)
-	}
-	wrote := len(h.fab.Store.mods[0])
+	pages := storePages(h.fab.Store)
 	bodies := make([]func(*sim.Context), 0, 8)
 	for i := 1; i < 9; i++ {
 		i := i
@@ -313,8 +312,8 @@ func TestLimitLESSOverflowWritesNoMemory(t *testing.T) {
 	if _, n, _, overflow := h.fab.Ctrls[0].DirInfo(a); n != 8 || !overflow {
 		t.Fatalf("dir sharers=%d overflow=%v, want 8/true", n, overflow)
 	}
-	if got := len(h.fab.Store.mods[0]); got != wrote {
-		t.Fatalf("node 0's store grew from %d to %d words on overflow", wrote, got)
+	if got := storePages(h.fab.Store); got != pages {
+		t.Fatalf("the store went from %d to %d pages on overflow", pages, got)
 	}
 	// a holds words 0-3 and the overflow array one word per node, 4-12,
 	// so the next line-aligned allocation starts at word 14.

@@ -56,15 +56,17 @@ func (c *Ctrl) digest() uint64 {
 		}
 		x ^= sh
 		x ^= sim.SplitMix64(uint64(uint32(e.pendFrom+1))<<16 | uint64(uint32(e.pendAcks)))
-		for i := e.defHead; i < len(e.deferred); i++ {
-			d := e.deferred[i]
-			w := uint64(0)
-			if d.write {
-				w = 1
+		if dw := e.wait; dw != nil {
+			for i := dw.head; i < len(dw.reqs); i++ {
+				d := dw.reqs[i]
+				w := uint64(0)
+				if d.write {
+					w = 1
+				}
+				// Deferred-queue order is protocol-visible (FIFO service), so
+				// fold it in positionally.
+				x = sim.SplitMix64(x ^ uint64(i-dw.head)<<32 ^ uint64(uint32(d.from))<<1 ^ w)
 			}
-			// Deferred-queue order is protocol-visible (FIFO service), so
-			// fold it in positionally.
-			x = sim.SplitMix64(x ^ uint64(i-e.defHead)<<32 ^ uint64(uint32(d.from))<<1 ^ w)
 		}
 		sum += sim.SplitMix64(x)
 		return nil
@@ -107,7 +109,7 @@ const memKeySalt = 1 << 62
 // which lines exist.
 func (c *Ctrl) EachDirEntry(fn func(line Addr, state string, sharers, owner int, overflow bool, deferred int)) {
 	c.dir.each(func(line Addr, e *dirEntry) error {
-		fn(line, dirStateName(e.state), len(e.sharers), e.owner, e.overflow, e.numDeferred())
+		fn(line, dirStateName(e.state), len(e.sharers), int(e.owner), e.overflow, e.numDeferred())
 		return nil
 	})
 }

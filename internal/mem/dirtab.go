@@ -28,6 +28,8 @@ const dirChunkLines = 64
 
 // get returns the entry for line, or nil when the line has never been
 // requested at this home.
+//
+//alewife:hotpath
 func (t *dirTab) get(line Addr) *dirEntry {
 	i := uint64(line-t.base) / LineWords
 	if c := i / dirChunkLines; c < uint64(len(t.chunks)) && t.chunks[c].used&(1<<(i%dirChunkLines)) != 0 {
@@ -38,6 +40,8 @@ func (t *dirTab) get(line Addr) *dirEntry {
 
 // getOrCreate returns the entry for line, creating an idle one on first
 // request.
+//
+//alewife:hotpath
 func (t *dirTab) getOrCreate(line Addr) *dirEntry {
 	i := uint64(line-t.base) / LineWords
 	c, bit := i/dirChunkLines, uint64(1)<<(i%dirChunkLines)

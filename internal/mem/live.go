@@ -189,7 +189,7 @@ func (lc *LiveChecker) event(kind trace.Kind, node int, line Addr) {
 		}
 		switch e.state {
 		case dExcl, dPendR, dPendW:
-			if e.owner != n {
+			if int(e.owner) != n {
 				lc.violate(kind, node, line, "node %d holds Exclusive but home records owner %d (state %s)",
 					n, e.owner, dirStateName(e.state))
 			}
@@ -211,9 +211,9 @@ func (lc *LiveChecker) event(kind trace.Kind, node int, line Addr) {
 		}
 		legal := e != nil &&
 			((e.state == dShared && e.hasSharer(n)) ||
-				(e.state == dExcl && e.owner == n) ||
-				(e.state == dPendR && e.owner == n) ||
-				(e.state == dPendW && e.owner == n) ||
+				(e.state == dExcl && int(e.owner) == n) ||
+				(e.state == dPendR && int(e.owner) == n) ||
+				(e.state == dPendW && int(e.owner) == n) ||
 				e.state == dPendInv)
 		if !legal {
 			st := "none"
@@ -233,7 +233,7 @@ func (lc *LiveChecker) event(kind trace.Kind, node int, line Addr) {
 				lc.violate(kind, node, line, "directory Shared with no sharers")
 			}
 		case dExcl, dPendR, dPendW:
-			if e.owner < 0 || e.owner >= len(f.Ctrls) {
+			if e.owner < 0 || int(e.owner) >= len(f.Ctrls) {
 				lc.violate(kind, node, line, "directory %s with bad owner %d",
 					dirStateName(e.state), e.owner)
 			}

@@ -6,8 +6,10 @@ package mem
 // LimitLESS-overflow paths exercised on pooled entries.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"alewife/internal/mesh"
 	"alewife/internal/sim"
@@ -29,7 +31,7 @@ func TestDirTabBasics(t *testing.T) {
 		if e == nil || e.state != dIdle || e.owner != -1 {
 			t.Fatalf("line %d: fresh entry not idle", i)
 		}
-		e.owner = i // mark so reuse is detectable
+		e.owner = int32(i) // mark so reuse is detectable
 		ptrs[i] = e
 	}
 	if got := dirCount(&tab); got != n {
@@ -40,7 +42,7 @@ func TestDirTabBasics(t *testing.T) {
 		if got := tab.get(line); got != ptrs[i] {
 			t.Fatalf("line %d: entry pointer moved as the chunk index grew", i)
 		}
-		if got := tab.getOrCreate(line); got != ptrs[i] || got.owner != i {
+		if got := tab.getOrCreate(line); got != ptrs[i] || int(got.owner) != i {
 			t.Fatalf("line %d: getOrCreate did not find existing entry", i)
 		}
 	}
@@ -48,6 +50,29 @@ func TestDirTabBasics(t *testing.T) {
 	if got := dirCount(&tab); got != n {
 		t.Fatalf("each visited %d entries, want %d", got, n)
 	}
+}
+
+// A run keeps about a million directory entries, allocated dirChunkLines
+// at a time, so an entry stays at 48 bytes: a chunk is then 3,072 bytes,
+// exactly one of the heap's size classes.
+func TestDirEntrySize(t *testing.T) {
+	const want = 48
+	if sz := unsafe.Sizeof(dirEntry{}); sz > want {
+		chunk := sz * dirChunkLines
+		t.Errorf("dirEntry is %d bytes, want at most %d: a %d-line chunk is %d bytes, in %s instead of the 3072-byte class",
+			sz, want, dirChunkLines, chunk, sizeClass(chunk))
+	}
+}
+
+// sizeClass names the Go heap size class an n-byte object is rounded up
+// to, for n up to 8 KB.
+func sizeClass(n uintptr) string {
+	for _, c := range []uintptr{2048, 2304, 2688, 3072, 3200, 3456, 4096, 4864, 5376, 6144, 6528, 6784, 6912, 8192} {
+		if n <= c {
+			return fmt.Sprintf("the %d-byte size class", c)
+		}
+	}
+	return "a size class above 8192 bytes"
 }
 
 // dirCount counts the entries each visits.
@@ -86,11 +111,11 @@ func TestDirTabMatchesMapReference(t *testing.T) {
 			if e.state != dIdle || e.owner != -1 {
 				t.Fatalf("wp %d: fresh entry for %#x not idle", wp, uint64(line))
 			}
-			e.pendFrom = int(line) // mark, so a shared or moved entry shows
+			e.pendFrom = int32(line) // mark, so a shared or moved entry shows
 			ref[line] = e
 		}
 		check := func(line Addr, e *dirEntry) {
-			if want := ref[line]; e != want || (e != nil && e.pendFrom != int(line)) {
+			if want := ref[line]; e != want || (e != nil && e.pendFrom != int32(line)) {
 				t.Fatalf("wp %d: entry for %#x is %p, want %p", wp, uint64(line), e, want)
 			}
 		}

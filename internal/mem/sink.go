@@ -114,7 +114,7 @@ func (c *Ctrl) sendCtl(to int, at sim.Time, op uint32, line Addr, p1 uint64) {
 func (c *Ctrl) invFanout(line Addr, done sim.Time) {
 	e := c.dir.get(line)
 	for _, tgt := range e.sharers {
-		if tgt == e.pendFrom {
+		if tgt == int(e.pendFrom) {
 			continue
 		}
 		c.sendCtl(tgt, done, opInv, line, 0)

@@ -49,14 +49,16 @@ func TestStoreMatchesFlatReference(t *testing.T) {
 	}
 }
 
-// A word never written reads 0: in an untouched module, just past a
-// module's highest written word, and at the module's last word.
+// A word never written reads 0, and reading it allocates no page: in an
+// untouched module, beside a module's only written word, and at the
+// module's last word.
 func TestStoreUnwrittenReadsZero(t *testing.T) {
 	for _, wp := range storeSizes {
 		s := NewStore(3, wp)
 		base := Addr(wp) // node 1
 		s.Write(base+10, 7)
-		for _, a := range []Addr{0, Addr(wp - 1), base, base + 9, base + 11, base + 12, base + Addr(wp) - 1, 2 * Addr(wp)} {
+		pages := storePages(s)
+		for _, a := range []Addr{0, Addr(wp - 1), base, base + 9, base + 11, base + 12, base + Addr(wp) - 1, 2 * Addr(wp), 3*Addr(wp) - 1} {
 			if got := s.Read(a); got != 0 {
 				t.Errorf("wp %d: unwritten Read(%#x) = %#x, want 0", wp, uint64(a), got)
 			}
@@ -64,11 +66,30 @@ func TestStoreUnwrittenReadsZero(t *testing.T) {
 		if got := s.ReadF(base + 11); got != 0 {
 			t.Errorf("wp %d: unwritten ReadF = %v, want 0", wp, got)
 		}
+		if got := storePages(s); got != pages {
+			t.Errorf("wp %d: reads took the store from %d to %d pages", wp, pages, got)
+		}
 	}
 }
 
-// A write past the end of a module's slice keeps every word written before
-// it, whether it grows the slice by doubling or jumps straight to the
+// storePages counts the pages the store has allocated.
+func storePages(s *Store) int {
+	n := 0
+	for _, d := range s.top {
+		if d == nil {
+			continue
+		}
+		for _, p := range d {
+			if p != nil {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// A write that allocates a page or a directory keeps every word written
+// before it, whether it lands on the next page or jumps straight to the
 // module's last word.
 func TestStoreGrowthKeepsEarlierWords(t *testing.T) {
 	for _, wp := range storeSizes {
@@ -111,9 +132,8 @@ func TestStoreAddressPastLastModulePanics(t *testing.T) {
 }
 
 // The accessors every simulated load, store and protocol request runs must
-// stay inlinable: the store's Read and Write (Write sits at the compiler's
-// budget), the cache probes the hit and miss paths call, and the
-// directory's lookup.
+// stay inlinable: the store's Read and Write, the cache probes the hit and
+// miss paths call, and the directory's lookup.
 func TestStoreAccessorsInline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the package with -gcflags=-m=2")
