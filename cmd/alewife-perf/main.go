@@ -123,7 +123,8 @@ func eventChurn(total int64) int64 {
 	return total
 }
 
-// contextSwitch ping-pongs one context through n Sleep round trips.
+// contextSwitch drives one context through n Sleep(1) calls, each a
+// self-wake its own dispatch loop consumes with no coroutine switch.
 func contextSwitch(n int64) int64 {
 	e := sim.NewEngine()
 	e.Spawn("perf", 0, func(c *sim.Context) {
@@ -223,9 +224,10 @@ func runnersFor(s suiteSizes) []runner {
 	return []runner{
 		{"event-churn", "events", func() int64 { return eventChurn(s.churnN) }},
 		{"context-switch", "switches", func() int64 { return contextSwitch(s.switchN) }},
-		// ctx-pingpong and ctx-solo-compute bracket context-switch: the
-		// former is all context-to-context handoffs, the latter all
-		// self-wakes, so a scheduler regression names the path it hit.
+		// context-switch and ctx-solo-compute are both one context
+		// sleeping alone (Sleep(1) and Sleep(5)), all self-wakes;
+		// ctx-pingpong is all context-to-context handoffs, so a scheduler
+		// regression names the path it hit.
 		{"ctx-pingpong", "switches", func() int64 { return ctxPingPong(s.pingpongN) }},
 		{"ctx-solo-compute", "sleeps", func() int64 { return ctxSoloCompute(s.soloN) }},
 		{"stress-seed", "stress-ops", func() int64 { return stressSeed(s.seedOps) }},

@@ -32,8 +32,9 @@ func ctxPingPong(n int64) int64 {
 }
 
 // ctxSoloCompute drives one context through a bare Sleep loop with nothing
-// else queued — the shape of a compute delay loop (Proc.Elapse). With the
-// solo-wake fast path this must not touch a channel at all. Returns sleeps.
+// else queued — the shape of a compute delay loop (Proc.Elapse). Every wake
+// is the context's own, consumed by its own dispatch loop with no coroutine
+// switch. Returns sleeps.
 func ctxSoloCompute(n int64) int64 {
 	e := sim.NewEngine()
 	e.Spawn("solo", 0, func(c *sim.Context) {

@@ -186,7 +186,9 @@ func TestHolderIndexLateAttach(t *testing.T) {
 	h := cacheHarness(8, 4, 2)
 	addrs := hotLines(h.fab, 24)
 	randomTraffic(h, addrs, 150, 11)
-	h.eng.RunUntil(2000)
+	if h.eng.RunLimit(1000) {
+		t.Fatal("warm-up drained the traffic before the checker attached")
+	}
 	if len(scanHolders(h.fab)) == 0 {
 		t.Fatal("no lines cached before attach")
 	}

@@ -47,8 +47,9 @@ func BenchmarkRunChurn(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkContextSwitch measures a full context round trip: wake event,
-// resume handoff, Sleep re-arm, yield back to the engine.
+// BenchmarkContextSwitch measures a lone context's Sleep: arm the wake,
+// then the context's own dispatch loop pops it and the context continues
+// with no coroutine switch (a self-wake).
 func BenchmarkContextSwitch(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()

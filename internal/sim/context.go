@@ -191,35 +191,14 @@ func (c *Context) wakeAt(t Time) {
 // WaitUntil advances the context to absolute time t, letting all events and
 // other contexts scheduled before t run. Waiting for the past is a no-op
 // time-wise but still interleaves fairly with same-time events: the wake
-// record takes its place in (at, seq) order like any other.
+// record takes its place in (at, seq) order like any other. When the wake
+// is the next due event, the context's own dispatch loop consumes it and
+// the context continues with no switch.
 func (c *Context) WaitUntil(t Time) {
-	e := c.eng
-	if t < e.now {
-		t = e.now
+	if t < c.eng.now {
+		t = c.eng.now
 	}
-	// Arm the wake record inline (atWake unrolled) so the solo-wake check
-	// below can compare the queue head against it by pointer.
-	e.seq++
-	r := e.q.get()
-	r.at, r.seq, r.ctx, r.gen = t, e.seq, c, c.gen
-	e.q.push(r)
-	// Solo-wake fast path: if our own wake is the next due event and the
-	// run's bounds allow dispatching it now, consume it inline — advance
-	// the clock and keep running with no switch. Dispatch order is
-	// unchanged: the record was the exact next pop, so this is the same
-	// transfer the loop would have performed, minus the park. Disabled
-	// under a chooser: other events ready at the same cycle must be offered
-	// as alternatives, so every dispatch has to go through the loop.
-	if e.chooser == nil && !e.halted && !(e.bounded && t > e.bound) && !(e.budgeted && e.budget == 0) && e.q.peek() == r {
-		if e.budgeted {
-			e.budget--
-		}
-		e.q.next(e.bound, e.bounded) // pops r: it is the head, within bound
-		e.q.put(r)
-		e.now = t
-		c.gen++
-		return
-	}
+	c.wakeAt(t)
 	c.parkAndDispatch()
 }
 

@@ -18,16 +18,14 @@
 // resumes the context whose wake comes up. A parking context runs the same
 // loop inline; if its own wake comes up first it continues without
 // switching, otherwise it records the next context to run (Engine.handoff)
-// and yields back to the driver, which resumes that one. A context whose
-// own wake is the next due event consumes it inline with no switch at all
-// (the solo-wake fast path in WaitUntil). Run returns when a stop condition
-// is reached: queue drained, Halt, a RunUntil bound or a RunLimit budget.
+// and yields back to the driver, which resumes that one. Run returns when a
+// stop condition is reached: queue drained, Halt or a RunLimit budget.
 //
-// Dispatch order does not depend on which of these paths runs an event:
-// every path pops the same ladder in (at, seq) order, and the fast path
-// consumes a wake only when it is the queue head. A panic in a context
-// body, or in an event its dispatch loop ran, is recovered on the
-// coroutine and re-raised from Run with the context's name and stack.
+// advance is the only code that dispatches an event, so dispatch order does
+// not depend on which goroutine runs it: every event is a pop from the same
+// ladder in (at, seq) order. A panic in a context body, or in an event its
+// dispatch loop ran, is recovered on the coroutine and re-raised from Run
+// with the context's name and stack.
 // context.go, which imports iter, is built for go1.23 and later while
 // go.mod stays at go 1.22, which the benchmark module's build requires.
 //
@@ -62,10 +60,9 @@ type Engine struct {
 	idle   []*coroutine
 	nlive  int // live (un-finished) contexts
 	halted bool
-	// Bounds of the current run, consulted by whichever loop dispatches
-	// (the driver's or a parked context's); only one runs at a time.
-	bounded  bool
-	bound    Time // no event after bound fires while bounded (RunUntil)
+	// The budget of the current run, consulted by whichever loop
+	// dispatches (the driver's or a parked context's); only one runs at a
+	// time.
 	budgeted bool
 	budget   uint64 // events left to dispatch while budgeted (RunLimit)
 	// ctxPanic carries a panic out of a context body so the driver can
@@ -112,8 +109,8 @@ func (e *Engine) At(t Time, fn func()) {
 	e.q.push(r)
 }
 
-// atWake schedules a closure-free context wake-up record (the hot path of
-// Block/Unblock; WaitUntil arms its record inline for the solo-wake check).
+// atWake schedules a closure-free context wake-up record: the start of
+// every context, and every Sleep, WaitUntil and Unblock.
 //
 //alewife:hotpath
 func (e *Engine) atWake(t Time, c *Context, gen uint64) {
@@ -207,11 +204,11 @@ type SinkInfo interface {
 // SetChooser installs (or, with nil, removes) the engine's schedule
 // chooser. With a chooser installed, every dispatch where more than one
 // live event is ready at the minimum pending cycle consults the chooser
-// instead of firing in seq order, and the solo-wake fast path in WaitUntil
-// is disabled so no dispatch can bypass the hook. Installing a chooser
-// changes which schedules run, never which schedules are possible: any
-// pick corresponds to a legal (at, seq)-respecting execution at that
-// cycle. Must not be called while a run is in progress.
+// instead of firing in seq order; advance is the only dispatch path, so
+// none bypasses the hook. Installing a chooser changes which schedules
+// run, never which schedules are possible: any pick corresponds to a legal
+// (at, seq)-respecting execution at that cycle. Must not be called while a
+// run is in progress.
 //
 //alewife:engine-only
 func (e *Engine) SetChooser(c Chooser) { e.chooser = c }
@@ -225,7 +222,7 @@ func (e *Engine) SetChooser(c Chooser) { e.chooser = c }
 // work); otherwise dispatch semantics match the default path exactly.
 func (e *Engine) nextChosen() *event {
 	for {
-		cands := e.q.candidates(e.bound, e.bounded, e.candBuf[:0])
+		cands := e.q.candidates(e.candBuf[:0])
 		e.candBuf = cands
 		if len(cands) == 0 {
 			return nil
@@ -282,12 +279,15 @@ func (e *Engine) describe(r *event) Choice {
 //alewife:engine-only
 func (e *Engine) Halt() { e.halted = true }
 
-// advance is the dispatch loop: it pops events in (at, seq) order, runs
-// callbacks and sinks inline, drops stale wakes, and ends when control must
-// move. self is the parked context running the loop, or nil when the driver
-// runs it. It reports whether self's own wake fired; otherwise it ended with
-// the next context to resume in e.handoff, or with e.handoff nil on a stop
-// condition (drained queue, Halt, bound, budget).
+// advance is the dispatch loop, and the only code that dispatches an event:
+// it pops events in (at, seq) order, runs callbacks and sinks inline, drops
+// stale wakes, and ends when control must move. self is the parked context
+// running the loop, or nil when the driver runs it. It reports whether
+// self's own wake fired, in which case self continues with no switch;
+// otherwise it ended with the next context to resume in e.handoff, or with
+// e.handoff nil on a stop condition (drained queue, Halt, budget).
+//
+//alewife:hotpath
 func (e *Engine) advance(self *Context) bool {
 	for {
 		if e.halted || (e.budgeted && e.budget == 0) {
@@ -297,7 +297,7 @@ func (e *Engine) advance(self *Context) bool {
 		if e.chooser != nil {
 			r = e.nextChosen()
 		} else {
-			r = e.q.next(e.bound, e.bounded)
+			r = e.q.next()
 		}
 		if r == nil {
 			return false
@@ -374,7 +374,7 @@ func (e *Engine) stopIdle() {
 //alewife:engine-only
 func (e *Engine) Run() {
 	e.halted = false
-	e.bounded, e.budgeted = false, false
+	e.budgeted = false
 	e.drive()
 }
 
@@ -386,7 +386,6 @@ func (e *Engine) Run() {
 //alewife:engine-only
 func (e *Engine) RunLimit(max uint64) bool {
 	e.halted = false
-	e.bounded = false
 	e.budgeted, e.budget = true, max
 	e.drive()
 	e.budgeted = false
@@ -394,19 +393,4 @@ func (e *Engine) RunLimit(max uint64) bool {
 		return e.q.size == 0
 	}
 	return true
-}
-
-// RunUntil executes events up to and including time t, leaving later events
-// queued. The clock ends at t even if the queue drains earlier.
-//
-//alewife:engine-only
-func (e *Engine) RunUntil(t Time) {
-	e.halted = false
-	e.budgeted = false
-	e.bounded, e.bound = true, t
-	e.drive()
-	e.bounded = false
-	if e.now < t {
-		e.now = t
-	}
 }

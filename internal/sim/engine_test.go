@@ -61,36 +61,6 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	e.Run()
 }
 
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.At(10, func() { ran++ })
-	e.At(20, func() { ran++ })
-	e.At(30, func() { ran++ })
-	e.RunUntil(20)
-	if ran != 2 {
-		t.Fatalf("RunUntil(20) ran %d events, want 2", ran)
-	}
-	if e.Now() != 20 {
-		t.Fatalf("clock = %d, want 20", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
-	}
-	e.Run()
-	if ran != 3 || e.Now() != 30 {
-		t.Fatalf("final run wrong: ran=%d now=%d", ran, e.Now())
-	}
-}
-
-func TestRunUntilAdvancesIdleClock(t *testing.T) {
-	e := NewEngine()
-	e.RunUntil(100)
-	if e.Now() != 100 {
-		t.Fatalf("idle RunUntil left clock at %d", e.Now())
-	}
-}
-
 func TestHalt(t *testing.T) {
 	e := NewEngine()
 	ran := 0

@@ -99,6 +99,8 @@ func (l *ladder) put(r *event) {
 }
 
 // push enqueues a record, routing by horizon. Caller has set at/seq/payload.
+//
+//alewife:hotpath
 func (l *ladder) push(r *event) {
 	l.size++
 	if r.at >= l.base+ladderWindow {
@@ -114,6 +116,8 @@ func (l *ladder) push(r *event) {
 }
 
 // pushNear appends to the bucket for r.at and marks it occupied.
+//
+//alewife:hotpath
 func (l *ladder) pushNear(r *event) {
 	idx := int(r.at & ladderMask)
 	b := &l.buckets[idx]
@@ -127,94 +131,79 @@ func (l *ladder) pushNear(r *event) {
 	l.near++
 }
 
-// next dequeues the earliest record, or returns nil when the queue is empty
-// or (bounded) when the earliest record fires after bound. The cursor never
-// advances past the minimum pending record or past bound — the engine's
-// clock stops at bound, so events may still legally be scheduled anywhere in
-// [bound, min-pending) and must land ahead of the cursor, not behind it in
-// the ring.
-func (l *ladder) next(bound Time, bounded bool) *event {
+// seek advances the cursor to the minimum pending timestamp and returns the
+// index of its bucket. It migrates eligible overflow records, jumps an empty
+// near tier to the overflow minimum, then scans the occupancy bitmap from
+// the cursor (a handful of 64-bucket words). The cursor never passes the
+// minimum pending record, so anything scheduled from now on lands ahead of
+// it. Callers guarantee size > 0.
+//
+//alewife:hotpath
+func (l *ladder) seek() int {
+	for {
+		for len(l.ovf) > 0 && l.ovf[0].at < l.base+ladderWindow {
+			l.pushNear(l.ovfPop())
+		}
+		if l.near > 0 {
+			break
+		}
+		// Everything pending is far-future: jump the cursor to the
+		// overflow minimum and let migration pull it in.
+		l.base = l.ovf[0].at
+	}
+	cur := int(l.base & ladderMask)
+	w := cur >> 6
+	x := l.occ[w] &^ (1<<(cur&63) - 1)
+	// Past the cursor's own word the scan wraps the ring, ending on that
+	// word again in full for a bucket behind the cursor's slot.
+	for i := 0; x == 0; i++ {
+		if i == len(l.occ) {
+			panic("sim: ladder occupancy bitmap empty with near > 0")
+		}
+		w = (w + 1) & (len(l.occ) - 1)
+		x = l.occ[w]
+	}
+	idx := w<<6 + bits.TrailingZeros64(x)
+	l.base += Time((idx - cur) & ladderMask)
+	return idx
+}
+
+// next dequeues the earliest record, or returns nil when the queue is empty.
+//
+//alewife:hotpath
+func (l *ladder) next() *event {
 	if l.size == 0 {
 		return nil
 	}
-	for {
-		for len(l.ovf) > 0 && l.ovf[0].at < l.base+ladderWindow {
-			l.pushNear(l.ovfPop())
-		}
-		if l.near == 0 {
-			// Everything pending is far-future: jump the cursor to the
-			// overflow minimum and let migration pull it in.
-			t := l.ovf[0].at
-			if bounded && t > bound {
-				return nil
-			}
-			l.base = t
-			continue
-		}
-		at := l.base + Time(l.nextOccupied())
-		if bounded && at > bound {
-			// Clamp, don't jump: advancing to `at` would strand an event
-			// later scheduled in [bound, at) behind the cursor, delaying it
-			// by a full window lap and firing it out of (at, seq) order.
-			if bound > l.base {
-				l.base = bound
-			}
-			return nil
-		}
-		l.base = at
-		idx := int(at & ladderMask)
-		b := &l.buckets[idx]
-		r := b.head
-		b.head = r.next
-		if b.head == nil {
-			b.tail = nil
-			l.occ[idx>>6] &^= 1 << (idx & 63)
-		}
-		r.next = nil
-		l.near--
-		l.size--
-		return r
+	idx := l.seek()
+	b := &l.buckets[idx]
+	r := b.head
+	b.head = r.next
+	if b.head == nil {
+		b.tail = nil
+		l.occ[idx>>6] &^= 1 << (idx & 63)
 	}
+	r.next = nil
+	l.near--
+	l.size--
+	return r
 }
 
-// candidates advances the cursor exactly as next would — eager overflow
-// migration, far-future jump, bound clamping — and appends the whole FIFO
-// chain of the minimum pending bucket to buf without dequeuing anything.
-// Because the ring maps each in-window cycle to exactly one bucket, every
-// record returned shares the minimum pending timestamp: these are all the
-// events legally able to fire next, in seq order. Returns buf unchanged
-// when the queue is empty or (bounded) the minimum fires after bound.
-// Pair with take to remove the chosen record.
-func (l *ladder) candidates(bound Time, bounded bool, buf []*event) []*event {
+// candidates advances the cursor exactly as next does and appends the whole
+// FIFO chain of the minimum pending bucket to buf without dequeuing
+// anything. Because the ring maps each in-window cycle to exactly one
+// bucket, every record returned shares the minimum pending timestamp: these
+// are all the events legally able to fire next, in seq order. Returns buf
+// unchanged when the queue is empty. Pair with take to remove the chosen
+// record.
+func (l *ladder) candidates(buf []*event) []*event {
 	if l.size == 0 {
 		return buf
 	}
-	for {
-		for len(l.ovf) > 0 && l.ovf[0].at < l.base+ladderWindow {
-			l.pushNear(l.ovfPop())
-		}
-		if l.near == 0 {
-			t := l.ovf[0].at
-			if bounded && t > bound {
-				return buf
-			}
-			l.base = t
-			continue
-		}
-		at := l.base + Time(l.nextOccupied())
-		if bounded && at > bound {
-			// Clamp, don't jump — same reasoning as next.
-			if bound > l.base {
-				l.base = bound
-			}
-			return buf
-		}
-		l.base = at
-		for r := l.buckets[int(at&ladderMask)].head; r != nil; r = r.next {
-			buf = append(buf, r)
-		}
-		return buf
+	for r := l.buckets[l.seek()].head; r != nil; r = r.next {
+		buf = append(buf, r)
 	}
+	return buf
 }
 
 // take removes r — a record of the current minimum bucket, as returned by
@@ -245,50 +234,6 @@ func (l *ladder) take(r *event) {
 		return
 	}
 	panic("sim: take of a record not in the cursor bucket")
-}
-
-// peek returns the record next would dequeue — the minimum pending (at, seq)
-// — without removing it, or nil when the queue is empty. Eligible overflow
-// records migrate to the near tier first (the same eager drain push and next
-// perform, so it cannot disturb the ordering contract); the cursor does not
-// advance. The solo-wake fast path uses peek to recognize, by pointer
-// identity, that a context's freshly-armed wake is the next due event.
-func (l *ladder) peek() *event {
-	if l.size == 0 {
-		return nil
-	}
-	for len(l.ovf) > 0 && l.ovf[0].at < l.base+ladderWindow {
-		l.pushNear(l.ovfPop())
-	}
-	if l.near == 0 {
-		// Everything pending is far-future; the overflow minimum is the
-		// head (near-tier records are always earlier when present).
-		return l.ovf[0]
-	}
-	at := l.base + Time(l.nextOccupied())
-	return l.buckets[int(at&ladderMask)].head
-}
-
-// nextOccupied returns the ring distance from the cursor to the first
-// occupied bucket (0 when the cursor's own bucket is occupied). Callers
-// guarantee near > 0. Cost: a handful of 64-bucket-wide bitmap words.
-func (l *ladder) nextOccupied() int {
-	cur := int(l.base & ladderMask)
-	w := cur >> 6
-	if x := l.occ[w] &^ (1<<(cur&63) - 1); x != 0 {
-		return w<<6 + bits.TrailingZeros64(x) - cur
-	}
-	for i := 1; i <= len(l.occ); i++ {
-		wi := (w + i) & (len(l.occ) - 1)
-		if x := l.occ[wi]; x != 0 {
-			d := wi<<6 + bits.TrailingZeros64(x) - cur
-			if d < 0 {
-				d += ladderWindow
-			}
-			return d
-		}
-	}
-	panic("sim: ladder occupancy bitmap empty with near > 0")
 }
 
 // ovfPush inserts into the typed overflow min-heap.

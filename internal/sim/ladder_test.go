@@ -69,78 +69,6 @@ func TestLadderEmptyJump(t *testing.T) {
 	}
 }
 
-// TestLadderRunUntilBoundary leaves exactly the post-bound events queued,
-// including ones parked in the overflow tier.
-func TestLadderRunUntilBoundary(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.At(5, func() { ran++ })
-	e.At(ladderWindow+5, func() { ran++ })
-	e.At(5*ladderWindow, func() { ran++ })
-	e.RunUntil(ladderWindow + 5)
-	if ran != 2 || e.Pending() != 1 || e.Now() != ladderWindow+5 {
-		t.Fatalf("ran=%d pending=%d now=%d", ran, e.Pending(), e.Now())
-	}
-	e.Run()
-	if ran != 3 || e.Pending() != 0 {
-		t.Fatalf("drain ran=%d pending=%d", ran, e.Pending())
-	}
-}
-
-// TestLadderRunUntilThenScheduleEarlier interleaves RunUntil with scheduling:
-// a bound that fires nothing must not advance the cursor past the bound, or
-// an event then scheduled between the bound and the first pending event lands
-// behind the cursor and is delayed (or reordered) by a full window lap.
-func TestLadderRunUntilThenScheduleEarlier(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	e.At(100, func() { fired = append(fired, e.Now()) })
-	e.RunUntil(50) // fires nothing; clock stops at 50
-	if e.Now() != 50 {
-		t.Fatalf("clock after empty RunUntil = %d, want 50", e.Now())
-	}
-	e.At(60, func() { fired = append(fired, e.Now()) })
-	e.RunUntil(70)
-	if len(fired) != 1 || fired[0] != 60 {
-		t.Fatalf("after RunUntil(70) fired = %v, want [60]", fired)
-	}
-	if e.Now() != 70 {
-		t.Fatalf("clock = %d, want 70", e.Now())
-	}
-	e.Run()
-	if len(fired) != 2 || fired[1] != 100 {
-		t.Fatalf("after drain fired = %v, want [60 100]", fired)
-	}
-}
-
-// TestLadderRunUntilScheduleAcrossLap repeats the interleaving with gaps
-// larger than the near window, so pending minima sit in the overflow tier
-// while events are scheduled below the bound; order and clock monotonicity
-// must hold throughout.
-func TestLadderRunUntilScheduleAcrossLap(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	record := func() { fired = append(fired, e.Now()) }
-	e.At(3*ladderWindow, record)
-	e.RunUntil(ladderWindow) // nothing eligible; pending min is in overflow
-	e.At(ladderWindow+2, record)
-	e.RunUntil(2 * ladderWindow)
-	e.At(2*ladderWindow+1, record)
-	e.Run()
-	want := []Time{ladderWindow + 2, 2*ladderWindow + 1, 3 * ladderWindow}
-	if len(fired) != len(want) {
-		t.Fatalf("fired %v, want %v", fired, want)
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Fatalf("fired %v, want %v", fired, want)
-		}
-		if i > 0 && fired[i] < fired[i-1] {
-			t.Fatalf("clock regressed: %v", fired)
-		}
-	}
-}
-
 // TestLadderReferenceModel drives the queue with a seeded adversarial
 // schedule — bursts of same-time events, near and far delays, nested
 // scheduling from callbacks — and checks the firing order against a sorted
@@ -219,12 +147,14 @@ func TestLadderPoolReuse(t *testing.T) {
 	}
 }
 
-// TestLadderPeek: peek must always return exactly the record next would pop,
-// across both tiers and through overflow migration, without consuming it.
+// TestLadderPeek fills the ladder across both tiers and drains it: at every
+// step the head of the bucket candidates offers is the record next pops,
+// candidates dequeues nothing, and every candidate shares the cursor's
+// timestamp in seq order.
 func TestLadderPeek(t *testing.T) {
 	l := newLadder()
-	if l.peek() != nil {
-		t.Fatal("peek on empty ladder not nil")
+	if len(l.candidates(nil)) != 0 || l.next() != nil {
+		t.Fatal("empty ladder offered a record")
 	}
 	mk := func(at Time, seq uint64) *event {
 		r := l.get()
@@ -232,43 +162,80 @@ func TestLadderPeek(t *testing.T) {
 		l.push(r)
 		return r
 	}
+	mk(ladderWindow*2, 1) // overflow tier, lowest seq
 	near := mk(5, 2)
 	mk(9, 3)
-	mk(ladderWindow*2, 1) // far-future: overflow tier
-	if got := l.peek(); got != near {
-		t.Fatalf("peek = (at %d, seq %d), want the near minimum (5, 2)", got.at, got.seq)
-	}
-	if l.size != 3 {
-		t.Fatalf("peek consumed: size %d", l.size)
-	}
-	// Drain and re-check peek == next at every step.
-	for l.size > 0 {
-		want := l.peek()
-		got := l.next(0, false)
-		if got != want {
-			t.Fatalf("peek (at %d, seq %d) != next (at %d, seq %d)", want.at, want.seq, got.at, got.seq)
+	mk(9, 4)
+	mk(ladderWindow*5, 5)
+	mk(ladderWindow*5+1, 6)
+	mk(ladderWindow*5, 7)
+	var buf []*event
+	for step := 0; l.size > 0; step++ {
+		size := l.size
+		buf = l.candidates(buf[:0])
+		if len(buf) == 0 || l.size != size {
+			t.Fatalf("step %d: candidates offered %d records and left size %d, want some and %d", step, len(buf), l.size, size)
+		}
+		for i, r := range buf {
+			if r.at != l.base || (i > 0 && r.seq <= buf[i-1].seq) {
+				t.Fatalf("step %d: candidate %d is (at %d, seq %d) at cursor %d, want one cycle in seq order", step, i, r.at, r.seq, l.base)
+			}
+		}
+		head := buf[0]
+		if step == 0 && head != near {
+			t.Fatalf("first head is (at %d, seq %d), want the near minimum (5, 2)", head.at, head.seq)
+		}
+		got := l.next()
+		if got != head {
+			t.Fatalf("step %d: candidates head (at %d, seq %d) != next (at %d, seq %d)", step, head.at, head.seq, got.at, got.seq)
 		}
 		l.put(got)
 	}
-	if l.peek() != nil {
-		t.Fatal("peek on drained ladder not nil")
+	if len(l.candidates(buf[:0])) != 0 || l.next() != nil {
+		t.Fatal("drained ladder offered a record")
 	}
 }
 
-// TestLadderPeekOverflowOnly: with only far-future records pending, peek
-// returns the overflow minimum without advancing the cursor.
+// TestLadderPeekOverflowOnly holds only far-future records: candidates must
+// jump the cursor to the overflow minimum and offer its records in seq
+// order, and next must pop them; the drain passes one such state per
+// distinct far time.
 func TestLadderPeekOverflowOnly(t *testing.T) {
 	l := newLadder()
-	r := l.get()
-	r.at, r.seq = ladderWindow*5, 1
-	l.push(r)
-	if got := l.peek(); got != r {
-		t.Fatal("peek missed the overflow minimum")
+	mk := func(at Time, seq uint64) *event {
+		r := l.get()
+		r.at, r.seq = at, seq
+		l.push(r)
+		return r
 	}
-	if l.base != 0 {
-		t.Fatalf("peek advanced the cursor to %d", l.base)
+	a := mk(ladderWindow*5, 1)
+	c := mk(ladderWindow*9, 2)
+	b := mk(ladderWindow*5, 3)
+	var buf []*event
+	for _, want := range [][]*event{{a, b}, {c}} {
+		if l.near != 0 {
+			t.Fatalf("%d records in the near tier, want only overflow", l.near)
+		}
+		buf = l.candidates(buf[:0])
+		if l.base != want[0].at {
+			t.Fatalf("cursor at %d, want the overflow minimum %d", l.base, want[0].at)
+		}
+		if len(buf) != len(want) {
+			t.Fatalf("candidates offered %d records at %d, want %d", len(buf), l.base, len(want))
+		}
+		for i, w := range want {
+			if buf[i] != w {
+				t.Fatalf("candidate %d is (at %d, seq %d), want (at %d, seq %d)", i, buf[i].at, buf[i].seq, w.at, w.seq)
+			}
+			if got := l.next(); got != w {
+				t.Fatalf("next popped (at %d, seq %d), want (at %d, seq %d)", got.at, got.seq, w.at, w.seq)
+			}
+		}
+		for _, w := range want {
+			l.put(w)
+		}
 	}
-	if got := l.next(0, false); got != r {
-		t.Fatal("next after peek wrong")
+	if l.size != 0 {
+		t.Fatalf("size %d after the drain", l.size)
 	}
 }

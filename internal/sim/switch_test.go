@@ -9,10 +9,10 @@ import (
 
 // Context bodies are coroutines resumed by the Run goroutine, and parked
 // contexts run the dispatch loop themselves. These tests pin what that must
-// preserve: panic propagation to the Run caller, run bounds and budgets
-// applied by whichever loop dispatches (including the solo-wake fast path),
-// finished bodies releasing their goroutine and closure, and the amortized
-// pruning of the finished-context roster.
+// preserve: panic propagation to the Run caller, the RunLimit budget applied
+// by whichever loop dispatches (including a context's own loop consuming its
+// own wake with no switch), finished bodies releasing their goroutine and
+// closure, and the amortized pruning of the finished-context roster.
 
 func TestContextPanicPropagatesToRun(t *testing.T) {
 	e := NewEngine()
@@ -91,8 +91,9 @@ func TestPanicDoesNotLeakIntoNextRun(t *testing.T) {
 	}
 }
 
-// RunLimit's event budget must count wakes consumed by the solo fast path,
-// or a compute loop would run unbounded inside a bounded fuzzer step.
+// RunLimit's event budget must count the self-wakes a sleeping context's
+// own dispatch loop (advance(self)) consumes inline, with no switch, or a
+// compute loop would run unbounded inside a bounded fuzzer step.
 func TestRunLimitCountsSoloWakes(t *testing.T) {
 	e := NewEngine()
 	steps := 0
@@ -102,12 +103,12 @@ func TestRunLimitCountsSoloWakes(t *testing.T) {
 			steps++
 		}
 	})
-	// Budget 5: the spawn wake plus four solo-consumed sleep wakes.
+	// Budget 5: the spawn wake plus four self-consumed sleep wakes.
 	if e.RunLimit(5) {
 		t.Fatal("RunLimit reported drained with work remaining")
 	}
 	if steps >= 10 {
-		t.Fatalf("budget did not bound the solo fast path: %d steps", steps)
+		t.Fatalf("budget did not bound the self-wakes: %d steps", steps)
 	}
 	mid := steps
 	if !e.RunLimit(1000) {
@@ -118,34 +119,10 @@ func TestRunLimitCountsSoloWakes(t *testing.T) {
 	}
 }
 
-// A RunUntil bound must stop a solo-sleeping context exactly like the
-// central loop did: the wake past the bound stays queued, the clock clamps
-// to the bound, and the context resumes on the next run.
-func TestRunUntilBoundsSoloWake(t *testing.T) {
-	e := NewEngine()
-	var wokeAt []Time
-	e.Spawn("solo", 0, func(c *Context) {
-		c.Sleep(10) // within bound: solo fast path
-		wokeAt = append(wokeAt, c.Now())
-		c.Sleep(100) // past bound: must park
-		wokeAt = append(wokeAt, c.Now())
-	})
-	e.RunUntil(50)
-	if e.Now() != 50 {
-		t.Fatalf("clock = %d, want 50", e.Now())
-	}
-	if len(wokeAt) != 1 || wokeAt[0] != 10 {
-		t.Fatalf("wakes before bound = %v, want [10]", wokeAt)
-	}
-	e.Run()
-	if len(wokeAt) != 2 || wokeAt[1] != 110 {
-		t.Fatalf("wakes after resume = %v, want [10 110]", wokeAt)
-	}
-}
-
 // An event scheduled for the same cycle before a context sleeps must win the
-// (at, seq) race over the later-armed wake, forcing the slow path: the solo
-// shortcut may only fire when the wake is the true queue head.
+// (at, seq) race over the later-armed wake: advance(self) consumes the
+// context's own wake inline only when that wake is the queue head, so here
+// the event fires first.
 func TestSoloFastPathYieldsToSameTimeEvents(t *testing.T) {
 	e := NewEngine()
 	var order []string
@@ -229,15 +206,19 @@ func settledGoroutines(want int) int {
 }
 
 // Every finished body must release its goroutine, however the run that saw
-// it finish was bounded and however the body ended.
+// it finish was stopped and however the body ended.
 func TestFinishedContextsLeaveNoGoroutines(t *testing.T) {
 	cases := []struct {
 		name string
 		run  func(t *testing.T, e *Engine)
 	}{
-		{"after-rununtil-stop", func(t *testing.T, e *Engine) {
+		{"after-halt-stop", func(t *testing.T, e *Engine) {
 			e.Spawn("sleeper", 0, func(c *Context) { c.Sleep(100) })
-			e.RunUntil(50)
+			e.At(50, e.Halt)
+			e.Run()
+			if e.Now() != 50 || e.Live() != 1 {
+				t.Fatalf("Halt at 50 left clock %d and %d live contexts, want 50 and the sleeper", e.Now(), e.Live())
+			}
 			e.Run()
 		}},
 		{"after-runlimit-stop", func(t *testing.T, e *Engine) {
