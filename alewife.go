@@ -42,7 +42,11 @@ import (
 // Machine is a simulated Alewife-like multiprocessor.
 type Machine = machine.Machine
 
-// Config parameterizes a machine (node count, cache geometry, cost model).
+// Config sizes a machine and holds what experiments vary: node count,
+// memory and cache geometry, topology, sequential consistency, LimitLESS
+// hardware pointers, router delay, network faults and forced reliable
+// delivery. The cycle-cost model is calibrated constants in the
+// simulator's packages, not configuration.
 type Config = machine.Config
 
 // Proc is the processor interface simulated programs run against.
@@ -101,8 +105,14 @@ func DefaultConfig(n int) Config { return machine.DefaultConfig(n) }
 // calibrated cost model.
 func NewMachine(n int) *Machine { return machine.New(machine.DefaultConfig(n)) }
 
-// NewMachineWith builds a machine from an explicit configuration.
-func NewMachineWith(cfg Config) *Machine { return machine.New(cfg) }
+// NewMachineWith builds a machine from an explicit configuration, or
+// returns the error that rejects it.
+func NewMachineWith(cfg Config) (*Machine, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return machine.New(cfg), nil
+}
 
 // NewRuntime builds the runtime system over m in the given mode.
 func NewRuntime(m *Machine, mode Mode) *RT { return core.NewDefault(m, mode) }

@@ -60,14 +60,20 @@ func TestFacadeCopySM(t *testing.T) {
 
 func TestFacadeCustomConfig(t *testing.T) {
 	cfg := alewife.DefaultConfig(4)
-	cfg.Mem.HWPointers = 2
-	cfg.ClockMHz = 66
-	m := alewife.NewMachineWith(cfg)
-	if m.Micros(66) != 1.0 {
-		t.Fatal("custom clock not applied")
+	cfg.HWPointers = 2
+	m, err := alewife.NewMachineWith(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m.Cfg.Mem.HWPointers != 2 {
-		t.Fatal("custom memory params not applied")
+	if m.Micros(66) != 2.0 {
+		t.Fatal("Micros does not convert at Alewife's 33 MHz clock")
+	}
+	if m.Cfg.HWPointers != 2 {
+		t.Fatal("custom hardware pointer count not applied")
+	}
+	cfg.CacheSets = 3
+	if m, err := alewife.NewMachineWith(cfg); err == nil || m != nil {
+		t.Fatalf("3 cache sets built a machine (%v, %v), want Validate's error", m, err)
 	}
 }
 

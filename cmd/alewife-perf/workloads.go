@@ -55,7 +55,7 @@ func dirChurn(accessesPerNode int64) int64 {
 	cfg := machine.DefaultConfig(nodes)
 	cfg.CacheSets = 16 // eviction pressure without making every access a miss
 	cfg.CacheWays = 1
-	cfg.Mem.HWPointers = 4 // full-machine read sharing overflows to software
+	cfg.HWPointers = 4 // full-machine read sharing overflows to software
 	m := machine.New(cfg)
 
 	const lines = 12
@@ -146,7 +146,7 @@ func netLoss(rate float64, total int64) int64 {
 		p.Fault = &mesh.NetFault{Seed: 1, Drop: rate, Dup: rate, Reorder: rate}
 	}
 	inner := mesh.New(eng, 8, 8, p, nil)
-	rel := cmmu.NewReliable(eng, inner, cmmu.DefaultRelParams(), nil)
+	rel := cmmu.NewReliable(eng, inner, nil)
 	return saturate(eng, rel, total)
 }
 

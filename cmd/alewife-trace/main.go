@@ -82,7 +82,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *loss > 0 {
 		cfg.Net.Fault = &mesh.NetFault{Seed: *netseed, Drop: *loss, Dup: *loss, Reorder: *loss}
 	}
-	m := alewife.NewMachineWith(cfg)
+	m, err := alewife.NewMachineWith(cfg)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 	buf := m.EnableTrace(1 << 16)
 	if *attrib {
 		m.EnableMetrics()

@@ -91,7 +91,7 @@ func main() {
 
 	// 4. Software-synthesized shared address space (Figure 1).
 	m, arr = setup()
-	d := swdsm.New(m, swdsm.DefaultParams())
+	d := swdsm.New(m, false)
 	sum = 0
 	m.Spawn(0, 0, "swdsm", func(p *alewife.Proc) {
 		p.Flush()

@@ -11,6 +11,7 @@ import (
 
 	"alewife"
 	"alewife/internal/apps"
+	"alewife/internal/machine"
 )
 
 func main() {
@@ -30,7 +31,7 @@ func main() {
 		spSM := float64(seq.Cycles) / float64(sm.Cycles)
 		spHy := float64(seq.Cycles) / float64(hy.Cycles)
 		fmt.Printf("%-10.3g %10d %12.2f | %12.1f %12.1f %8.2f\n",
-			tol, seq.Cells, float64(seq.Cycles)/33000, spSM, spHy, spHy/spSM)
+			tol, seq.Cells, float64(seq.Cycles)/(machine.ClockMHz*1000), spSM, spHy, spHy/spSM)
 	}
 	fmt.Println("\nthe hybrid advantage shrinks as task grain grows — exactly the")
 	fmt.Println("paper's observation: overhead matters most when work is fine-grained.")

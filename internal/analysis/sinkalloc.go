@@ -94,6 +94,15 @@ func checkHotPath(pass *Pass, fd *ast.FuncDecl) {
 					pass.Reportf(rhs.Pos(), "scalar boxed into interface in //alewife:hotpath function %s: this allocates per event", fd.Name.Name)
 				}
 			}
+		case *ast.ValueSpec:
+			if n.Type == nil || !types.IsInterface(pass.Info.TypeOf(n.Type)) {
+				return true
+			}
+			for _, v := range n.Values {
+				if isScalar(pass, v) {
+					pass.Reportf(v.Pos(), "scalar boxed into interface in //alewife:hotpath function %s: this allocates per event", fd.Name.Name)
+				}
+			}
 		}
 		return true
 	})

@@ -11,7 +11,7 @@ func sink(v interface{}) {}
 
 func typed(v uint64) {}
 
-// Fire is annotated hot: the three allocation shapes must all be caught.
+// Fire is annotated hot: every allocation shape must be caught.
 //alewife:hotpath
 func (r *ring) Fire(op uint32, p0 uint64) {
 	r.fn = func() { r.buf = append(r.buf, p0) } // want `closure in //alewife:hotpath function Fire`
@@ -20,6 +20,8 @@ func (r *ring) Fire(op uint32, p0 uint64) {
 	var v interface{}
 	v = p0 // want `scalar boxed into interface`
 	_ = v
+	var w interface{} = p0 // want `scalar boxed into interface`
+	_ = w
 	typed(p0) // typed parameter: no boxing, not flagged
 	if op > 64 {
 		panic(fmt.Sprintf("bad op %d", op)) // panic args are cold: not flagged

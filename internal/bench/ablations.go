@@ -52,7 +52,7 @@ func runAblateLimitless(cfg Config, w io.Writer) {
 	fmt.Fprintf(w, "%-12s %14s %16s %16s\n", "hw pointers", "write cycles", "sw trap cycles", "overflows")
 	for _, k := range []int{1, 2, 5, 8, 16, 64} {
 		mcfg := machCfg(cfg, nodes)
-		mcfg.Mem.HWPointers = k
+		mcfg.HWPointers = k
 		m := machine.New(mcfg)
 		hot := m.Store.AllocOn(0, mem.LineWords)
 		for i := 0; i < nodes; i++ {

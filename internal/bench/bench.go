@@ -116,4 +116,4 @@ func newRT(cfg Config, nodes int, mode core.Mode) *core.RT {
 }
 
 // micros converts cycles to microseconds at the Alewife clock.
-func micros(cycles uint64) float64 { return float64(cycles) / 33.0 }
+func micros(cycles uint64) float64 { return float64(cycles) / machine.ClockMHz }

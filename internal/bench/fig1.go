@@ -48,9 +48,7 @@ func runFig1(cfg Config, w io.Writer) {
 	}
 	measureSW := func(remote bool, second bool, noCache bool) uint64 {
 		m := newMachine(cfg, cfg.Nodes)
-		pp := swdsm.DefaultParams()
-		pp.NoCache = noCache
-		d := swdsm.New(m, pp)
+		d := swdsm.New(m, noCache)
 		home := 0
 		if remote {
 			home = 1
@@ -136,7 +134,7 @@ func chaseHW(cfg Config, nodes int) uint64 {
 
 func chaseSW(cfg Config, nodes int) uint64 {
 	m := newMachine(cfg, nodes)
-	d := swdsm.New(m, swdsm.DefaultParams())
+	d := swdsm.New(m, false)
 	addrs := chaseTable(m, nodes)
 	var cycles uint64
 	m.Spawn(0, 0, "chase", func(p *machine.Proc) {

@@ -17,32 +17,16 @@ import (
 	"alewife/internal/trace"
 )
 
-// Params is the network-interface cost model in processor cycles.
-type Params struct {
-	DescribeCycles  uint64 // per descriptor word written to the CMMU
-	LaunchCycles    uint64 // the atomic launch instruction
-	HeaderBytes     int    // wire overhead per packet
-	InterruptEntry  uint64 // cycles to enter a message handler (paper: 5)
-	WindowReadCycle uint64 // per packet word examined by the handler
-	StorebackSetup  uint64 // per storeback instruction issued
-	DMAWordCycles   uint64 // per word scattered to memory at the receiver
-	MaxOperands     int    // descriptor limit (paper: 16-word descriptor)
-}
-
-// DefaultParams returns the calibrated Alewife-like cost model.
-func DefaultParams() Params {
-	return Params{
-		DescribeCycles:  1,
-		LaunchCycles:    1,
-		HeaderBytes:     8,
-		InterruptEntry:  5,
-		WindowReadCycle: 1,
-		StorebackSetup:  2,
-		DMAWordCycles:   0, // the DMA engine drains concurrently with reception
-
-		MaxOperands: 16,
-	}
-}
+// The network-interface cost model, in processor cycles and bytes.
+const (
+	describeCycles  = 1  // per descriptor word written to the CMMU
+	launchCycles    = 1  // the atomic launch instruction
+	headerBytes     = 8  // wire overhead per packet
+	interruptEntry  = 5  // cycles to enter a message handler (paper: 5)
+	windowReadCycle = 1  // per packet word examined by the handler
+	storebackSetup  = 2  // per storeback instruction issued
+	maxOperands     = 16 // descriptor limit (paper: 16-word descriptor)
+)
 
 // Region names a block of memory for DMA gather/scatter.
 type Region struct {
@@ -50,9 +34,9 @@ type Region struct {
 	Words uint64
 }
 
-// Descriptor describes an outgoing message: a type, a destination, up to
-// MaxOperands explicit operand words, and any number of address-length
-// pairs whose memory contents are concatenated to the packet.
+// Descriptor describes an outgoing message: a type, a destination, up to 16
+// explicit operand words, and any number of address-length pairs whose
+// memory contents are concatenated to the packet.
 type Descriptor struct {
 	Type    int
 	Dst     int
@@ -85,13 +69,15 @@ type Env struct {
 func (e *Env) Elapse(n uint64) { e.cycles += n }
 
 // ReadOps charges the cost of examining n words in the receive window.
-func (e *Env) ReadOps(n int) { e.cycles += uint64(n) * e.cm.p.WindowReadCycle }
+func (e *Env) ReadOps(n int) { e.cycles += uint64(n) * windowReadCycle }
 
 // Storeback scatters words from the packet body to memory at base,
-// charging storeback-issue plus DMA cycles, and invalidating overlapping
-// lines in the local cache (destination-coherent transfer).
+// charging the storeback issue and the coherence cycles of invalidating
+// overlapping lines in the local cache (destination-coherent transfer).
+// The scattered words themselves cost the handler nothing: the DMA engine
+// drains concurrently with reception.
 func (e *Env) Storeback(base mem.Addr, words []uint64) {
-	e.cycles += e.cm.p.StorebackSetup + uint64(len(words))*e.cm.p.DMAWordCycles
+	e.cycles += storebackSetup
 	e.cycles += e.cm.ctrl.DMAInvalidate(base, uint64(len(words)))
 	for i, w := range words {
 		e.cm.store.Write(base+mem.Addr(i), w)
@@ -119,7 +105,6 @@ type CMMU struct {
 	net      mesh.Network
 	store    *mem.Store
 	ctrl     *mem.Ctrl
-	p        Params
 	st       *stats.Machine // counts, traces and profiles this node's messages
 	handlers map[int]Handler
 
@@ -177,10 +162,10 @@ func (c *CMMU) SetPeers(all []*CMMU) { c.peers = all }
 // which also books the cycles handlers take from the node's processor. st
 // may be nil.
 func New(node int, eng *sim.Engine, net mesh.Network, store *mem.Store,
-	ctrl *mem.Ctrl, p Params, st *stats.Machine) *CMMU {
+	ctrl *mem.Ctrl, st *stats.Machine) *CMMU {
 	return &CMMU{
 		node: node, eng: eng, net: net, store: store, ctrl: ctrl,
-		p: p, st: st, handlers: make(map[int]Handler),
+		st: st, handlers: make(map[int]Handler),
 	}
 }
 
@@ -201,7 +186,7 @@ func (c *CMMU) SendCost(d Descriptor) uint64 { return c.sendCost(d) }
 
 func (c *CMMU) sendCost(d Descriptor) uint64 {
 	words := 1 + len(d.Ops) + 2*len(d.Regions) // dest/type word, operands, addr-len pairs
-	return uint64(words)*c.p.DescribeCycles + c.p.LaunchCycles
+	return uint64(words)*describeCycles + launchCycles
 }
 
 // Send validates and injects a message, departing at time `at` (typically
@@ -211,8 +196,8 @@ func (c *CMMU) sendCost(d Descriptor) uint64 {
 //
 //alewife:engine-only
 func (c *CMMU) Send(d Descriptor, at sim.Time) {
-	if len(d.Ops) > c.p.MaxOperands {
-		panic(fmt.Sprintf("cmmu: %d operands exceeds descriptor limit %d", len(d.Ops), c.p.MaxOperands))
+	if len(d.Ops) > maxOperands {
+		panic(fmt.Sprintf("cmmu: %d operands exceeds descriptor limit %d", len(d.Ops), maxOperands))
 	}
 	if d.Dst < 0 || d.Dst >= c.net.Nodes() {
 		panic(fmt.Sprintf("cmmu: bad destination %d", d.Dst))
@@ -233,7 +218,7 @@ func (c *CMMU) inject(d Descriptor, at sim.Time) {
 			env.Data = append(env.Data, c.store.Read(r.Base+mem.Addr(i)))
 		}
 	}
-	bytes := c.p.HeaderBytes + mem.WordBytes*(len(env.Ops)+len(env.Data))
+	bytes := headerBytes + mem.WordBytes*(len(env.Ops)+len(env.Data))
 	c.st.Add(c.node, stats.MsgWords, int64(len(env.Ops)+len(env.Data)))
 	c.st.Event(c.node, stats.MsgsSent, at, trace.KMsgSend, uint64(d.Type))
 	c.net.SendMsg(c.node, d.Dst, bytes, at+flush, dst, opEnvArrive, uint64(env.id), 0)
@@ -287,7 +272,7 @@ func (c *CMMU) arrive(env *Env) {
 	c.st.Event(c.node, stats.MsgsRecv, now, trace.KMsgRecv, uint64(env.Type))
 	c.Check.handlerStart(c, env.Type)
 	env.cm = c
-	env.cycles = c.p.InterruptEntry
+	env.cycles = interruptEntry
 	h(env)
 	c.Check.handlerEnd(c)
 	total := env.cycles

@@ -245,7 +245,7 @@ func TestDescriptorLimits(t *testing.T) {
 		}
 	}()
 	m.Spawn(0, 0, "s", func(p *machine.Proc) {
-		ops := make([]uint64, 20) // > MaxOperands
+		ops := make([]uint64, 20) // over the 16-operand descriptor limit
 		p.SendMessage(cmmu.Descriptor{Type: mtPing, Dst: 1, Ops: ops})
 	})
 	m.Run()

@@ -22,15 +22,15 @@ import (
 // small:
 //
 //   - every (src,dst) pair numbers its packets with a sequence number,
-//     carried in SeqBytes of extra wire header;
+//     carried in relSeqBytes of extra wire header;
 //   - the receiver delivers strictly in sequence order, parking
-//     out-of-order arrivals in a Window-sized reorder buffer and
+//     out-of-order arrivals in a relWindow-sized reorder buffer and
 //     discarding duplicates and beyond-window arrivals;
 //   - each delivery is acknowledged with a cumulative ack packet (itself
 //     subject to the lossy wires);
 //   - the sender keeps unacknowledged packets and retransmits them —
 //     go-back-N, bounded by the window — when a timeout expires, doubling
-//     the timeout up to BackoffMax; after Retries fruitless rounds the
+//     the timeout up to relBackoffMax; after relRetries fruitless rounds the
 //     pair is declared dead and a violation is reported (the network
 //     analogue of a checker firing).
 //
@@ -47,7 +47,6 @@ import (
 type Reliable struct {
 	eng *sim.Engine
 	net mesh.Network
-	p   RelParams
 	st  *stats.Machine // counts, traces and profiles recovery
 	n   int
 
@@ -61,51 +60,17 @@ type Reliable struct {
 	pairs      []relPair
 }
 
-// RelParams is the reliability sublayer's cost and policy model.
-type RelParams struct {
-	SeqBytes   int    // wire overhead added to every data packet
-	AckBytes   int    // wire size of a cumulative-ack packet
-	Window     int    // dedup/reorder window, in packets, per pair
-	RTO        uint64 // initial retransmit timeout in cycles
-	BackoffMax uint64 // retransmit backoff cap
-	Retries    int    // per-pair retry budget before the pair is declared dead
-}
-
-// DefaultRelParams returns the calibrated policy: a 4-byte sequence header,
-// a window deep enough for any burst the protocol produces, and a timeout
-// comfortably above the mesh's worst contended round trip.
-func DefaultRelParams() RelParams {
-	return RelParams{
-		SeqBytes:   4,
-		AckBytes:   8,
-		Window:     64,
-		RTO:        2048,
-		BackoffMax: 1 << 15,
-		Retries:    12,
-	}
-}
-
-func (p *RelParams) fill() {
-	d := DefaultRelParams()
-	if p.SeqBytes <= 0 {
-		p.SeqBytes = d.SeqBytes
-	}
-	if p.AckBytes <= 0 {
-		p.AckBytes = d.AckBytes
-	}
-	if p.Window <= 0 {
-		p.Window = d.Window
-	}
-	if p.RTO == 0 {
-		p.RTO = d.RTO
-	}
-	if p.BackoffMax < p.RTO {
-		p.BackoffMax = d.BackoffMax
-	}
-	if p.Retries <= 0 {
-		p.Retries = d.Retries
-	}
-}
+// The reliability sublayer's cost and policy model: a 4-byte sequence
+// header, a window deep enough for any burst the protocol produces, and a
+// timeout comfortably above the mesh's worst contended round trip.
+const (
+	relSeqBytes   = 4       // wire overhead added to every data packet
+	relAckBytes   = 8       // wire size of a cumulative-ack packet
+	relWindow     = 64      // dedup/reorder window, in packets, per pair
+	relRTO        = 2048    // initial retransmit timeout in cycles
+	relBackoffMax = 1 << 15 // retransmit backoff cap
+	relRetries    = 12      // per-pair retry budget before the pair is declared dead
+)
 
 // RelFault injects deliberate reliability bugs; each must be caught by a
 // checker (mutation testing of the recovery machinery, joining the
@@ -183,16 +148,12 @@ const (
 	opRelTimer
 )
 
-// NewReliable wraps an unreliable network in the reliability sublayer.
-// Zero-valued RelParams fields take defaults; st may be nil.
-func NewReliable(eng *sim.Engine, inner mesh.Network, p RelParams, st *stats.Machine) *Reliable {
-	p.fill()
+// NewReliable wraps an unreliable network in the reliability sublayer; st
+// may be nil.
+func NewReliable(eng *sim.Engine, inner mesh.Network, st *stats.Machine) *Reliable {
 	n := inner.Nodes()
-	return &Reliable{eng: eng, net: inner, p: p, st: st, n: n, pairs: make([]relPair, n*n)}
+	return &Reliable{eng: eng, net: inner, st: st, n: n, pairs: make([]relPair, n*n)}
 }
-
-// Params returns the effective (default-filled) policy.
-func (r *Reliable) Params() RelParams { return r.p }
 
 // Nodes implements mesh.Network.
 func (r *Reliable) Nodes() int { return r.n }
@@ -216,7 +177,7 @@ func (r *Reliable) SendMsg(src, dst int, bytes int, at sim.Time, s sim.Sink, op 
 	seq := ps.nextSeq
 	ps.nextSeq++
 	ps.pending = append(ps.pending, pendMsg{bytes: bytes, sink: s, op: op, p0: p0, p1: p1})
-	r.net.SendMsg(src, dst, bytes+r.p.SeqBytes, at, r, opRelData, uint64(pair), seq)
+	r.net.SendMsg(src, dst, bytes+relSeqBytes, at, r, opRelData, uint64(pair), seq)
 	r.armTimer(pair, ps, at)
 }
 
@@ -226,7 +187,7 @@ func (r *Reliable) armTimer(pair int, ps *relPair, at sim.Time) {
 		return
 	}
 	if ps.rto == 0 {
-		ps.rto = r.p.RTO
+		ps.rto = relRTO
 	}
 	if now := r.eng.Now(); at < now {
 		at = now
@@ -272,7 +233,7 @@ func (r *Reliable) dataArrive(pair int, seq uint64) {
 		r.sendAck(pair, ps, now)
 		return
 	}
-	if seq >= ps.recvNext+uint64(r.p.Window) {
+	if seq >= ps.recvNext+relWindow {
 		// Beyond the reorder window: unbuffered, the retransmit machinery
 		// will bring it around again once the window has advanced.
 		r.st.Inc(dst, stats.RelWindowDrops)
@@ -280,9 +241,9 @@ func (r *Reliable) dataArrive(pair int, seq uint64) {
 		return
 	}
 	if ps.window == nil {
-		ps.window = make([]relSlot, r.p.Window)
+		ps.window = make([]relSlot, relWindow)
 	}
-	s := &ps.window[seq%uint64(r.p.Window)]
+	s := &ps.window[seq%relWindow]
 	if s.ok && s.seq == seq {
 		// Duplicate of a parked out-of-order packet.
 		r.dupDrop(dst, seq, now)
@@ -293,7 +254,7 @@ func (r *Reliable) dataArrive(pair int, seq uint64) {
 
 	// Deliver the in-order run this arrival completes.
 	for {
-		s := &ps.window[ps.recvNext%uint64(r.p.Window)]
+		s := &ps.window[ps.recvNext%relWindow]
 		if !s.ok || s.seq != ps.recvNext {
 			break
 		}
@@ -320,7 +281,7 @@ func (r *Reliable) sendAck(pair int, ps *relPair, now sim.Time) {
 	}
 	src, dst := r.pairNodes(pair)
 	r.st.Inc(dst, stats.RelAcks)
-	r.net.SendMsg(dst, src, r.p.AckBytes, now, r, opRelAck, uint64(pair), ps.recvNext)
+	r.net.SendMsg(dst, src, relAckBytes, now, r, opRelAck, uint64(pair), ps.recvNext)
 }
 
 // ackArrive runs at an ack's wire-arrival time back at the sender: free
@@ -337,7 +298,7 @@ func (r *Reliable) ackArrive(pair int, cum uint64) {
 	ps.pending = append(ps.pending[:0], ps.pending[k:]...)
 	ps.base += k
 	ps.retries = 0
-	ps.rto = r.p.RTO
+	ps.rto = relRTO
 	ps.gen++ // invalidate the outstanding timer
 	ps.armed = false
 	if len(ps.pending) > 0 {
@@ -363,26 +324,20 @@ func (r *Reliable) timerFire(pair int, gen uint64) {
 		return // mutation: loss detection fires, recovery never does
 	}
 	ps.retries++
-	if ps.retries > r.p.Retries {
+	if ps.retries > relRetries {
 		ps.dead = true
 		r.violate(src, now, "reliable: retry budget (%d) exhausted to n%d: %d unacked from seq %d",
-			r.p.Retries, dst, len(ps.pending), ps.base)
+			relRetries, dst, len(ps.pending), ps.base)
 		return
 	}
 	// Go-back-N, bounded by what the receiver could accept anyway.
-	limit := len(ps.pending)
-	if limit > r.p.Window {
-		limit = r.p.Window
-	}
+	limit := min(len(ps.pending), relWindow)
 	for i := 0; i < limit; i++ {
 		seq := ps.base + uint64(i)
 		r.st.Event(src, stats.RelRetransmits, now, trace.KRetransmit, seq)
-		r.net.SendMsg(src, dst, ps.pending[i].bytes+r.p.SeqBytes, now, r, opRelData, uint64(pair), seq)
+		r.net.SendMsg(src, dst, ps.pending[i].bytes+relSeqBytes, now, r, opRelData, uint64(pair), seq)
 	}
-	ps.rto *= 2
-	if ps.rto > r.p.BackoffMax {
-		ps.rto = r.p.BackoffMax
-	}
+	ps.rto = min(2*ps.rto, relBackoffMax)
 	r.armTimer(pair, ps, now)
 }
 

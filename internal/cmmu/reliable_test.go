@@ -20,12 +20,12 @@ func send(r *Reliable, src, dst, bytes int, at sim.Time, f func()) {
 }
 
 // relHarness is a Reliable over a 2x1 lossy mesh.
-func relHarness(ft *mesh.NetFault, p RelParams) (*sim.Engine, *Reliable, *stats.Machine) {
+func relHarness(ft *mesh.NetFault) (*sim.Engine, *Reliable, *stats.Machine) {
 	eng := sim.NewEngine()
 	mp := mesh.DefaultParams()
 	mp.Fault = ft
 	st := stats.NewMachine(2)
-	r := NewReliable(eng, mesh.New(eng, 2, 1, mp, st), p, st)
+	r := NewReliable(eng, mesh.New(eng, 2, 1, mp, st), st)
 	return eng, r, st
 }
 
@@ -54,7 +54,7 @@ func checkFIFO(t *testing.T, order []int, n int) {
 }
 
 func TestReliableExactlyOnceFIFOUnderLoss(t *testing.T) {
-	eng, r, st := relHarness(&mesh.NetFault{Seed: 11, Drop: 0.1, Dup: 0.1, Reorder: 0.1}, RelParams{})
+	eng, r, st := relHarness(&mesh.NetFault{Seed: 11, Drop: 0.1, Dup: 0.1, Reorder: 0.1})
 	order := sendBurst(eng, r, 300)
 	checkFIFO(t, order, 300)
 	if err := r.Quiesce(); err != nil {
@@ -73,7 +73,7 @@ func TestReliableExactlyOnceFIFOUnderLoss(t *testing.T) {
 }
 
 func TestReliableZeroLossIsQuiet(t *testing.T) {
-	eng, r, st := relHarness(nil, RelParams{})
+	eng, r, st := relHarness(nil)
 	order := sendBurst(eng, r, 100)
 	checkFIFO(t, order, 100)
 	if err := r.Quiesce(); err != nil {
@@ -90,7 +90,7 @@ func TestReliableZeroLossIsQuiet(t *testing.T) {
 }
 
 func TestReliableSendMsgPath(t *testing.T) {
-	eng, r, _ := relHarness(&mesh.NetFault{Seed: 5, Drop: 0.15}, RelParams{})
+	eng, r, _ := relHarness(&mesh.NetFault{Seed: 5, Drop: 0.15})
 	var got []uint64
 	s := sinkFunc(func(op uint32, p0, p1 uint64) { got = append(got, p1) })
 	for i := 0; i < 100; i++ {
@@ -111,7 +111,7 @@ func TestReliableSendMsgPath(t *testing.T) {
 }
 
 func TestReliableDupSuppression(t *testing.T) {
-	eng, r, st := relHarness(&mesh.NetFault{Seed: 9, Dup: 0.5}, RelParams{})
+	eng, r, st := relHarness(&mesh.NetFault{Seed: 9, Dup: 0.5})
 	order := sendBurst(eng, r, 200)
 	checkFIFO(t, order, 200)
 	if st.Global.Get(stats.NetFaultDups) == 0 {
@@ -125,8 +125,7 @@ func TestReliableDupSuppression(t *testing.T) {
 func TestReliableRetryBudgetViolation(t *testing.T) {
 	// A pair whose packets all vanish must exhaust its retry budget and
 	// report a violation rather than spin forever.
-	eng, r, _ := relHarness(&mesh.NetFault{Seed: 1, Drop: 1.0},
-		RelParams{RTO: 64, BackoffMax: 128, Retries: 3})
+	eng, r, st := relHarness(&mesh.NetFault{Seed: 1, Drop: 1.0})
 	var seen []Violation
 	r.OnViolation = func(v Violation) { seen = append(seen, v) }
 	delivered := false
@@ -138,28 +137,34 @@ func TestReliableRetryBudgetViolation(t *testing.T) {
 	if len(seen) != 1 || len(r.Violations()) != 1 {
 		t.Fatalf("violations = %v", r.Violations())
 	}
+	if got := st.Global.Get(stats.RelRetransmits); got != relRetries {
+		t.Fatalf("retransmits = %d, want one per retry (%d)", got, relRetries)
+	}
 	if r.Quiesce() == nil {
 		t.Fatal("quiesce passed with an undelivered packet")
 	}
 }
 
 func TestReliableBackoffDoubles(t *testing.T) {
-	eng, r, st := relHarness(&mesh.NetFault{Seed: 1, Drop: 1.0},
-		RelParams{RTO: 100, BackoffMax: 400, Retries: 4})
+	eng, r, st := relHarness(&mesh.NetFault{Seed: 1, Drop: 1.0})
 	send(r, 0, 1, 16, 0, func() {})
 	eng.Run()
-	// Timeouts at ~100, 300 (100+200), 700, 1100 (cap 400 twice): the run's
-	// final time reflects exponential backoff, not linear retry.
-	if got := st.Global.Get(stats.RelTimeouts); got != 5 {
-		t.Fatalf("timeouts = %d, want 5 (retries 4 + the fatal one)", got)
+	if got := st.Global.Get(stats.RelTimeouts); got != relRetries+1 {
+		t.Fatalf("timeouts = %d, want %d (every retry + the fatal one)", got, relRetries+1)
 	}
-	if eng.Now() < 100+200+400+400+400 {
-		t.Fatalf("run ended at %d: backoff never stretched the timeouts", eng.Now())
+	// Each timeout doubles the next up to the cap, so the run ends at the
+	// sum of the schedule: exponential backoff, not linear retry.
+	var want sim.Time
+	for i, d := 0, uint64(relRTO); i <= relRetries; i, d = i+1, min(2*d, relBackoffMax) {
+		want += d
+	}
+	if eng.Now() != want {
+		t.Fatalf("run ended at %d, want %d from the backoff schedule", eng.Now(), want)
 	}
 }
 
 func TestReliableTraceAndOverlayMetrics(t *testing.T) {
-	eng, r, st := relHarness(&mesh.NetFault{Seed: 11, Drop: 0.2, Dup: 0.2, Reorder: 0.2}, RelParams{})
+	eng, r, st := relHarness(&mesh.NetFault{Seed: 11, Drop: 0.2, Dup: 0.2, Reorder: 0.2})
 	tb := trace.New(1 << 14)
 	st.Trace = tb
 	order := sendBurst(eng, r, 200)
@@ -180,7 +185,7 @@ func TestReliableTraceAndOverlayMetrics(t *testing.T) {
 
 func TestReliableDeterministicUnderLoss(t *testing.T) {
 	run := func() (uint64, sim.Time) {
-		eng, r, st := relHarness(&mesh.NetFault{Seed: 77, Drop: 0.1, Dup: 0.1, Reorder: 0.1}, RelParams{})
+		eng, r, st := relHarness(&mesh.NetFault{Seed: 77, Drop: 0.1, Dup: 0.1, Reorder: 0.1})
 		tb := trace.New(1 << 14)
 		st.Trace = tb
 		sendBurst(eng, r, 200)
@@ -197,7 +202,7 @@ func TestReliableDeterministicUnderLoss(t *testing.T) {
 // caught by the layer's own oracles (the stress suite re-checks these
 // end to end against the protocol checkers).
 func TestReliableFaultDropAckCaught(t *testing.T) {
-	eng, r, _ := relHarness(nil, RelParams{RTO: 64, Retries: 3})
+	eng, r, _ := relHarness(nil)
 	r.Fault = &RelFault{DropAck: true}
 	send(r, 0, 1, 16, 0, func() {})
 	eng.Run()
@@ -207,7 +212,7 @@ func TestReliableFaultDropAckCaught(t *testing.T) {
 }
 
 func TestReliableFaultNoRetransmitCaught(t *testing.T) {
-	eng, r, st := relHarness(&mesh.NetFault{Seed: 1, Drop: 1.0}, RelParams{RTO: 64, Retries: 3})
+	eng, r, st := relHarness(&mesh.NetFault{Seed: 1, Drop: 1.0})
 	r.Fault = &RelFault{NoRetransmit: true}
 	send(r, 0, 1, 16, 0, func() {})
 	eng.Run()
@@ -220,7 +225,7 @@ func TestReliableFaultNoRetransmitCaught(t *testing.T) {
 }
 
 func TestReliableFaultDedupOffByOneCaught(t *testing.T) {
-	eng, r, _ := relHarness(nil, RelParams{RTO: 64, Retries: 3})
+	eng, r, _ := relHarness(nil)
 	r.Fault = &RelFault{DedupOffByOne: true}
 	delivered := false
 	send(r, 0, 1, 16, 0, func() { delivered = true })
@@ -236,7 +241,7 @@ func TestReliableFaultDedupOffByOneCaught(t *testing.T) {
 func TestReliableFaultAcceptStaleCaught(t *testing.T) {
 	// A duplicated wire packet whose original is still unacked must be
 	// delivered twice under AcceptStale — visible as extra payload firings.
-	eng, r, _ := relHarness(&mesh.NetFault{Seed: 9, Dup: 0.5}, RelParams{})
+	eng, r, _ := relHarness(&mesh.NetFault{Seed: 9, Dup: 0.5})
 	r.Fault = &RelFault{AcceptStale: true}
 	fired := 0
 	const n = 200

@@ -28,16 +28,22 @@ const (
 	TopoIdeal                 // contention-free constant latency (ablation)
 )
 
-// Config sizes and parameterizes a machine.
+// ClockMHz is the simulated processor clock (Alewife's 33 MHz Sparcle),
+// for converting cycles to time in reports.
+const ClockMHz = 33
+
+// Config sizes a machine and holds the values experiments vary. The cost
+// model itself is constants in the packages that charge it: mem (caches,
+// directory, LimitLESS traps), mesh (flits, injection, ejection), cmmu
+// (the message unit and the reliability sublayer) and core (the runtime).
 type Config struct {
 	Nodes int
 	// WordsPerNode is the size of each node's address range in 8-byte
-	// words: the most AllocOn hands out on one node. It is not host
-	// memory: the store allocates a page only where a run writes.
+	// words, a power of two: the most AllocOn hands out on one node. It is
+	// not host memory: the store allocates a page only where a run writes.
 	WordsPerNode uint64
-	CacheSets    int
+	CacheSets    int // a power of two
 	CacheWays    int
-	ClockMHz     float64 // for cycle<->µs conversion in reports (Alewife: 33)
 	Topology     Topology
 	// SeqConsistent disables the run-ahead relaxation: every shared-memory
 	// access synchronizes with the global clock first, so cache state is
@@ -45,17 +51,16 @@ type Config struct {
 	// validate that the default weak ordering does not change the results
 	// of properly synchronized programs.
 	SeqConsistent bool
-	Mem           mem.Params
-	Net           mesh.Params
-	CMMU          cmmu.Params
-	// Reliable overrides the reliability sublayer's policy. The sublayer
-	// itself is interposed automatically whenever cfg.Net.Fault can drop,
-	// duplicate or reorder packets (a lossy mesh without recovery would
-	// corrupt the coherence protocol; jitter alone keeps FIFO and needs
-	// none); setting Reliable with a fault-free mesh forces it on anyway,
-	// which is how its overhead is measured in isolation. Nil means: absent
-	// unless faults demand it, defaults when they do.
-	Reliable *cmmu.RelParams
+	// HWPointers is the number of hardware sharer pointers in a LimitLESS
+	// directory entry; a further sharer overflows the entry to software.
+	HWPointers int
+	Net        mesh.Params
+	// Reliable forces the reliability sublayer on over a fault-free mesh,
+	// which is how its overhead is measured in isolation. The sublayer is
+	// interposed automatically whenever Net.Fault can drop, duplicate or
+	// reorder packets (a lossy mesh without recovery would corrupt the
+	// coherence protocol; jitter alone keeps FIFO and needs none).
+	Reliable bool
 }
 
 // DefaultConfig returns the calibrated Alewife-like machine with n nodes.
@@ -65,11 +70,35 @@ func DefaultConfig(n int) Config {
 		WordsPerNode: 1 << 20, // 8 MB of address range per node
 		CacheSets:    2048,    // 2048 sets x 2 ways x 16 B = 64 KB
 		CacheWays:    2,
-		ClockMHz:     33,
-		Mem:          mem.DefaultParams(),
+		HWPointers:   5,
 		Net:          mesh.DefaultParams(),
-		CMMU:         cmmu.DefaultParams(),
 	}
+}
+
+// Validate reports the first value of cfg that cannot build a machine.
+func (cfg Config) Validate() error {
+	pow2 := func(v uint64) bool { return v != 0 && v&(v-1) == 0 }
+	prob := func(p float64) bool { return p >= 0 && p <= 1 } // false for NaN
+	ft := cfg.Net.Fault
+	switch {
+	case cfg.Nodes < 1:
+		return fmt.Errorf("machine: %d nodes, need at least 1", cfg.Nodes)
+	case !pow2(cfg.WordsPerNode) || cfg.WordsPerNode < mem.LineWords:
+		return fmt.Errorf("machine: WordsPerNode %d is not a power of two of at least %d (one line)",
+			cfg.WordsPerNode, mem.LineWords)
+	case cfg.CacheSets < 1 || !pow2(uint64(cfg.CacheSets)):
+		return fmt.Errorf("machine: CacheSets %d is not a positive power of two", cfg.CacheSets)
+	case cfg.CacheWays < 1:
+		return fmt.Errorf("machine: CacheWays %d, need at least 1", cfg.CacheWays)
+	case cfg.HWPointers < 1:
+		return fmt.Errorf("machine: HWPointers %d, need at least 1", cfg.HWPointers)
+	case cfg.Topology < TopoMesh || cfg.Topology > TopoIdeal:
+		return fmt.Errorf("machine: unknown topology %d", cfg.Topology)
+	case ft != nil && !(prob(ft.Drop) && prob(ft.Dup) && prob(ft.Reorder)):
+		return fmt.Errorf("machine: Net.Fault rates drop %v, dup %v, reorder %v are not all probabilities in [0, 1]",
+			ft.Drop, ft.Dup, ft.Reorder)
+	}
+	return nil
 }
 
 // Machine is a full simulated multiprocessor.
@@ -117,10 +146,11 @@ type Node struct {
 	CMMU *cmmu.CMMU
 }
 
-// New builds a machine per cfg.
+// New builds a machine per cfg. It panics with Validate's error when cfg
+// cannot build one.
 func New(cfg Config) *Machine {
-	if cfg.Nodes < 1 {
-		panic("machine: need at least one node")
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	m := &Machine{Cfg: cfg, Eng: sim.NewEngine(), St: stats.NewMachine(cfg.Nodes)}
 	w, h := mesh.Dims(cfg.Nodes)
@@ -128,15 +158,13 @@ func New(cfg Config) *Machine {
 	case TopoTorus:
 		m.Net = mesh.NewTorus(m.Eng, w, h, cfg.Net, m.St)
 	case TopoIdeal:
-		// Keep wire-rate serialization so bulk transfers still take time;
-		// only hops and contention vanish. Faults apply just as on the mesh,
-		// so lossy ablations (and the schedule explorer) work here too.
-		m.Net = &mesh.Ideal{Eng: m.Eng, N: cfg.Nodes, Latency: 10,
-			BytesPerCycle: cfg.Net.FlitBytes, St: m.St, Fault: cfg.Net.Fault}
+		// Faults apply just as on the mesh, so lossy ablations (and the
+		// schedule explorer) work here too.
+		m.Net = &mesh.Ideal{Eng: m.Eng, N: cfg.Nodes, St: m.St, Fault: cfg.Net.Fault}
 	default:
 		m.Net = mesh.New(m.Eng, w, h, cfg.Net, m.St)
 	}
-	if cfg.Net.Fault.Lossy() || cfg.Reliable != nil {
+	if cfg.Net.Fault.Lossy() || cfg.Reliable {
 		// Interpose the reliability sublayer: every consumer above — the
 		// coherence fabric as much as the message unit — sends through
 		// m.Net, so wrapping it here restores exactly-once FIFO delivery
@@ -144,20 +172,16 @@ func New(cfg Config) *Machine {
 		// Reliable, the layer is absent: a fault-free data path is
 		// byte-identical to a machine built before it existed, and a
 		// jitter-only run drives the raw protocol.
-		rp := cmmu.DefaultRelParams()
-		if cfg.Reliable != nil {
-			rp = *cfg.Reliable
-		}
-		m.Rel = cmmu.NewReliable(m.Eng, m.Net, rp, m.St)
+		m.Rel = cmmu.NewReliable(m.Eng, m.Net, m.St)
 		m.Net = m.Rel
 	}
 	m.Store = mem.NewStore(cfg.Nodes, cfg.WordsPerNode)
-	m.Fab = mem.NewFabric(m.Eng, m.Net, m.Store, cfg.Mem, m.St, cfg.CacheSets, cfg.CacheWays)
+	m.Fab = mem.NewFabric(m.Eng, m.Net, m.Store, cfg.HWPointers, m.St, cfg.CacheSets, cfg.CacheWays)
 	m.Nodes = make([]*Node, cfg.Nodes)
 	ifaces := make([]*cmmu.CMMU, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
 		n := &Node{ID: i, M: m, Ctrl: m.Fab.Ctrls[i]}
-		n.CMMU = cmmu.New(i, m.Eng, m.Net, m.Store, n.Ctrl, cfg.CMMU, m.St)
+		n.CMMU = cmmu.New(i, m.Eng, m.Net, m.Store, n.Ctrl, m.St)
 		ifaces[i] = n.CMMU
 		m.Nodes[i] = n
 	}
@@ -180,9 +204,9 @@ func (m *Machine) Run() {
 	}
 }
 
-// Cycles converts a cycle count to microseconds at the configured clock.
+// Micros converts a cycle count to microseconds at ClockMHz.
 func (m *Machine) Micros(cycles uint64) float64 {
-	return float64(cycles) / m.Cfg.ClockMHz
+	return float64(cycles) / ClockMHz
 }
 
 // Spawn starts body on node's processor at time `at` and returns its Proc.

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"alewife/internal/cmmu"
 	"alewife/internal/machine"
 	"alewife/internal/mem"
 	"alewife/internal/mesh"
@@ -83,8 +82,8 @@ func TestHitsAreRunAhead(t *testing.T) {
 	if hitLat >= missLat {
 		t.Fatalf("10 hits (%d) cost as much as one miss (%d)", hitLat, missLat)
 	}
-	if hitLat != 10*m.Cfg.Mem.CacheHit {
-		t.Fatalf("hit cost %d, want %d", hitLat, 10*m.Cfg.Mem.CacheHit)
+	if hitLat != 10*mem.CacheHit {
+		t.Fatalf("hit cost %d, want %d", hitLat, 10*mem.CacheHit)
 	}
 }
 
@@ -333,7 +332,7 @@ func TestReliableInterposition(t *testing.T) {
 			cfg.Topology = topo
 			cfg.Net.Fault = tc.fault
 			if tc.reliable {
-				cfg.Reliable = &cmmu.RelParams{}
+				cfg.Reliable = true
 			}
 			m := machine.New(cfg)
 			if got := m.Rel != nil; got != tc.want {

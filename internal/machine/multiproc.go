@@ -143,7 +143,7 @@ func (c *MPContext) Read(a mem.Addr) uint64 {
 			c.stall(tk)
 		}
 	}
-	c.P.Elapse(c.P.mp().CacheHit)
+	c.P.Elapse(mem.CacheHit)
 	return c.P.Store().Read(a)
 }
 
@@ -154,7 +154,7 @@ func (c *MPContext) Write(a mem.Addr, v uint64) {
 			c.stall(tk)
 		}
 	}
-	c.P.Elapse(c.P.mp().CacheHit)
+	c.P.Elapse(mem.CacheHit)
 	c.P.Store().Write(a, v)
 }
 

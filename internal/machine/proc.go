@@ -45,9 +45,6 @@ type Proc struct {
 	entry func(*sim.Context)
 }
 
-// mp returns the memory cost model.
-func (p *Proc) mp() *mem.Params { return &p.Node.M.Cfg.Mem }
-
 // Elapse charges n cycles of local computation.
 func (p *Proc) Elapse(n uint64) { p.ahead += n }
 
@@ -158,15 +155,15 @@ func (p *Proc) sync() {
 func (p *Proc) Read(a mem.Addr) uint64 {
 	p.sync()
 	if p.Node.Ctrl.FastRead(a) {
-		p.ahead += p.mp().CacheHit
-		p.aheadHit += p.mp().CacheHit
+		p.ahead += mem.CacheHit
+		p.aheadHit += mem.CacheHit
 		return p.Node.M.Store.Read(a)
 	}
 	p.Flush()
 	p.Node.Ctrl.Read(p.Ctx, a)
-	p.ahead += p.mp().FillToUse + p.mp().CacheHit
-	p.aheadMiss += p.mp().FillToUse
-	p.aheadHit += p.mp().CacheHit
+	p.ahead += mem.FillToUse + mem.CacheHit
+	p.aheadMiss += mem.FillToUse
+	p.aheadHit += mem.CacheHit
 	return p.Node.M.Store.Read(a)
 }
 
@@ -174,16 +171,16 @@ func (p *Proc) Read(a mem.Addr) uint64 {
 func (p *Proc) Write(a mem.Addr, v uint64) {
 	p.sync()
 	if p.Node.Ctrl.FastWrite(a) {
-		p.ahead += p.mp().CacheHit
-		p.aheadHit += p.mp().CacheHit
+		p.ahead += mem.CacheHit
+		p.aheadHit += mem.CacheHit
 		p.Node.M.Store.Write(a, v)
 		return
 	}
 	p.Flush()
 	p.Node.Ctrl.Write(p.Ctx, a)
-	p.ahead += p.mp().FillToUse + p.mp().CacheHit
-	p.aheadMiss += p.mp().FillToUse
-	p.aheadHit += p.mp().CacheHit
+	p.ahead += mem.FillToUse + mem.CacheHit
+	p.aheadMiss += mem.FillToUse
+	p.aheadHit += mem.CacheHit
 	p.Node.M.Store.Write(a, v)
 }
 
@@ -208,8 +205,8 @@ func (p *Proc) FetchAdd(a mem.Addr, delta uint64) uint64 {
 	p.Node.Ctrl.AcquireExclusive(p.Ctx, a)
 	old := p.Node.M.Store.Read(a)
 	p.Node.M.Store.Write(a, old+delta)
-	p.ahead += 2 * p.mp().CacheHit
-	p.aheadHit += 2 * p.mp().CacheHit
+	p.ahead += 2 * mem.CacheHit
+	p.aheadHit += 2 * mem.CacheHit
 	return old
 }
 
@@ -219,8 +216,8 @@ func (p *Proc) CompareSwap(a mem.Addr, old, new uint64) bool {
 	p.Flush()
 	p.Node.Ctrl.AcquireExclusive(p.Ctx, a)
 	cur := p.Node.M.Store.Read(a)
-	p.ahead += 2 * p.mp().CacheHit
-	p.aheadHit += 2 * p.mp().CacheHit
+	p.ahead += 2 * mem.CacheHit
+	p.aheadHit += 2 * mem.CacheHit
 	if cur != old {
 		return false
 	}
@@ -235,8 +232,8 @@ func (p *Proc) TestSet(a mem.Addr) uint64 {
 	p.Node.Ctrl.AcquireExclusive(p.Ctx, a)
 	old := p.Node.M.Store.Read(a)
 	p.Node.M.Store.Write(a, 1)
-	p.ahead += 2 * p.mp().CacheHit
-	p.aheadHit += 2 * p.mp().CacheHit
+	p.ahead += 2 * mem.CacheHit
+	p.aheadHit += 2 * mem.CacheHit
 	return old
 }
 

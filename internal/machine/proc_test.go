@@ -101,7 +101,7 @@ func TestPrefetchExclusiveViaProc(t *testing.T) {
 		s := p.Now()
 		p.Write(a, 5)
 		p.Flush()
-		if p.Now()-s > m.Cfg.Mem.CacheHit {
+		if p.Now()-s > mem.CacheHit {
 			t.Errorf("write after exclusive prefetch cost %d", p.Now()-s)
 		}
 	})

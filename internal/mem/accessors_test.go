@@ -139,8 +139,8 @@ func TestStartMissPrefetchPenaltyGate(t *testing.T) {
 			t.Fatal("penalized write reported a free hit")
 		}
 		tk.Wait(c)
-		if c.Now()-s != h.fab.P.PrefetchWritePenalty {
-			t.Fatalf("penalty ticket waited %d, want %d", c.Now()-s, h.fab.P.PrefetchWritePenalty)
+		if c.Now()-s != prefetchWritePenalty {
+			t.Fatalf("penalty ticket waited %d, want %d", c.Now()-s, prefetchWritePenalty)
 		}
 	})
 }

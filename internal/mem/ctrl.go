@@ -17,7 +17,6 @@ type Fabric struct {
 	Eng   *sim.Engine
 	Net   mesh.Network
 	Store *Store
-	P     Params
 	// St counts protocol events, records them in its trace and charges
 	// directory/memory pipeline occupancy to the home node's DirPipeline
 	// overlay bucket.
@@ -29,13 +28,17 @@ type Fabric struct {
 	// Fault, when non-nil, injects deliberate protocol mutations; used only
 	// by the stress harness and the checker's regression tests.
 	Fault *Fault
+
+	// hwPointers is the number of hardware sharer pointers in a LimitLESS
+	// directory entry; a further sharer overflows the entry to software.
+	hwPointers int
 }
 
-// NewFabric wires up n controllers over the given network and store.
-// st may be nil.
-func NewFabric(eng *sim.Engine, net mesh.Network, store *Store, p Params,
+// NewFabric wires up n controllers over the given network and store, with
+// hwPointers hardware sharer pointers per directory entry. st may be nil.
+func NewFabric(eng *sim.Engine, net mesh.Network, store *Store, hwPointers int,
 	st *stats.Machine, cacheSets, cacheWays int) *Fabric {
-	f := &Fabric{Eng: eng, Net: net, Store: store, P: p, St: st}
+	f := &Fabric{Eng: eng, Net: net, Store: store, St: st, hwPointers: hwPointers}
 	n := net.Nodes()
 	f.Ctrls = make([]*Ctrl, n)
 	for i := 0; i < n; i++ {
@@ -44,7 +47,7 @@ func NewFabric(eng *sim.Engine, net mesh.Network, store *Store, p Params,
 			node:  i,
 			cache: NewCache(cacheSets, cacheWays),
 			dir:   dirTab{base: Addr(uint64(i) * store.wordsPer)},
-			txns:  make([]*txn, 0, p.TxnLimit),
+			txns:  make([]*txn, 0, txnLimit),
 		}
 	}
 	return f
@@ -174,7 +177,7 @@ type Ctrl struct {
 	dir       dirTab
 	dirFreeAt sim.Time // memory/directory occupancy
 
-	// Outstanding requests from this node: at most TxnLimit live records,
+	// Outstanding requests from this node: at most txnLimit live records,
 	// linear-scanned (the limit is tiny), recycled through txnFree.
 	txns    []*txn
 	txnFree *txn
@@ -220,7 +223,7 @@ func (c *Ctrl) DirInfo(a Addr) (state string, sharers int, owner int, overflow b
 func (c *Ctrl) home(a Addr) int { return c.f.Store.Home(a) }
 
 // findTxn returns the outstanding transaction for line, if any. The active
-// list holds at most TxnLimit records, so a linear scan beats any hashing.
+// list holds at most txnLimit records, so a linear scan beats any hashing.
 func (c *Ctrl) findTxn(line Addr) *txn {
 	for _, t := range c.txns {
 		if t.line == line {
@@ -337,7 +340,7 @@ func (tk FillTicket) Wait(ctx *sim.Context) {
 		ctx.WaitUntil(tk.at)
 	case tkFull:
 		c := tk.c
-		for len(c.txns) >= c.f.P.TxnLimit {
+		for len(c.txns) >= txnLimit {
 			c.txnFreedArmed = true
 			c.txnFreed.Wait(ctx)
 		}
@@ -366,13 +369,13 @@ func (c *Ctrl) StartMiss(a Addr, want LState) FillTicket {
 			// re-issue the write after the penalty (Alewife
 			// prefetch-then-write artifact).
 			c.cache.SetPrefetched(a, false)
-			return FillTicket{kind: tkPenalty, at: c.f.Eng.Now() + c.f.P.PrefetchWritePenalty}
+			return FillTicket{kind: tkPenalty, at: c.f.Eng.Now() + prefetchWritePenalty}
 		}
 	} else {
 		c.f.St.Inc(c.node, stats.CacheMisses)
 	}
 	line := a.Line()
-	if len(c.txns) >= c.f.P.TxnLimit && c.findTxn(line) == nil {
+	if len(c.txns) >= txnLimit && c.findTxn(line) == nil {
 		// The miss is counted here once, however long the ticket waits.
 		return FillTicket{kind: tkFull, c: c, a: a, want: want}
 	}
@@ -411,7 +414,7 @@ func (c *Ctrl) Prefetch(a Addr, excl bool) {
 	if c.findTxn(line) != nil {
 		return // already in flight
 	}
-	if len(c.txns) >= c.f.P.TxnLimit {
+	if len(c.txns) >= txnLimit {
 		return // buffer full: drop
 	}
 	c.f.St.Inc(c.node, stats.Prefetches)
@@ -439,10 +442,10 @@ func (c *Ctrl) start(line Addr, want LState, prefetch bool) *txn {
 	if h == c.node {
 		// Local miss: no network; straight into the directory pipeline
 		// after the requester-side issue cost.
-		eng.AtSink(eng.Now()+c.f.P.LocalMiss, c.f, op, uint64(line), uint64(c.node))
+		eng.AtSink(eng.Now()+localMiss, c.f, op, uint64(line), uint64(c.node))
 	} else {
 		c.f.St.Inc(c.node, stats.ProtoMsgs)
-		c.f.Net.SendMsg(c.node, h, c.f.P.ReqBytes, eng.Now()+c.f.P.LocalMiss,
+		c.f.Net.SendMsg(c.node, h, reqBytes, eng.Now()+localMiss,
 			c.f, op, uint64(line), uint64(c.node))
 	}
 	return t
@@ -498,7 +501,7 @@ func (c *Ctrl) writeback(line Addr) {
 		return
 	}
 	c.f.St.Inc(c.node, stats.ProtoMsgs)
-	c.f.Net.SendMsg(c.node, h, c.f.P.DataBytes, c.f.Eng.Now(),
+	c.f.Net.SendMsg(c.node, h, dataBytes, c.f.Eng.Now(),
 		c.f, opWB|uint32(h)<<opNodeShift, uint64(line), uint64(c.node))
 }
 
@@ -516,8 +519,8 @@ func (c *Ctrl) reqArrive(line Addr, from int, write bool) {
 	if e.overflow {
 		// LimitLESS: an overflowed entry is handled entirely in software —
 		// every request on it traps the home processor.
-		c.f.steal(c.node, c.f.P.TrapCycles)
-		c.dirFreeAt += c.f.P.TrapCycles
+		c.f.steal(c.node, trapCycles)
+		c.dirFreeAt += trapCycles
 	}
 	switch e.state {
 	case dPendR, dPendW, dPendInv:
@@ -542,14 +545,14 @@ func (c *Ctrl) serveRead(line Addr, e *dirEntry, from int) {
 	case dIdle:
 		sw := c.addSharer(e, from)
 		e.state = dShared
-		c.occupyOp(c.f.P.DirCycles+c.f.P.MemCycles+sw, opDirGrant|flagData, line, from)
+		c.occupyOp(dirCycles+memCycles+sw, opDirGrant|flagData, line, from)
 	case dShared:
 		sw := c.addSharer(e, from)
-		c.occupyOp(c.f.P.DirCycles+c.f.P.MemCycles+sw, opDirGrant|flagData, line, from)
+		c.occupyOp(dirCycles+memCycles+sw, opDirGrant|flagData, line, from)
 	case dExcl:
 		e.state = dPendR
 		e.pendFrom = int32(from)
-		c.occupyOp(c.f.P.DirCycles, opDirRecall, line, int(e.owner))
+		c.occupyOp(dirCycles, opDirRecall, line, int(e.owner))
 	default:
 		panic("mem: serveRead on transient entry")
 	}
@@ -567,7 +570,7 @@ func (c *Ctrl) serveWrite(line Addr, e *dirEntry, from int) {
 		}
 		e.sharers = e.sharers[:0]
 		e.overflow = false
-		c.occupyOp(c.f.P.DirCycles+c.f.P.MemCycles, opDirGrant|flagExcl|flagData, line, from)
+		c.occupyOp(dirCycles+memCycles, opDirGrant|flagExcl|flagData, line, from)
 	case dShared:
 		// Invalidate every sharer except the writer; grant when acked.
 		targets := 0
@@ -582,13 +585,13 @@ func (c *Ctrl) serveWrite(line Addr, e *dirEntry, from int) {
 			e.owner = int32(from)
 			e.sharers = e.sharers[:0]
 			e.overflow = false
-			c.occupyOp(c.f.P.DirCycles, opDirGrant|flagExcl, line, from)
+			c.occupyOp(dirCycles, opDirGrant|flagExcl, line, from)
 			return
 		}
 		sw := uint64(0)
 		if e.overflow {
 			// Software walks the overflowed sharer list.
-			sw = uint64(targets) * c.f.P.SWInvalCycles
+			sw = uint64(targets) * swInvalCycles
 			c.f.steal(c.node, sw)
 		}
 		hadLine := e.hasSharer(from)
@@ -603,11 +606,11 @@ func (c *Ctrl) serveWrite(line Addr, e *dirEntry, from int) {
 		c.f.St.Inc(c.node, stats.ProtoInvals)
 		// The fan-out recomputes its target list (sharers minus pendFrom) at
 		// slot-start; dPendInv freezes the sharer list until then.
-		c.occupyOp(c.f.P.DirCycles+sw, opDirFanout, line, 0)
+		c.occupyOp(dirCycles+sw, opDirFanout, line, 0)
 	case dExcl:
 		e.state = dPendW
 		e.pendFrom = int32(from)
-		c.occupyOp(c.f.P.DirCycles, opDirRecall|flagWrite, line, int(e.owner))
+		c.occupyOp(dirCycles, opDirRecall|flagWrite, line, int(e.owner))
 	default:
 		panic("mem: serveWrite on transient entry")
 	}
@@ -625,7 +628,7 @@ func (c *Ctrl) addSharer(e *dirEntry, n int) (sw uint64) {
 		return 0
 	}
 	e.sharers = append(e.sharers, n)
-	if len(e.sharers) <= c.f.P.HWPointers {
+	if len(e.sharers) <= c.f.hwPointers {
 		return 0
 	}
 	if !e.overflow {
@@ -635,21 +638,21 @@ func (c *Ctrl) addSharer(e *dirEntry, n int) (sw uint64) {
 			e.ovReserved = true
 			c.f.Store.AllocOn(c.node, uint64(c.f.Net.Nodes()))
 		}
-		sw = c.f.P.TrapCycles + uint64(len(e.sharers))*c.f.P.SWInvalCycles
+		sw = trapCycles + uint64(len(e.sharers))*swInvalCycles
 		c.f.steal(c.node, sw)
 		return sw
 	}
 	// Already in software: one trap per insert.
-	sw = c.f.P.TrapCycles
+	sw = trapCycles
 	c.f.steal(c.node, sw)
 	return sw
 }
 
 // sendGrant delivers a fill/upgrade grant to the requester at time `at`.
 func (c *Ctrl) sendGrant(line Addr, to int, st LState, withData bool, at sim.Time) {
-	bytes := c.f.P.CtlBytes
+	bytes := ctlBytes
 	if withData {
-		bytes = c.f.P.DataBytes
+		bytes = dataBytes
 	}
 	op := opGrant | uint32(to)<<opNodeShift
 	if st == Exclusive {
@@ -677,7 +680,7 @@ func (c *Ctrl) invArrive(line Addr) {
 		return
 	}
 	c.f.St.Inc(c.node, stats.ProtoMsgs)
-	c.f.Net.SendMsg(c.node, h, c.f.P.CtlBytes, c.f.Eng.Now(),
+	c.f.Net.SendMsg(c.node, h, ctlBytes, c.f.Eng.Now(),
 		c.f, opInvAck|uint32(h)<<opNodeShift, uint64(line), uint64(c.node))
 }
 
@@ -699,10 +702,10 @@ func (c *Ctrl) invAckArrive(line Addr, from int) {
 	e.owner = e.pendFrom
 	e.sharers = e.sharers[:0]
 	e.overflow = false
-	busy := c.f.P.DirCycles
+	busy := uint64(dirCycles)
 	op := opDirGrant | flagExcl
 	if withData {
-		busy += c.f.P.MemCycles
+		busy += memCycles
 		op |= flagData
 	}
 	c.occupyOp(busy, op, line, to)
@@ -732,7 +735,7 @@ func (c *Ctrl) recallArrive(line Addr, forWrite bool) {
 		return
 	}
 	c.f.St.Inc(c.node, stats.ProtoMsgs)
-	c.f.Net.SendMsg(c.node, h, c.f.P.DataBytes, c.f.Eng.Now(),
+	c.f.Net.SendMsg(c.node, h, dataBytes, c.f.Eng.Now(),
 		c.f, opRecallData|uint32(h)<<opNodeShift, uint64(line), uint64(c.node))
 }
 
@@ -749,14 +752,14 @@ func (c *Ctrl) recallDataArrive(line Addr, from int) {
 		e.sharers = append(e.sharers, from)
 		sw := c.addSharer(e, to)
 		e.owner = -1
-		c.occupyOp(c.f.P.DirCycles+c.f.P.MemCycles+sw, opDirGrant|flagData, line, to)
+		c.occupyOp(dirCycles+memCycles+sw, opDirGrant|flagData, line, to)
 	case dPendW:
 		to := int(e.pendFrom)
 		e.state = dExcl
 		e.owner = e.pendFrom
 		e.sharers = e.sharers[:0]
 		e.overflow = false
-		c.occupyOp(c.f.P.DirCycles+c.f.P.MemCycles, opDirGrant|flagExcl|flagData, line, to)
+		c.occupyOp(dirCycles+memCycles, opDirGrant|flagExcl|flagData, line, to)
 	default:
 		panic(fmt.Sprintf("mem: recall data for %#x in state %d", uint64(line), e.state))
 	}
@@ -778,7 +781,7 @@ func (c *Ctrl) wbArrive(line Addr, from int) {
 			e.state = dShared
 		}
 		e.owner = -1
-		c.occupyOp(c.f.P.MemCycles, opDirNop, line, 0)
+		c.occupyOp(memCycles, opDirNop, line, 0)
 		c.settle(line)
 		c.f.Check.event(trace.KWriteback, c.node, line)
 	case dPendR, dPendW:

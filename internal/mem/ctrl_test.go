@@ -21,7 +21,7 @@ func newHarness(n int) *harness {
 	st := stats.NewMachine(n)
 	net := mesh.New(eng, w, h, mesh.DefaultParams(), st)
 	store := NewStore(n, 1<<12)
-	fab := NewFabric(eng, net, store, DefaultParams(), st, 64, 2)
+	fab := NewFabric(eng, net, store, 5, st, 64, 2)
 	return &harness{eng: eng, fab: fab, st: st}
 }
 
@@ -56,8 +56,8 @@ func TestLocalReadMiss(t *testing.T) {
 	if ds != "shared" || n != 1 {
 		t.Fatalf("dir = %s/%d, want shared/1", ds, n)
 	}
-	if latency == 0 || latency > 30 {
-		t.Fatalf("local miss latency %d cycles implausible", latency)
+	if want := idleMissCycles(0); latency != want {
+		t.Fatalf("local miss latency %d cycles, want %d", latency, want)
 	}
 }
 
@@ -65,27 +65,69 @@ func TestRemoteReadMiss(t *testing.T) {
 	h := newHarness(4)
 	a := h.fab.Store.AllocOn(3, 4)
 	h.fab.Store.Write(a, 0xbeef)
-	var localLat, remoteLat sim.Time
+	var latency sim.Time
 	h.run(t, func(c *sim.Context) {
 		start := c.Now()
 		h.fab.Ctrls[0].Read(c, a)
-		remoteLat = c.Now() - start
+		latency = c.Now() - start
 	})
-	h2 := newHarness(4)
-	a2 := h2.fab.Store.AllocOn(0, 4)
-	h2.run(t, func(c *sim.Context) {
-		start := c.Now()
-		h2.fab.Ctrls[0].Read(c, a2)
-		localLat = c.Now() - start
-	})
-	if remoteLat <= localLat {
-		t.Fatalf("remote miss (%d) not slower than local (%d)", remoteLat, localLat)
-	}
-	if remoteLat > 100 {
-		t.Fatalf("remote clean miss %d cycles implausibly slow", remoteLat)
+	if want := idleMissCycles(h.fab.Net.Dist(0, 3)); latency != want {
+		t.Fatalf("remote miss latency %d cycles, want %d", latency, want)
 	}
 	if got := h.fab.Store.Read(a); got != 0xbeef {
 		t.Fatalf("value corrupted: %#x", got)
+	}
+}
+
+// idleMissCycles is the closed form of a clean miss on an idle machine
+// whose home is d hops from the requester, as a sum of the cost constants:
+// the requester's issue cost, the request packet, the home's directory and
+// memory occupancy, and the data grant back. A local miss (d = 0) sends no
+// packet.
+func idleMissCycles(d int) sim.Time {
+	if d == 0 {
+		return localMiss + dirCycles + memCycles
+	}
+	packet := func(bytes int) sim.Time {
+		flits := uint64((bytes + mesh.FlitBytes - 1) / mesh.FlitBytes)
+		return mesh.InjectDelay + uint64(d)*mesh.DefaultParams().RouterDelay + flits*mesh.FlitCycles + mesh.EjectDelay
+	}
+	return localMiss + packet(reqBytes) + dirCycles + memCycles + packet(dataBytes)
+}
+
+// A read or write miss to a clean line on an idle machine costs exactly
+// idleMissCycles for its home's distance, on every mesh size: a cost term
+// the constants do not name fails it.
+func TestIdleMissLatencyClosedForm(t *testing.T) {
+	for _, nodes := range []int{4, 16, 64} {
+		for _, d := range []int{0, 1, 2, 6, 14} {
+			for _, write := range []bool{false, true} {
+				h := newHarness(nodes)
+				home := -1
+				for n := 0; n < nodes && home < 0; n++ {
+					if h.fab.Net.Dist(0, n) == d {
+						home = n
+					}
+				}
+				if home < 0 {
+					continue // no node that far on this mesh
+				}
+				a := h.fab.Store.AllocOn(home, 4)
+				var lat sim.Time
+				h.run(t, func(c *sim.Context) {
+					start := c.Now()
+					if write {
+						h.fab.Ctrls[0].Write(c, a)
+					} else {
+						h.fab.Ctrls[0].Read(c, a)
+					}
+					lat = c.Now() - start
+				})
+				if want := idleMissCycles(d); lat != want {
+					t.Errorf("%d nodes, d=%d, write=%v: miss took %d cycles, want %d", nodes, d, write, lat, want)
+				}
+			}
+		}
 	}
 }
 
@@ -258,7 +300,7 @@ func TestLimitLESSOverflow(t *testing.T) {
 	h.run(t, bodies...)
 	_, n, _, overflow := h.fab.Ctrls[0].DirInfo(a)
 	if n != 8 || !overflow {
-		t.Fatalf("dir sharers=%d overflow=%v, want 8/true (HWPointers=5)", n, overflow)
+		t.Fatalf("dir sharers=%d overflow=%v, want 8/true (5 hardware pointers)", n, overflow)
 	}
 	if h.st.Global.Get(stats.DirOverflows) != 1 {
 		t.Fatalf("overflow events = %d, want 1", h.st.Global.Get(stats.DirOverflows))
@@ -375,12 +417,12 @@ func TestPrefetchDroppedWhenBufferFull(t *testing.T) {
 	h := newHarness(4)
 	base := h.fab.Store.AllocOn(3, 64)
 	h.run(t, func(c *sim.Context) {
-		for i := 0; i < 6; i++ { // TxnLimit is 4
+		for i := 0; i < txnLimit+2; i++ {
 			h.fab.Ctrls[0].Prefetch(base+Addr(i*LineWords), false)
 		}
 	})
-	if got := h.st.Global.Get(stats.Prefetches); got != 4 {
-		t.Fatalf("accepted prefetches = %d, want 4 (TxnLimit)", got)
+	if got := h.st.Global.Get(stats.Prefetches); got != txnLimit {
+		t.Fatalf("accepted prefetches = %d, want %d (txnLimit)", got, txnLimit)
 	}
 }
 

@@ -14,7 +14,7 @@ import "alewife/internal/trace"
 func (c *Ctrl) DMAFlush(base Addr, words uint64) (cycles uint64) {
 	for line := base.Line(); line < base+Addr(words); line += LineWords {
 		if c.cache.State(line) == Exclusive {
-			cycles += c.f.P.MemCycles
+			cycles += memCycles
 		}
 	}
 	return cycles
@@ -34,7 +34,7 @@ func (c *Ctrl) DMAInvalidate(base Addr, words uint64) (cycles uint64) {
 		case Exclusive:
 			c.cache.SetState(line, Invalid)
 			c.writeback(line)
-			cycles += c.f.P.MemCycles
+			cycles += memCycles
 			c.f.Check.event(trace.KInval, c.node, line)
 		}
 	}

@@ -51,9 +51,9 @@ func TestMissPathAccounting(t *testing.T) {
 		if want := (missCounts{upgrades: 2}); preN != want {
 			t.Errorf("write after a shared prefetch counted %+v, want %+v", preN, want)
 		}
-		if preLat-plainLat != h.fab.P.PrefetchWritePenalty {
+		if preLat-plainLat != prefetchWritePenalty {
 			t.Errorf("write after a shared prefetch took %d cycles, a plain upgrade %d: want a difference of %d",
-				preLat, plainLat, h.fab.P.PrefetchWritePenalty)
+				preLat, plainLat, prefetchWritePenalty)
 		}
 	})
 
@@ -65,9 +65,8 @@ func TestMissPathAccounting(t *testing.T) {
 		// no miss, because it is counted once, when it first probes.
 		h := newHarness(64)
 		ctrl := h.fab.Ctrls[0]
-		p := h.fab.P
 		x := h.fab.Store.AllocOn(1, 4)
-		far := make([]Addr, p.TxnLimit)
+		far := make([]Addr, txnLimit)
 		for i := range far {
 			far[i] = h.fab.Store.AllocOn(63, 4)
 		}
@@ -80,7 +79,7 @@ func TestMissPathAccounting(t *testing.T) {
 				for _, a := range far {
 					ctrl.Prefetch(a, false)
 				}
-				if len(ctrl.txns) != p.TxnLimit || ctrl.LineState(x) != Shared {
+				if len(ctrl.txns) != txnLimit || ctrl.LineState(x) != Shared {
 					t.Errorf("before the write: %d transactions, line %v; want a full buffer and Shared",
 						len(ctrl.txns), ctrl.LineState(x))
 					return
@@ -94,7 +93,7 @@ func TestMissPathAccounting(t *testing.T) {
 				c.WaitUntil(105)
 				h.fab.Ctrls[1].Write(c, x)
 				taken = c.Now()
-				if ctrl.LineState(x) != Invalid || ctrl.findTxn(x) != nil || len(ctrl.txns) != p.TxnLimit {
+				if ctrl.LineState(x) != Invalid || ctrl.findTxn(x) != nil || len(ctrl.txns) != txnLimit {
 					t.Errorf("when node 1 took the line, node 0 held it %v with %d transactions: want it invalidated while node 0 waited on a full buffer",
 						ctrl.LineState(x), len(ctrl.txns))
 				}
@@ -120,10 +119,9 @@ func TestMissPathAccounting(t *testing.T) {
 		// line's owner until a writeback that never comes.
 		h := newHarness(64)
 		ctrl := h.fab.Ctrls[0]
-		p := h.fab.P
 		x := h.fab.Store.AllocOn(0, 4)
 		pre := []Addr{h.fab.Store.AllocOn(0, 4)}
-		for len(pre) < p.TxnLimit {
+		for len(pre) < txnLimit {
 			pre = append(pre, h.fab.Store.AllocOn(63, 4))
 		}
 		done := 0

@@ -1,54 +1,38 @@
 package mem
 
-// Params is the memory-system cost model, in processor cycles. Defaults are
+// The memory-system cost model, in processor cycles. The values are
 // calibrated so that the latencies the Alewife papers report (roughly
 // 10-cycle local miss, ~40-cycle clean remote miss at small machine sizes,
 // 5-cycle message-handler entry elsewhere) come out of the composed model.
-type Params struct {
-	CacheHit  uint64 // charge per hit access (load or store)
-	DirCycles uint64 // directory lookup/update occupancy at the home
-	MemCycles uint64 // DRAM access at the home (read for grant, write for WB)
-	LocalMiss uint64 // extra requester-side cycles to start/finish any miss
-	FillToUse uint64 // cycles from fill completion to the stalled access retiring
+// The only memory parameter experiments vary, the LimitLESS hardware
+// pointer count, is NewFabric's hwPointers argument.
+const (
+	CacheHit  = 1 // charge per hit access (load or store)
+	FillToUse = 1 // cycles from fill completion to the stalled access retiring
 
-	// LimitLESS directory.
-	HWPointers    int    // hardware sharer pointers before software overflow
-	TrapCycles    uint64 // software trap cost at the home on overflow insert
-	SWInvalCycles uint64 // per-sharer software cost invalidating an overflowed entry
+	dirCycles = 3 // directory lookup/update occupancy at the home
+	memCycles = 6 // DRAM access at the home (read for grant, write for WB)
+	localMiss = 3 // extra requester-side cycles to start/finish any miss
 
-	// Requester transaction buffer (outstanding misses + prefetches).
-	TxnLimit int
+	// LimitLESS directory software costs.
+	trapCycles    = 50 // software trap cost at the home on overflow insert
+	swInvalCycles = 8  // per-sharer software cost invalidating an overflowed entry
 
-	// PrefetchWritePenalty models Alewife's transaction-store artifact: a
+	// txnLimit bounds the requester transaction buffer (outstanding misses
+	// and prefetches).
+	txnLimit = 4
+
+	// prefetchWritePenalty models Alewife's transaction-store artifact: a
 	// store to a line most recently filled by a non-binding *shared*
 	// prefetch forces the buffered transaction to retire and the write to
 	// re-issue, costing roughly a round trip on top of the upgrade. This is
 	// what makes the paper's prefetching copy loop slower than the plain
 	// one (Figure 7) while leaving read-only prefetching (accum, Figure 8)
 	// profitable.
-	PrefetchWritePenalty uint64
+	prefetchWritePenalty = 64
 
 	// Protocol packet sizes in bytes (header included).
-	ReqBytes  int // RREQ/WREQ
-	CtlBytes  int // INV/ACK/RECALL and data-less grants
-	DataBytes int // grants carrying a line, WB, recall data
-}
-
-// DefaultParams returns the calibrated cost model.
-func DefaultParams() Params {
-	return Params{
-		CacheHit:             1,
-		DirCycles:            3,
-		MemCycles:            6,
-		LocalMiss:            3,
-		FillToUse:            1,
-		HWPointers:           5,
-		TrapCycles:           50,
-		SWInvalCycles:        8,
-		TxnLimit:             4,
-		PrefetchWritePenalty: 64,
-		ReqBytes:             8,
-		CtlBytes:             8,
-		DataBytes:            8 + LineBytes,
-	}
-}
+	reqBytes  = 8             // RREQ/WREQ
+	ctlBytes  = 8             // INV/ACK/RECALL and data-less grants
+	dataBytes = 8 + LineBytes // grants carrying a line, WB, recall data
+)

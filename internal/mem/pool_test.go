@@ -86,103 +86,100 @@ func dirCount(tab *dirTab) int {
 }
 
 // The directory agrees with a map from line to entry under seeded random
-// requests at two homes, for the power-of-two module size and one that is
-// not. The requests cover each home's first and last line and spread over
+// requests at two homes. The requests cover each home's first and last line and spread over
 // several chunks, and a first pass grows the chunk index one chunk at a
 // time while checking every pointer handed out so far.
 func TestDirTabMatchesMapReference(t *testing.T) {
-	for _, wp := range storeSizes {
-		const homes = 2
-		lines := wp / LineWords
-		tabs := make([]dirTab, homes)
+	const homes = 2
+	lines := uint64(wp / LineWords)
+	tabs := make([]dirTab, homes)
+	for h := range tabs {
+		tabs[h].base = Addr(uint64(h) * wp)
+	}
+	ref := make(map[Addr]*dirEntry)
+	rng := rand.New(rand.NewSource(wp))
+	create := func(h int, line Addr) {
+		e := tabs[h].getOrCreate(line)
+		if want, ok := ref[line]; ok {
+			if e != want {
+				t.Fatalf("getOrCreate(%#x) moved the entry", uint64(line))
+			}
+			return
+		}
+		if e.state != dIdle || e.owner != -1 {
+			t.Fatalf("fresh entry for %#x not idle", uint64(line))
+		}
+		e.pendFrom = int32(line) // mark, so a shared or moved entry shows
+		ref[line] = e
+	}
+	check := func(line Addr, e *dirEntry) {
+		if want := ref[line]; e != want || (e != nil && e.pendFrom != int32(line)) {
+			t.Fatalf("entry for %#x is %p, want %p", uint64(line), e, want)
+		}
+	}
+	// Grow each home's chunk index one chunk at a time.
+	for c := uint64(0); c*dirChunkLines < lines; c++ {
 		for h := range tabs {
-			tabs[h].base = Addr(uint64(h) * wp)
-		}
-		ref := make(map[Addr]*dirEntry)
-		rng := rand.New(rand.NewSource(int64(wp)))
-		create := func(h int, line Addr) {
-			e := tabs[h].getOrCreate(line)
-			if want, ok := ref[line]; ok {
-				if e != want {
-					t.Fatalf("wp %d: getOrCreate(%#x) moved the entry", wp, uint64(line))
-				}
-				return
-			}
-			if e.state != dIdle || e.owner != -1 {
-				t.Fatalf("wp %d: fresh entry for %#x not idle", wp, uint64(line))
-			}
-			e.pendFrom = int32(line) // mark, so a shared or moved entry shows
-			ref[line] = e
-		}
-		check := func(line Addr, e *dirEntry) {
-			if want := ref[line]; e != want || (e != nil && e.pendFrom != int32(line)) {
-				t.Fatalf("wp %d: entry for %#x is %p, want %p", wp, uint64(line), e, want)
-			}
-		}
-		// Grow each home's chunk index one chunk at a time.
-		for c := uint64(0); c*dirChunkLines < lines; c++ {
-			for h := range tabs {
-				off := min(c*dirChunkLines+uint64(rng.Int63n(dirChunkLines)), lines-1)
-				create(h, tabs[h].base+Addr(off*LineWords))
-				for line := range ref {
-					check(line, tabs[uint64(line)/wp].get(line))
-				}
-			}
-		}
-		for i := 0; i < 4000; i++ {
-			h := rng.Intn(homes)
-			var off uint64
-			switch rng.Intn(8) {
-			case 0: // first line
-			case 1:
-				off = lines - 1
-			default:
-				off = uint64(rng.Int63n(int64(lines)))
-			}
-			line := tabs[h].base + Addr(off*LineWords)
-			if rng.Intn(3) == 0 {
-				create(h, line)
-			} else {
-				check(line, tabs[h].get(line))
-			}
-		}
-		// Every line, requested or not, reads as the reference says: a line
-		// never requested reads nil even inside an allocated chunk.
-		holes := 0
-		for h := range tabs {
-			for off := uint64(0); off < lines; off++ {
-				line := tabs[h].base + Addr(off*LineWords)
-				check(line, tabs[h].get(line))
-				if ref[line] == nil && tabs[h].chunks[off/dirChunkLines].entries != nil {
-					holes++
-				}
-			}
-		}
-		if holes == 0 {
-			t.Fatalf("wp %d: no never-requested line inside an allocated chunk was checked", wp)
-		}
-		// each visits every created line once, in ascending address order.
-		for h := range tabs {
-			var prev Addr
-			n := 0
-			_ = tabs[h].each(func(line Addr, e *dirEntry) error {
-				if n > 0 && line <= prev {
-					t.Fatalf("wp %d home %d: each visited %#x after %#x", wp, h, uint64(line), uint64(prev))
-				}
-				check(line, e)
-				prev = line
-				n++
-				return nil
-			})
-			want := 0
+			off := min(c*dirChunkLines+uint64(rng.Int63n(dirChunkLines)), lines-1)
+			create(h, tabs[h].base+Addr(off*LineWords))
 			for line := range ref {
-				if uint64(line)/wp == uint64(h) {
-					want++
-				}
+				check(line, tabs[uint64(line)/wp].get(line))
 			}
-			if n != want {
-				t.Fatalf("wp %d home %d: each visited %d entries, want %d", wp, h, n, want)
+		}
+	}
+	for i := 0; i < 4000; i++ {
+		h := rng.Intn(homes)
+		var off uint64
+		switch rng.Intn(8) {
+		case 0: // first line
+		case 1:
+			off = lines - 1
+		default:
+			off = uint64(rng.Int63n(int64(lines)))
+		}
+		line := tabs[h].base + Addr(off*LineWords)
+		if rng.Intn(3) == 0 {
+			create(h, line)
+		} else {
+			check(line, tabs[h].get(line))
+		}
+	}
+	// Every line, requested or not, reads as the reference says: a line
+	// never requested reads nil even inside an allocated chunk.
+	holes := 0
+	for h := range tabs {
+		for off := uint64(0); off < lines; off++ {
+			line := tabs[h].base + Addr(off*LineWords)
+			check(line, tabs[h].get(line))
+			if ref[line] == nil && tabs[h].chunks[off/dirChunkLines].entries != nil {
+				holes++
 			}
+		}
+	}
+	if holes == 0 {
+		t.Fatalf("wp %d: no never-requested line inside an allocated chunk was checked", wp)
+	}
+	// each visits every created line once, in ascending address order.
+	for h := range tabs {
+		var prev Addr
+		n := 0
+		_ = tabs[h].each(func(line Addr, e *dirEntry) error {
+			if n > 0 && line <= prev {
+				t.Fatalf("home %d: each visited %#x after %#x", h, uint64(line), uint64(prev))
+			}
+			check(line, e)
+			prev = line
+			n++
+			return nil
+		})
+		want := 0
+		for line := range ref {
+			if uint64(line)/wp == uint64(h) {
+				want++
+			}
+		}
+		if n != want {
+			t.Fatalf("home %d: each visited %d entries, want %d", h, n, want)
 		}
 	}
 }
@@ -250,20 +247,19 @@ func TestTxnFullTicketStaleness(t *testing.T) {
 	// then hits, and the miss was counted once, by StartMiss.
 	h := newHarness(2)
 	ctrl := h.fab.Ctrls[0]
-	p := h.fab.P
-	addrs := make([]Addr, p.TxnLimit+1)
+	addrs := make([]Addr, txnLimit+1)
 	for i := range addrs {
 		addrs[i] = h.fab.Store.AllocOn(1, 4)
 	}
-	last := addrs[p.TxnLimit]
+	last := addrs[txnLimit]
 	h.run(t, func(c *sim.Context) {
-		for i := 0; i < p.TxnLimit; i++ {
+		for i := 0; i < txnLimit; i++ {
 			ctrl.Prefetch(addrs[i], false)
 		}
 		tk := ctrl.StartMiss(last, Exclusive)
 		if tk.kind != tkFull {
 			t.Errorf("StartMiss with %d of %d transactions outstanding returned ticket kind %d, want a buffer-full ticket",
-				len(ctrl.txns), p.TxnLimit, tk.kind)
+				len(ctrl.txns), txnLimit, tk.kind)
 			return
 		}
 		misses := h.st.Global.Get(stats.CacheMisses)
@@ -297,9 +293,7 @@ func cacheHarness(n, sets, ways int) *harness {
 	st := stats.NewMachine(n)
 	net := mesh.New(eng, w, hgt, mesh.DefaultParams(), st)
 	store := NewStore(n, 1<<12)
-	p := DefaultParams()
-	p.HWPointers = 2
-	fab := NewFabric(eng, net, store, p, st, sets, ways)
+	fab := NewFabric(eng, net, store, 2, st, sets, ways)
 	return &harness{eng: eng, fab: fab, st: st}
 }
 

@@ -152,7 +152,7 @@ func TestReadDuringPendingInvalidation(t *testing.T) {
 }
 
 func TestTxnBufferStallsDemandMisses(t *testing.T) {
-	// Five simultaneous demand misses from one node with TxnLimit=4: the
+	// Five simultaneous demand misses from one node with txnLimit=4: the
 	// fifth stalls until a buffer slot frees, but all five complete.
 	h := newHarness(2)
 	base := h.fab.Store.AllocOn(1, 64)
@@ -202,9 +202,9 @@ func TestSharedPrefetchThenWritePaysPenalty(t *testing.T) {
 		h.fab.Ctrls[0].Write(c, a)
 		writeLat = c.Now() - s
 	})
-	if writeLat < h.fab.P.PrefetchWritePenalty {
+	if writeLat < prefetchWritePenalty {
 		t.Fatalf("write after shared prefetch took %d cycles, want >= penalty %d",
-			writeLat, h.fab.P.PrefetchWritePenalty)
+			writeLat, prefetchWritePenalty)
 	}
 }
 
@@ -266,7 +266,7 @@ func TestOverflowedEntryTrapsEveryRequest(t *testing.T) {
 	// Once a line's directory entry overflows, LimitLESS handles every
 	// request on it in software: reads of an overflowed line must be
 	// slower than reads of a freshly shared one.
-	const n = 9 // HWPointers=5, so 8 readers overflow
+	const n = 9 // 5 hardware pointers, so 8 readers overflow
 	h := newHarness(n)
 	hot := h.fab.Store.AllocOn(0, 4)
 	cold := h.fab.Store.AllocOn(0, 4)

@@ -103,7 +103,7 @@ func (c *Ctrl) sendCtl(to int, at sim.Time, op uint32, line Addr, p1 uint64) {
 		return
 	}
 	c.f.St.Inc(c.node, stats.ProtoMsgs)
-	c.f.Net.SendMsg(c.node, to, c.f.P.CtlBytes, at, c.f, op, uint64(line), p1)
+	c.f.Net.SendMsg(c.node, to, ctlBytes, at, c.f, op, uint64(line), p1)
 }
 
 // invFanout sends the invalidation round for a dPendInv entry: every

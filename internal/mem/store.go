@@ -19,7 +19,7 @@ import (
 type Store struct {
 	nodes    int
 	wordsPer uint64
-	homeSh   uint        // log2(wordsPer) when it is a power of two, else 0
+	homeSh   uint        // log2(wordsPer)
 	words    uint64      // nodes*wordsPer: every address in the store is below it
 	top      []*storeDir // per storeDirWords words of address space, from 0
 	brk      []uint64    // per-node bump allocator offset
@@ -46,9 +46,14 @@ type (
 	storeDir  [storeDirPages]*storePage
 )
 
-// NewStore builds a store for n nodes with wordsPerNode words each. Only the
-// top level of the page table is allocated; no word is until it is written.
+// NewStore builds a store for n nodes with wordsPerNode words each, which
+// must be a power of two: Home is on the request hot path and shifts. Only
+// the top level of the page table is allocated; no word is until it is
+// written.
 func NewStore(n int, wordsPerNode uint64) *Store {
+	if wordsPerNode == 0 || wordsPerNode&(wordsPerNode-1) != 0 {
+		panic(fmt.Sprintf("mem: %d words per node is not a power of two", wordsPerNode))
+	}
 	words := uint64(n) * wordsPerNode
 	s := &Store{
 		nodes:    n,
@@ -57,12 +62,8 @@ func NewStore(n int, wordsPerNode uint64) *Store {
 		top:      make([]*storeDir, (words+storeDirWords-1)/storeDirWords),
 		brk:      make([]uint64, n),
 	}
-	if wordsPerNode > 1 && wordsPerNode&(wordsPerNode-1) == 0 {
-		// Every configured machine uses a power-of-two module size; Home is
-		// on the request hot path, so turn its division into a shift.
-		for w := wordsPerNode; w > 1; w >>= 1 {
-			s.homeSh++
-		}
+	for w := wordsPerNode; w > 1; w >>= 1 {
+		s.homeSh++
 	}
 	return s
 }
@@ -75,12 +76,7 @@ func (s *Store) WordsPerNode() uint64 { return s.wordsPer }
 
 // Home returns the node whose memory holds a.
 func (s *Store) Home(a Addr) int {
-	var h int
-	if s.homeSh != 0 {
-		h = int(uint64(a) >> s.homeSh)
-	} else {
-		h = int(uint64(a) / s.wordsPer)
-	}
+	h := int(uint64(a) >> s.homeSh)
 	if h < 0 || h >= s.nodes {
 		panic(fmt.Sprintf("mem: address %#x outside store", uint64(a)))
 	}

@@ -8,7 +8,7 @@ import (
 
 func idealNet(n int, ft *NetFault) (*sim.Engine, *Ideal) {
 	eng := sim.NewEngine()
-	return eng, &Ideal{Eng: eng, N: n, Latency: 3, Fault: ft}
+	return eng, &Ideal{Eng: eng, N: n, Fault: ft}
 }
 
 // scriptChooser replays a fixed verdict per packet ordinal (1-based);

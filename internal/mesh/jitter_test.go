@@ -42,7 +42,7 @@ func TestJitterPreservesPairFIFO(t *testing.T) {
 		p := jitterParams(300, seed)
 		for _, net := range []Network{
 			New(eng, 2, 1, p, nil),
-			&Ideal{Eng: eng, N: 2, Latency: 3, BytesPerCycle: 2, Fault: p.Fault},
+			&Ideal{Eng: eng, N: 2, Fault: p.Fault},
 		} {
 			var order []int
 			sizes := []int{256, 8, 128, 8, 512, 16}

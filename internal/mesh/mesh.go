@@ -7,9 +7,10 @@
 // a reservation of the outgoing link for F flit-times starting no earlier
 // than the link's previous release. Delivery occurs when the tail arrives:
 //
+//	head_0 = t + InjectDelay
 //	head_{i+1} = max(head_i + RouterDelay, link_i.freeAt)
 //	link_i.freeAt = head_{i+1} + F*FlitCycles
-//	deliver = head_last + F*FlitCycles
+//	deliver = head_last + F*FlitCycles + EjectDelay
 //
 // This captures head latency, serialization, and link contention while
 // staying cheap enough to simulate millions of packets.
@@ -23,15 +24,22 @@ import (
 	"alewife/internal/stats"
 )
 
-// Params fixes the network cost model. Defaults approximate Alewife's mesh:
-// 16-bit channels clocked with the processor, roughly one cycle per hop of
-// routing delay.
+// The network's fixed cost terms approximate Alewife's mesh: 16-bit
+// channels clocked with the processor.
+const (
+	FlitBytes   = 2 // channel width: bytes moved per flit-time
+	FlitCycles  = 1 // cycles per flit per link
+	InjectDelay = 2 // source overhead to start driving the network
+	EjectDelay  = 2 // destination overhead before delivery fires
+
+	// idealLatency is the Ideal network's flat one-way latency.
+	idealLatency = 10
+)
+
+// Params holds what experiments vary about the network: the per-hop
+// router delay and the fault model.
 type Params struct {
 	RouterDelay uint64 // cycles for a head flit to cross one router
-	FlitBytes   int    // channel width: bytes moved per flit-time
-	FlitCycles  uint64 // cycles per flit per link
-	InjectDelay uint64 // source overhead to start driving the network
-	EjectDelay  uint64 // destination overhead before delivery fires
 
 	// Fault, when non-nil, perturbs every packet from one seeded hash (see
 	// NetFault): injection jitter, which only shifts timing, and drops,
@@ -42,15 +50,10 @@ type Params struct {
 	Fault *NetFault
 }
 
-// DefaultParams returns the calibrated Alewife-like cost model.
+// DefaultParams returns the calibrated Alewife-like network: roughly one
+// cycle per hop of routing delay and no faults.
 func DefaultParams() Params {
-	return Params{
-		RouterDelay: 1,
-		FlitBytes:   2,
-		FlitCycles:  1,
-		InjectDelay: 2,
-		EjectDelay:  2,
-	}
+	return Params{RouterDelay: 1}
 }
 
 // Network is the interface the rest of the simulator speaks. Mesh is the
@@ -211,8 +214,8 @@ func abs(v int) int {
 
 // flits returns the number of flit-times a packet of the given size occupies
 // on each link (at least one).
-func (m *Mesh) flits(bytes int) uint64 {
-	f := uint64((bytes + m.p.FlitBytes - 1) / m.p.FlitBytes)
+func flits(bytes int) uint64 {
+	f := uint64((bytes + FlitBytes - 1) / FlitBytes)
 	if f == 0 {
 		f = 1
 	}
@@ -242,16 +245,16 @@ func (m *Mesh) route(src, dst int, bytes int, at sim.Time, jitter uint64) sim.Ti
 	if at < m.eng.Now() {
 		at = m.eng.Now()
 	}
-	f := m.flits(bytes)
+	f := flits(bytes)
 	m.st.Add(src, stats.NetFlits, int64(f))
 	at0 := at // requested departure; delay beyond unloaded time is queueing
 	at += jitter
 	if src == dst {
 		// Loopback through the network interface without touching links.
-		u := m.p.InjectDelay + m.p.EjectDelay + f*m.p.FlitCycles
+		u := InjectDelay + EjectDelay + f*FlitCycles
 		return m.deliver(src, dst, at0, at, at+u, u)
 	}
-	head := at + m.p.InjectDelay
+	head := at + InjectDelay
 	x, y := m.coord(src)
 	dx, dy := m.coord(dst)
 	step := func(dir int, node int) {
@@ -260,7 +263,7 @@ func (m *Mesh) route(src, dst int, bytes int, at sim.Time, jitter uint64) sim.Ti
 			head = l.freeAt
 		}
 		head += m.p.RouterDelay
-		l.freeAt = head + f*m.p.FlitCycles
+		l.freeAt = head + f*FlitCycles
 	}
 	// X dimension, then Y; on a torus each goes the shorter way around.
 	steps, forward := m.plan(x, dx, m.w)
@@ -285,8 +288,8 @@ func (m *Mesh) route(src, dst int, bytes int, at sim.Time, jitter uint64) sim.Ti
 			y = (y - 1 + m.h) % m.h
 		}
 	}
-	return m.deliver(src, dst, at0, at, head+f*m.p.FlitCycles+m.p.EjectDelay,
-		m.p.InjectDelay+uint64(m.Dist(src, dst))*m.p.RouterDelay+f*m.p.FlitCycles+m.p.EjectDelay)
+	return m.deliver(src, dst, at0, at, head+f*FlitCycles+EjectDelay,
+		InjectDelay+uint64(m.Dist(src, dst))*m.p.RouterDelay+f*FlitCycles+EjectDelay)
 }
 
 // plan returns the hop count and direction (forward = increasing
@@ -306,19 +309,17 @@ func (m *Mesh) plan(c, d, n int) (steps int, forward bool) {
 }
 
 // Ideal is a contention-free constant-latency network used for ablation
-// benchmarks ("how much does the mesh matter?"). Serialization can be kept
-// (BytesPerCycle > 0) while removing hops and contention, or removed too
-// (BytesPerCycle == 0 means infinite bandwidth).
+// benchmarks ("how much does the mesh matter?"). It keeps wire-rate
+// serialization, one FlitBytes per cycle, so bulk transfers still take
+// time; only hops and contention vanish.
 //
 // Like any network the coherence protocol runs over, Ideal preserves
 // point-to-point FIFO ordering: a later packet between the same pair never
 // overtakes an earlier one even if it is smaller. (The directory protocol
 // relies on this, as real protocols do.)
 type Ideal struct {
-	Eng           *Engine
-	N             int
-	Latency       uint64 // flat one-way latency
-	BytesPerCycle int    // wire rate; 0 = infinite
+	Eng *Engine
+	N   int
 	// St counts packets and faults as Mesh does; constant latency plus
 	// serialization is profiled as transit, and the FIFO clamp is the only
 	// queueing an ideal network has. May be nil.
@@ -358,19 +359,16 @@ func (i *Ideal) SendMsg(src, dst int, bytes int, at sim.Time, s sim.Sink, op uin
 	f.land(i.Eng, i.St, src, i.arrival(src, dst, bytes, at, f.jitter), s, op, p0, p1)
 }
 
-// arrival is Ideal's cost model: constant latency plus serialization,
-// injected jitter cycles late, then the shared tail. Its strict per-pair
-// FIFO matters here too: equal-time delivery would let a chasing recall
-// be processed before the resume of the processor its grant just woke,
-// livelocking the retry loop.
+// arrival is Ideal's cost model: idealLatency plus serialization at one
+// FlitBytes per cycle, injected jitter cycles late, then the shared tail.
+// Its strict per-pair FIFO matters here too: equal-time delivery would let
+// a chasing recall be processed before the resume of the processor its
+// grant just woke, livelocking the retry loop.
 func (i *Ideal) arrival(src, dst int, bytes int, at sim.Time, jitter uint64) sim.Time {
 	if at < i.Eng.Now() {
 		at = i.Eng.Now()
 	}
-	unloaded := i.Latency
-	if i.BytesPerCycle > 0 {
-		unloaded += uint64((bytes + i.BytesPerCycle - 1) / i.BytesPerCycle)
-	}
+	unloaded := idealLatency + uint64((bytes+FlitBytes-1)/FlitBytes)
 	if i.last == nil {
 		i.tail = newTail(i.St, i.N)
 	}

@@ -82,8 +82,7 @@ func TestLatencyScalesWithDistance(t *testing.T) {
 func TestLatencyScalesWithSize(t *testing.T) {
 	small := deliverTime(t, 4, 4, 0, 5, 8)
 	big := deliverTime(t, 4, 4, 0, 5, 256)
-	p := DefaultParams()
-	wantDelta := (uint64(256/p.FlitBytes) - uint64(8/p.FlitBytes)) * p.FlitCycles
+	wantDelta := uint64(256/FlitBytes-8/FlitBytes) * FlitCycles
 	if big-small != wantDelta {
 		t.Fatalf("size delta = %d, want %d", big-small, wantDelta)
 	}
@@ -91,8 +90,7 @@ func TestLatencyScalesWithSize(t *testing.T) {
 
 func TestLoopback(t *testing.T) {
 	at := deliverTime(t, 4, 4, 3, 3, 16)
-	p := DefaultParams()
-	want := p.InjectDelay + p.EjectDelay + uint64(16/p.FlitBytes)*p.FlitCycles
+	want := uint64(InjectDelay + EjectDelay + 16/FlitBytes*FlitCycles)
 	if at != want {
 		t.Fatalf("loopback latency %d, want %d", at, want)
 	}
@@ -112,9 +110,8 @@ func TestLinkContentionSerializes(t *testing.T) {
 	if times[0] == times[1] {
 		t.Fatalf("contending packets arrived together at %d", times[0])
 	}
-	p := DefaultParams()
 	// Second head waits for the link, then re-pays the router delay.
-	wantGap := uint64(64/p.FlitBytes)*p.FlitCycles + p.RouterDelay
+	wantGap := 64/FlitBytes*FlitCycles + DefaultParams().RouterDelay
 	if times[1]-times[0] != wantGap {
 		t.Fatalf("serialization gap %d, want %d", times[1]-times[0], wantGap)
 	}
@@ -168,12 +165,13 @@ func TestOutOfRangePanics(t *testing.T) {
 
 func TestIdealNetwork(t *testing.T) {
 	eng := sim.NewEngine()
-	n := &Ideal{Eng: eng, N: 4, Latency: 10, BytesPerCycle: 1}
+	n := &Ideal{Eng: eng, N: 4}
 	var at sim.Time
 	send(n, 0, 3, 5, 0, func() { at = eng.Now() })
 	eng.Run()
-	if at != 15 {
-		t.Fatalf("ideal latency %d, want 15", at)
+	// idealLatency plus 5 bytes at FlitBytes per cycle, rounded up.
+	if want := sim.Time(idealLatency + (5+FlitBytes-1)/FlitBytes); at != want {
+		t.Fatalf("ideal latency %d, want %d", at, want)
 	}
 	if n.Dist(1, 1) != 0 || n.Dist(0, 2) != 1 {
 		t.Fatal("ideal Dist wrong")

@@ -26,12 +26,6 @@ type NetFault struct {
 	Dup     float64 // probability a packet is delivered twice
 	Reorder float64 // probability a packet is delayed past the FIFO clamp
 
-	// ReorderMax bounds the extra delay of a reordered packet; DupMax
-	// bounds the lag of a duplicate's second copy. Zero picks defaults
-	// sized to overtake a handful of subsequent packets.
-	ReorderMax uint64
-	DupMax     uint64
-
 	// Jitter > 0 delays every packet's injection by a seeded [0, Jitter)
 	// cycles (timing-fault injection). The delay lands before routing, so
 	// the per-pair FIFO clamp still orders delivery: only timing shifts,
@@ -72,30 +66,19 @@ const (
 // same counter the seeded schedule hashes) and returns the verdict plus
 // the fault's delay parameter: the extra cycles a duplicate's second copy
 // lags, or a reordered packet is delayed. A zero delay picks the default
-// magnitude (half the configured maximum); the delay is ignored for
+// magnitude (half the maximum); the delay is ignored for
 // FaultNone and FaultDrop.
 type FaultChooser interface {
 	ChooseFault(src, dst int, n uint64) (kind int, delay uint64)
 }
 
+// reorderMax bounds the extra delay of a reordered packet and dupMax the
+// lag of a duplicate's second copy, sized to overtake a handful of
+// subsequent packets.
 const (
-	defaultReorderMax = 256
-	defaultDupMax     = 64
+	reorderMax = 256
+	dupMax     = 64
 )
-
-func (ft *NetFault) reorderMax() uint64 {
-	if ft.ReorderMax > 0 {
-		return ft.ReorderMax
-	}
-	return defaultReorderMax
-}
-
-func (ft *NetFault) dupMax() uint64 {
-	if ft.DupMax > 0 {
-		return ft.DupMax
-	}
-	return defaultDupMax
-}
 
 // fate is one packet's NetFault outcome.
 type fate struct {
@@ -120,9 +103,9 @@ func (ft *NetFault) resolve(src, dst int, n uint64) fate {
 		if f.delay == 0 {
 			switch f.kind {
 			case FaultDup:
-				f.delay = 1 + ft.dupMax()/2
+				f.delay = 1 + dupMax/2
 			case FaultReorder:
-				f.delay = 1 + ft.reorderMax()/2
+				f.delay = 1 + reorderMax/2
 			}
 		}
 		return f
@@ -132,9 +115,9 @@ func (ft *NetFault) resolve(src, dst int, n uint64) fate {
 	case u < ft.Drop:
 		f.kind = FaultDrop
 	case u < ft.Drop+ft.Dup:
-		f.kind, f.delay = FaultDup, 1+(h>>32)%ft.dupMax()
+		f.kind, f.delay = FaultDup, 1+(h>>32)%dupMax
 	case u < ft.Drop+ft.Dup+ft.Reorder:
-		f.kind, f.delay = FaultReorder, 1+(h>>32)%ft.reorderMax()
+		f.kind, f.delay = FaultReorder, 1+(h>>32)%reorderMax
 	}
 	return f
 }

@@ -125,6 +125,39 @@ func TestChooserStaleWakesNotOffered(t *testing.T) {
 	}
 }
 
+// A run whose queue ends in stale wakes ends at their time under a pick-0
+// chooser, as it does by default: the ladder's cursor has passed them, so a
+// clock left behind it would put events scheduled after the run a window
+// lap late.
+func TestChooserStaleWakesKeepClock(t *testing.T) {
+	run := func(install bool) (Time, []Time) {
+		e := NewEngine()
+		if install {
+			e.SetChooser(pickFn(func(_ Time, _ []Choice) int { return 0 }))
+		}
+		a := e.Spawn("a", 0, func(c *Context) { c.Sleep(10) })
+		e.At(5, func() { a.UnblockAt(100) }) // stale once a wakes at 10 and ends
+		e.Run()
+		end := e.Now()
+		var fired []Time
+		e.At(end+1, func() {
+			for _, d := range []Time{5 + ladderWindow, 5} {
+				e.At(e.Now()+d, func() { fired = append(fired, e.Now()) })
+			}
+		})
+		e.Run()
+		return end, fired
+	}
+	wantEnd, wantFired := run(false)
+	if wantEnd != 100 || len(wantFired) != 2 || wantFired[0] != 106 || wantFired[1] != 106+ladderWindow {
+		t.Fatalf("default engine ended at %d and fired %v, want 100 and [106 %d]", wantEnd, wantFired, 106+ladderWindow)
+	}
+	end, fired := run(true)
+	if end != wantEnd || len(fired) != 2 || fired[0] != wantFired[0] || fired[1] != wantFired[1] {
+		t.Fatalf("pick-0 chooser ended at %d and fired %v, want %d and %v", end, fired, wantEnd, wantFired)
+	}
+}
+
 // An out-of-range pick is a bug in the chooser, and the engine says so.
 func TestChooserBadIndexPanics(t *testing.T) {
 	e := NewEngine()

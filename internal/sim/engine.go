@@ -219,7 +219,9 @@ func (e *Engine) SetChooser(c Chooser) { e.chooser = c }
 // an alternative would only multiply equivalent schedules — and delegates
 // the pick to the chooser when more than one live candidate remains.
 // Stale wakes dropped here do not consume RunLimit budget (they perform no
-// work); otherwise dispatch semantics match the default path exactly.
+// work), but move the clock to their time as advance does, since the
+// ladder's cursor has already passed it; otherwise dispatch semantics match
+// the default path exactly.
 func (e *Engine) nextChosen() *event {
 	for {
 		cands := e.q.candidates(e.candBuf[:0])
@@ -230,6 +232,7 @@ func (e *Engine) nextChosen() *event {
 		live := cands[:0]
 		for _, r := range cands {
 			if c := r.ctx; c != nil && (c.done || c.gen != r.gen) {
+				e.now = r.at
 				e.q.take(r)
 				e.q.put(r)
 				continue

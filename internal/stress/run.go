@@ -117,7 +117,7 @@ func execute(cfg Config, prog [][]Op) Result {
 	mcfg.WordsPerNode = 1 << 12
 	mcfg.CacheSets = 4 // direct-mapped 4-line cache: constant evictions
 	mcfg.CacheWays = 1
-	mcfg.Mem.HWPointers = 2 // LimitLESS overflow with three sharers
+	mcfg.HWPointers = 2 // LimitLESS overflow with three sharers
 	if cfg.NetFault != nil {
 		ft := *cfg.NetFault // the config's schedule must survive re-Execute
 		if ft.Seed == 0 {
@@ -126,11 +126,8 @@ func execute(cfg Config, prog [][]Op) Result {
 		mcfg.Net.Fault = &ft
 		res.Lossy, res.NetSchedSeed = true, ft.Seed
 	}
-	if cfg.RelFault != nil {
-		// Mutations need the sublayer present even over perfect wires.
-		rp := cmmu.DefaultRelParams()
-		mcfg.Reliable = &rp
-	}
+	// Mutations need the sublayer present even over perfect wires.
+	mcfg.Reliable = cfg.RelFault != nil
 	m := machine.New(mcfg)
 	m.EnableTrace(cfg.TraceCap)
 	m.Fab.Fault = cfg.MemFault

@@ -9,9 +9,7 @@ import (
 
 func newUncached(n int) (*machine.Machine, *swdsm.DSM) {
 	m := machine.New(machine.DefaultConfig(n))
-	p := swdsm.DefaultParams()
-	p.NoCache = true
-	return m, swdsm.New(m, p)
+	return m, swdsm.New(m, true)
 }
 
 func TestUncachedValuesCorrect(t *testing.T) {

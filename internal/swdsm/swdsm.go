@@ -31,41 +31,20 @@ import (
 	"alewife/internal/sim"
 )
 
-// Params is the software-DSM cost model, in processor cycles. The defaults
-// follow the paper's framing: even the hit path costs a software check and
-// table lookup on every reference (the overhead "added to every
-// shared-address space reference, even when no communication is
-// necessary").
-type Params struct {
-	CheckCycles   uint64 // the cached?/local? tests of Figure 1
-	CacheLookup   uint64 // software cache (hash) probe on the hit path
-	CacheInstall  uint64 // insert a line into the software cache
-	LocalAccess   uint64 // software path to local memory
-	HandlerDir    uint64 // directory manipulation in a message handler
-	HandlerLookup uint64 // sharer-set walk per sharer during invalidation
-	LineWords     uint64 // software caching granularity (words)
-
-	// NoCache disables software caching entirely: every reference takes
-	// the full Figure 1 path to its home. The difference between this and
-	// the cached configuration is the value of caching even in software;
-	// the difference between the cached configuration and the hardware
-	// fabric is the value of doing it in hardware.
-	NoCache bool
-}
-
-// DefaultParams returns costs representative of a tuned software DSM on a
-// 33 MHz processor (tens of cycles of instructions per event).
-func DefaultParams() Params {
-	return Params{
-		CheckCycles:   6,
-		CacheLookup:   10,
-		CacheInstall:  24,
-		LocalAccess:   14,
-		HandlerDir:    30,
-		HandlerLookup: 6,
-		LineWords:     mem.LineWords,
-	}
-}
+// The software-DSM cost model, in processor cycles: costs representative
+// of a tuned software DSM on a 33 MHz processor (tens of cycles of
+// instructions per event). They follow the paper's framing: even the hit
+// path costs a software check and table lookup on every reference (the
+// overhead "added to every shared-address space reference, even when no
+// communication is necessary"). Lines are the hardware's mem.LineWords.
+const (
+	checkCycles       = 6  // the cached?/local? tests of Figure 1
+	cacheLookup       = 10 // software cache (hash) probe on the hit path
+	cacheInstall      = 24 // insert a line into the software cache
+	localAccessCycles = 14 // software path to local memory
+	handlerDir        = 30 // directory manipulation in a message handler
+	handlerLookup     = 6  // sharer-set walk per sharer during invalidation
+)
 
 // Message types (registered on every node's CMMU).
 const (
@@ -112,8 +91,8 @@ type request struct {
 // DSM is one software shared-address-space instance spanning a machine.
 // It must be the machine's only user of its message types.
 type DSM struct {
-	M *machine.Machine
-	P Params
+	M       *machine.Machine
+	noCache bool // see New
 
 	nodes []*nodeState
 }
@@ -133,8 +112,13 @@ type nodeState struct {
 // New builds a software DSM over m. The machine should not also be running
 // hardware-coherent traffic on the same addresses (the two layers would
 // disagree about timing, though values stay correct).
-func New(m *machine.Machine, p Params) *DSM {
-	d := &DSM{M: m, P: p}
+//
+// With noCache every reference takes the full Figure 1 path to its home.
+// The difference between that and the cached DSM is the value of caching
+// even in software; the difference between the cached DSM and the
+// hardware fabric is the value of doing it in hardware.
+func New(m *machine.Machine, noCache bool) *DSM {
+	d := &DSM{M: m, noCache: noCache}
 	d.nodes = make([]*nodeState, m.Cfg.Nodes)
 	for i := range d.nodes {
 		ns := &nodeState{
@@ -150,23 +134,19 @@ func New(m *machine.Machine, p Params) *DSM {
 	return d
 }
 
-func (d *DSM) line(a mem.Addr) mem.Addr {
-	return a - a%mem.Addr(d.P.LineWords)
-}
-
 func (d *DSM) home(a mem.Addr) int { return d.M.Store.Home(a) }
 
 // Read performs one shared-address-space load through the software layer.
 func (d *DSM) Read(p *machine.Proc, a mem.Addr) uint64 {
 	ns := d.nodes[p.ID()]
-	line := d.line(a)
-	p.Elapse(d.P.CheckCycles + d.P.CacheLookup)
-	if !d.P.NoCache && ns.cache[line] != lInvalid {
+	line := a.Line()
+	p.Elapse(checkCycles + cacheLookup)
+	if !d.noCache && ns.cache[line] != lInvalid {
 		return d.M.Store.Read(a)
 	}
 	if d.home(a) == p.ID() {
 		// Local memory, but the software layer still had to find that out.
-		p.Elapse(d.P.LocalAccess)
+		p.Elapse(localAccessCycles)
 		ns.localAccess(p, line, false)
 		ns.dropIfUncached(p, line, false)
 		return d.M.Store.Read(a)
@@ -176,12 +156,12 @@ func (d *DSM) Read(p *machine.Proc, a mem.Addr) uint64 {
 	return d.M.Store.Read(a)
 }
 
-// dropIfUncached releases a just-used line in NoCache mode: the copy is
+// dropIfUncached releases a just-used line in an uncached DSM: the copy is
 // consumed immediately, and exclusive grants are written back so the home
 // does not wait forever for an owner that keeps nothing.
 func (ns *nodeState) dropIfUncached(p *machine.Proc, line mem.Addr, wasWrite bool) {
 	d := ns.dsm
-	if !d.P.NoCache {
+	if !d.noCache {
 		return
 	}
 	delete(ns.cache, line)
@@ -206,14 +186,14 @@ func (ns *nodeState) dropIfUncached(p *machine.Proc, line mem.Addr, wasWrite boo
 // Write performs one shared-address-space store through the software layer.
 func (d *DSM) Write(p *machine.Proc, a mem.Addr, v uint64) {
 	ns := d.nodes[p.ID()]
-	line := d.line(a)
-	p.Elapse(d.P.CheckCycles + d.P.CacheLookup)
-	if !d.P.NoCache && ns.cache[line] == lExclusive {
+	line := a.Line()
+	p.Elapse(checkCycles + cacheLookup)
+	if !d.noCache && ns.cache[line] == lExclusive {
 		d.M.Store.Write(a, v)
 		return
 	}
 	if d.home(a) == p.ID() {
-		p.Elapse(d.P.LocalAccess)
+		p.Elapse(localAccessCycles)
 		ns.localAccess(p, line, true)
 		d.M.Store.Write(a, v)
 		ns.dropIfUncached(p, line, true)
@@ -245,7 +225,6 @@ func (ns *nodeState) localAccess(p *machine.Proc, line mem.Addr, write bool) {
 // serveLocal tries to satisfy a local access immediately; false means a
 // remote transaction was started and the caller must wait.
 func (ns *nodeState) serveLocal(p *machine.Proc, line mem.Addr, e *dirEntry, write bool) bool {
-	d := ns.dsm
 	switch e.state {
 	case dIdle:
 		if write {
@@ -257,13 +236,13 @@ func (ns *nodeState) serveLocal(p *machine.Proc, line mem.Addr, e *dirEntry, wri
 			e.addSharer(ns.id)
 			ns.cache[line] = lShared
 		}
-		p.Elapse(d.P.CacheInstall)
+		p.Elapse(cacheInstall)
 		return true
 	case dShared:
 		if !write {
 			e.addSharer(ns.id)
 			ns.cache[line] = lShared
-			p.Elapse(d.P.CacheInstall)
+			p.Elapse(cacheInstall)
 			return true
 		}
 		// Invalidate remote sharers, then take it exclusively.
@@ -272,7 +251,7 @@ func (ns *nodeState) serveLocal(p *machine.Proc, line mem.Addr, e *dirEntry, wri
 			e.state = dExcl
 			e.owner = ns.id
 			ns.cache[line] = lExclusive
-			p.Elapse(d.P.CacheInstall)
+			p.Elapse(cacheInstall)
 			return true
 		}
 		e.state = dPending
@@ -280,7 +259,7 @@ func (ns *nodeState) serveLocal(p *machine.Proc, line mem.Addr, e *dirEntry, wri
 		e.pendWr = true
 		e.pendAcks = len(targets)
 		for _, tgt := range targets {
-			p.Elapse(d.P.HandlerLookup)
+			p.Elapse(handlerLookup)
 			p.SendMessage(cmmu.Descriptor{Type: msgInv, Dst: tgt, Ops: []uint64{uint64(line)}})
 		}
 		return false
@@ -288,7 +267,7 @@ func (ns *nodeState) serveLocal(p *machine.Proc, line mem.Addr, e *dirEntry, wri
 		if e.owner == ns.id {
 			// We own it but the software cache forgot? Re-install.
 			ns.cache[line] = lExclusive
-			p.Elapse(d.P.CacheInstall)
+			p.Elapse(cacheInstall)
 			return true
 		}
 		// Recall from the remote owner: modelled as an invalidation (the
@@ -400,14 +379,13 @@ func (ns *nodeState) register(cm *cmmu.CMMU) {
 // onReq runs at the home, entirely in software.
 func (ns *nodeState) onReq(e *cmmu.Env, write bool) {
 	e.ReadOps(2)
-	e.Elapse(ns.dsm.P.HandlerDir)
+	e.Elapse(handlerDir)
 	line := mem.Addr(e.Ops[0])
 	from := int(e.Ops[1])
 	ns.handleReq(e, line, from, write)
 }
 
 func (ns *nodeState) handleReq(e *cmmu.Env, line mem.Addr, from int, write bool) {
-	d := ns.dsm
 	ent := ns.entry(line)
 	switch ent.state {
 	case dPending:
@@ -440,7 +418,7 @@ func (ns *nodeState) handleReq(e *cmmu.Env, line mem.Addr, from int, write bool)
 		ent.pendWr = true
 		ent.pendAcks = len(targets)
 		for _, tgt := range targets {
-			e.Elapse(d.P.HandlerLookup)
+			e.Elapse(handlerLookup)
 			e.Reply(cmmu.Descriptor{Type: msgInv, Dst: tgt, Ops: []uint64{uint64(line)}})
 		}
 	case dExcl:
@@ -473,7 +451,7 @@ func (ns *nodeState) grant(e *cmmu.Env, line mem.Addr, to int, write bool) {
 		Type:    msgGrant,
 		Dst:     to,
 		Ops:     []uint64{uint64(line), w},
-		Regions: []cmmu.Region{{Base: line, Words: ns.dsm.P.LineWords}},
+		Regions: []cmmu.Region{{Base: line, Words: mem.LineWords}},
 	})
 }
 
@@ -491,7 +469,7 @@ func (ns *nodeState) installLocal(line mem.Addr, write bool) {
 // onGrant installs a line at a remote requester.
 func (ns *nodeState) onGrant(e *cmmu.Env) {
 	e.ReadOps(2)
-	e.Elapse(ns.dsm.P.CacheInstall)
+	e.Elapse(cacheInstall)
 	line := mem.Addr(e.Ops[0])
 	if e.Ops[1] == 1 {
 		ns.cache[line] = lExclusive
@@ -504,7 +482,7 @@ func (ns *nodeState) onGrant(e *cmmu.Env) {
 // onInv invalidates the software-cached line and acks the home.
 func (ns *nodeState) onInv(e *cmmu.Env) {
 	e.ReadOps(1)
-	e.Elapse(ns.dsm.P.CacheLookup)
+	e.Elapse(cacheLookup)
 	line := mem.Addr(e.Ops[0])
 	delete(ns.cache, line)
 	e.Reply(cmmu.Descriptor{
@@ -517,7 +495,7 @@ func (ns *nodeState) onInv(e *cmmu.Env) {
 // onInvAck counts acks at the home; the last completes the pending request.
 func (ns *nodeState) onInvAck(e *cmmu.Env) {
 	e.ReadOps(2)
-	e.Elapse(ns.dsm.P.HandlerDir)
+	e.Elapse(handlerDir)
 	line := mem.Addr(e.Ops[0])
 	ent := ns.entry(line)
 	if ent.state != dPending {
@@ -550,7 +528,7 @@ func (ns *nodeState) onInvAck(e *cmmu.Env) {
 // cache here is unbounded so this only serves protocol completeness).
 func (ns *nodeState) onWB(e *cmmu.Env) {
 	e.ReadOps(2)
-	e.Elapse(ns.dsm.P.HandlerDir)
+	e.Elapse(handlerDir)
 	line := mem.Addr(e.Ops[0])
 	from := int(e.Ops[1])
 	ent := ns.entry(line)

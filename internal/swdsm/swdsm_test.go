@@ -11,7 +11,7 @@ import (
 
 func newDSM(n int) (*machine.Machine, *swdsm.DSM) {
 	m := machine.New(machine.DefaultConfig(n))
-	return m, swdsm.New(m, swdsm.DefaultParams())
+	return m, swdsm.New(m, false)
 }
 
 func TestLocalReadWrite(t *testing.T) {
@@ -49,7 +49,6 @@ func TestRemoteReadWrite(t *testing.T) {
 func TestHitPathChargesSoftwareCheck(t *testing.T) {
 	m, d := newDSM(2)
 	a := m.Store.AllocOn(1, 2)
-	pp := swdsm.DefaultParams()
 	var hitCost uint64
 	m.Spawn(0, 0, "p", func(p *machine.Proc) {
 		d.Read(p, a) // install
@@ -60,8 +59,7 @@ func TestHitPathChargesSoftwareCheck(t *testing.T) {
 		hitCost = p.Ctx.Now() - s
 	})
 	m.Run()
-	want := pp.CheckCycles + pp.CacheLookup
-	if hitCost != want {
+	if want := uint64(swdsm.HitCycles); hitCost != want {
 		t.Fatalf("software hit = %d cycles, want %d", hitCost, want)
 	}
 }
