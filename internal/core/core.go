@@ -39,6 +39,10 @@ type core struct {
 	// nextProbe gates remote steal sweeps in the shared-memory idle loop;
 	// the loop keeps polling its own (local, cached) queues in between.
 	nextProbe sim.Time
+	// item is the ready item dispatch hands to its step (AtWake), and
+	// running the thread the step started or resumed on it.
+	item    queueItem
+	running *Thread
 
 	// Shared-memory mode queues (in simulated memory).
 	taskq *smQueue
@@ -161,34 +165,48 @@ func (c *core) park(p *machine.Proc, d uint64) {
 	c.rt.M.St.Add(c.id, stats.IdleCycles, int64(p.Ctx.Now()-start))
 }
 
-// dispatch runs one ready item to completion or suspension.
+// dispatch runs one ready item to completion or suspension. It flushes
+// the switch cost, and the flush's wake starts or resumes the thread
+// (AtWake) and leaves the scheduler parked until the thread hands the
+// processor back.
 func (c *core) dispatch(p *machine.Proc, it queueItem) {
 	c.idleFails = 0
 	p.Elapse(switchCycles)
-	p.Flush()
-	th := it.thread
+	c.item = it
+	p.FlushThen(c)
+	p.PopRegion()
+	// The thread handed the processor back by suspending or finishing. A
+	// finished thread's body has returned, so its record can serve the
+	// next dispatch.
+	th := c.running
+	c.running = nil
+	if th.finished {
+		c.rt.putThread(th)
+	}
+}
+
+// AtWake is dispatch's step: it starts or resumes the item's thread and
+// leaves the scheduler parked. The park's interval belongs to the
+// thread's processor, so the scheduler's park is unattributed: the step
+// pushes NoBucket, and dispatch pops it once the scheduler resumes.
+//
+//alewife:hotpath
+func (c *core) AtWake(ctx *sim.Context) bool {
+	th := c.item.thread
 	if th == nil {
-		th = c.rt.getThread(it.task, c)
-		c.rt.M.St.Emit(p.Ctx.Now(), c.id, trace.KDispatch, th.id)
+		th = c.rt.getThread(c.item.task, c)
+		c.rt.M.St.Emit(ctx.Now(), c.id, trace.KDispatch, th.id)
 		th.start()
 	} else {
 		if th.core != c {
 			panic(fmt.Sprintf("core: thread %d resumed on node %d, pinned to %d", th.id, c.id, th.core.id))
 		}
-		c.rt.M.St.Emit(p.Ctx.Now(), c.id, trace.KDispatch, th.id)
+		c.rt.M.St.Emit(ctx.Now(), c.id, trace.KDispatch, th.id)
 		th.resume()
 	}
-	// Park until the thread hands the processor back; the interval belongs
-	// to the thread's processor, so the scheduler's park is unattributed.
-	p.PushRegion(metrics.NoBucket)
-	p.Ctx.Block()
-	p.PopRegion()
-	// The thread handed the processor back by suspending or finishing. A
-	// finished thread's body has returned, so its record can serve the
-	// next dispatch.
-	if th.finished {
-		c.rt.putThread(th)
-	}
+	c.item, c.running = queueItem{}, th
+	c.schedProc.PushRegion(metrics.NoBucket)
+	return false
 }
 
 // threadYield is called from a thread context when it finishes or

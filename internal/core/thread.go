@@ -2,6 +2,7 @@ package core
 
 import (
 	"alewife/internal/machine"
+	"alewife/internal/sim"
 	"alewife/internal/stats"
 	"alewife/internal/trace"
 )
@@ -87,11 +88,24 @@ func (th *Thread) resume() {
 }
 
 // suspend parks the calling thread and gives the processor back to the
-// node's scheduler; the thread becomes runnable again when something
-// enqueues it on its core's wake queue.
+// node's scheduler, at the wake of its flush (suspendStep); the thread
+// becomes runnable again when something enqueues it on its core's wake
+// queue.
 func (th *Thread) suspend() {
-	th.P.Flush()
-	th.RT.M.St.Emit(th.P.Ctx.Now(), th.core.id, trace.KSuspend, th.id)
+	th.P.FlushThen((*suspendStep)(th))
+}
+
+// suspendStep is Thread.suspend's AtWake step, a type of its own so that
+// the step is not a method of Thread.
+type suspendStep Thread
+
+// AtWake hands the processor back to the scheduler and leaves the thread
+// parked.
+//
+//alewife:hotpath
+func (s *suspendStep) AtWake(c *sim.Context) bool {
+	th := (*Thread)(s)
+	th.RT.M.St.Emit(c.Now(), th.core.id, trace.KSuspend, th.id)
 	th.core.threadYield()
-	th.P.Ctx.Block()
+	return false
 }

@@ -86,6 +86,9 @@ func (cfg Config) Validate() error {
 	case !pow2(cfg.WordsPerNode) || cfg.WordsPerNode < mem.LineWords:
 		return fmt.Errorf("machine: WordsPerNode %d is not a power of two of at least %d (one line)",
 			cfg.WordsPerNode, mem.LineWords)
+	case cfg.WordsPerNode > mem.MaxWords/uint64(cfg.Nodes): // the product could overflow
+		return fmt.Errorf("machine: %d nodes of WordsPerNode %d span more than %d words",
+			cfg.Nodes, cfg.WordsPerNode, uint64(mem.MaxWords))
 	case cfg.CacheSets < 1 || !pow2(uint64(cfg.CacheSets)):
 		return fmt.Errorf("machine: CacheSets %d is not a positive power of two", cfg.CacheSets)
 	case cfg.CacheWays < 1:

@@ -43,6 +43,10 @@ type Proc struct {
 	// is the context body that runs it.
 	body  func(*Proc)
 	entry func(*sim.Context)
+
+	// acc is the access on the miss path, begun by missStep at the wake
+	// of the flush before it and finished when the Proc resumes.
+	acc mem.Access
 }
 
 // Elapse charges n cycles of local computation.
@@ -54,18 +58,46 @@ func (p *Proc) Now() sim.Time { return p.Ctx.Now() + p.ahead }
 // Flush synchronizes the processor with the global clock: run-ahead cycles
 // and the cycles the node's controller booked against it (directory traps
 // and message handlers, see mem.Ctrl.TakeStolen) are paid before the next
-// visible action. With the profiler on, the retired cycles are decomposed
-// into buckets as they hit the wall clock: stolen cycles keep their origin
-// (message handler, directory trap); the proc's own run-ahead splits into
-// its access classes, or redirects wholesale to the active region (a
-// barrier spin's reads and waits are sync time, not memory time).
+// visible action.
 func (p *Proc) Flush() {
+	if d := p.book(); d > 0 {
+		p.Ctx.Sleep(d)
+	}
+}
+
+// FlushThen is Flush followed by w's step, where the step is what the
+// processor does first once its clock is synchronized and ends in a park
+// (begin a miss and wait for the fill, hand the processor to a thread): it
+// books the cycles, then sleeps them off with sim.Context.SleepThen, so
+// the step runs at the wake inside the dispatch loop and a step that parks
+// costs no coroutine switch. With nothing to flush, the step runs here,
+// and Block parks the processor when it returns false.
+//
+//alewife:hotpath
+func (p *Proc) FlushThen(w sim.AtWake) {
+	if d := p.book(); d > 0 {
+		p.Ctx.SleepThen(d, w)
+		return
+	}
+	if !w.AtWake(p.Ctx) {
+		p.Ctx.Block()
+	}
+}
+
+// book takes the cycles a flush retires and returns them: the run-ahead
+// and the stolen cycles, counted as busy. With the profiler on, the
+// retired cycles are decomposed into buckets as they hit the wall clock:
+// stolen cycles keep their origin (message handler, directory trap); the
+// proc's own run-ahead splits into its access classes, or redirects
+// wholesale to the active region (a barrier spin's reads and waits are
+// sync time, not memory time).
+func (p *Proc) book() uint64 {
 	n := p.Node
 	dir, msg := n.Ctrl.TakeStolen()
 	own := p.ahead
 	d := own + dir + msg
 	if d == 0 {
-		return
+		return 0
 	}
 	hit, miss, snd := p.aheadHit, p.aheadMiss, p.aheadMsg
 	p.ahead, p.aheadHit, p.aheadMiss, p.aheadMsg = 0, 0, 0, 0
@@ -84,7 +116,7 @@ func (p *Proc) Flush() {
 			p.prof.Add(n.ID, metrics.Compute, own-hit-miss-snd)
 		}
 	}
-	p.Ctx.Sleep(d)
+	return d
 }
 
 // curRegion returns the innermost region tag, or NoBucket when none is
@@ -159,8 +191,7 @@ func (p *Proc) Read(a mem.Addr) uint64 {
 		p.aheadHit += mem.CacheHit
 		return p.Node.M.Store.Read(a)
 	}
-	p.Flush()
-	p.Node.Ctrl.Read(p.Ctx, a)
+	p.access(a, mem.Shared, false)
 	p.ahead += mem.FillToUse + mem.CacheHit
 	p.aheadMiss += mem.FillToUse
 	p.aheadHit += mem.CacheHit
@@ -176,12 +207,34 @@ func (p *Proc) Write(a mem.Addr, v uint64) {
 		p.Node.M.Store.Write(a, v)
 		return
 	}
-	p.Flush()
-	p.Node.Ctrl.Write(p.Ctx, a)
+	p.access(a, mem.Exclusive, false)
 	p.ahead += mem.FillToUse + mem.CacheHit
 	p.aheadMiss += mem.FillToUse
 	p.aheadHit += mem.CacheHit
 	p.Node.M.Store.Write(a, v)
+}
+
+// access flushes and takes an access through the node's miss path: a load
+// or store that missed its fast path, or any atomic access. The flush's
+// wake begins the access (missStep) and parks the processor on the fill
+// there; Finish runs once it resumes.
+func (p *Proc) access(a mem.Addr, want mem.LState, atomic bool) {
+	p.acc = mem.Access{A: a, Want: want, Atomic: atomic}
+	p.FlushThen((*missStep)(p))
+	p.Node.Ctrl.Finish(p.Ctx, &p.acc)
+}
+
+// missStep is Proc.access's AtWake step, a type of its own so that the
+// step is not a method of Proc's API.
+type missStep Proc
+
+// AtWake begins the pending access and leaves the processor parked on its
+// fill when one is outstanding; any other ticket resumes the processor.
+//
+//alewife:hotpath
+func (s *missStep) AtWake(c *sim.Context) bool {
+	p := (*Proc)(s)
+	return !p.Node.Ctrl.Begin(&p.acc).Park(c)
 }
 
 // ReadF and WriteF are float64 views of Read/Write.
@@ -201,8 +254,7 @@ func (p *Proc) Prefetch(a mem.Addr, excl bool) {
 // FetchAdd atomically adds delta to the word at a, returning the old value.
 // It models Sparcle's atomic sequences over an exclusively held line.
 func (p *Proc) FetchAdd(a mem.Addr, delta uint64) uint64 {
-	p.Flush()
-	p.Node.Ctrl.AcquireExclusive(p.Ctx, a)
+	p.access(a, mem.Exclusive, true)
 	old := p.Node.M.Store.Read(a)
 	p.Node.M.Store.Write(a, old+delta)
 	p.ahead += 2 * mem.CacheHit
@@ -213,8 +265,7 @@ func (p *Proc) FetchAdd(a mem.Addr, delta uint64) uint64 {
 // CompareSwap atomically replaces old with new at a when it matches,
 // reporting success.
 func (p *Proc) CompareSwap(a mem.Addr, old, new uint64) bool {
-	p.Flush()
-	p.Node.Ctrl.AcquireExclusive(p.Ctx, a)
+	p.access(a, mem.Exclusive, true)
 	cur := p.Node.M.Store.Read(a)
 	p.ahead += 2 * mem.CacheHit
 	p.aheadHit += 2 * mem.CacheHit
@@ -228,8 +279,7 @@ func (p *Proc) CompareSwap(a mem.Addr, old, new uint64) bool {
 // TestSet atomically sets the word at a to 1, returning the previous value
 // (0 means the caller won the lock).
 func (p *Proc) TestSet(a mem.Addr) uint64 {
-	p.Flush()
-	p.Node.Ctrl.AcquireExclusive(p.Ctx, a)
+	p.access(a, mem.Exclusive, true)
 	old := p.Node.M.Store.Read(a)
 	p.Node.M.Store.Write(a, 1)
 	p.ahead += 2 * mem.CacheHit

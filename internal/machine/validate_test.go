@@ -22,6 +22,8 @@ func TestValidateRejects(t *testing.T) {
 		{"words-not-power-of-two", func(c *machine.Config) { c.WordsPerNode = 1000 }, "WordsPerNode"},
 		{"words-zero", func(c *machine.Config) { c.WordsPerNode = 0 }, "WordsPerNode"},
 		{"words-below-a-line", func(c *machine.Config) { c.WordsPerNode = 1 }, "WordsPerNode"},
+		{"words-product-overflows", func(c *machine.Config) { c.WordsPerNode = 1 << 62 }, "WordsPerNode"},
+		{"words-product-past-bound", func(c *machine.Config) { c.Nodes, c.WordsPerNode = 2, 1<<36 }, "WordsPerNode"},
 		{"cache-sets-three", func(c *machine.Config) { c.CacheSets = 3 }, "CacheSets"},
 		{"cache-sets-zero", func(c *machine.Config) { c.CacheSets = 0 }, "CacheSets"},
 		{"cache-sets-negative", func(c *machine.Config) { c.CacheSets = -4 }, "CacheSets"},

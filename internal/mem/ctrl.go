@@ -264,14 +264,73 @@ func (c *Ctrl) FastWrite(a Addr) bool {
 // Slow (miss) paths, called on a processor context already synchronized
 // with engine time.
 
+// Access is one processor access on the miss path: the word, the state it
+// needs, and the ticket of its last probe. Begin starts it and Finish
+// waits it out, and Read, Write and AcquireExclusive are the two in a
+// row. Between them, the processor can park on the fill inside the
+// dispatch loop, as an AtWake step of the flush before the access (see
+// machine.Proc.FlushThen), which saves the switches of resuming it only
+// to begin the access.
+type Access struct {
+	A    Addr
+	Want LState
+	// Atomic asks for the line held exclusively right now, for a
+	// read-modify-write (AcquireExclusive); Want must be Exclusive.
+	Atomic bool
+
+	tk FillTicket
+	// recheck: an atomic access whose first probe missed probes once
+	// more when its miss loop ends.
+	recheck bool
+}
+
+// Begin probes the cache for x and, on a miss, joins or issues the fill
+// (StartMiss), without blocking. It returns the ticket Finish waits on,
+// which the caller may also Park on.
+//
+//alewife:hotpath
+func (c *Ctrl) Begin(x *Access) FillTicket {
+	x.recheck = false
+	if x.Atomic {
+		if c.cache.Touch(x.A, Exclusive) {
+			x.tk = FillTicket{}
+			return x.tk
+		}
+		x.recheck = true
+	}
+	x.tk = c.StartMiss(x.A, x.Want)
+	return x.tk
+}
+
+// Finish stalls ctx until the access Begin started can complete: it waits
+// on the ticket and probes again until the probe hits. A ticket parked on
+// and since retired returns at once. An atomic access ends only on a hit
+// of one more probe, so that no coherence action comes between it and the
+// caller's read-modify-write (the engine runs no events between Finish's
+// return and the caller's next yield).
+//
+//alewife:engine-only
+func (c *Ctrl) Finish(ctx *sim.Context, x *Access) {
+	for {
+		for !x.tk.Hit() {
+			x.tk.Wait(ctx)
+			x.tk = c.StartMiss(x.A, x.Want)
+		}
+		if !x.recheck || c.cache.Touch(x.A, Exclusive) {
+			return
+		}
+		x.tk = c.StartMiss(x.A, x.Want)
+	}
+}
+
 // Read stalls ctx until the line containing a is readable in this node's
 // cache. The caller loads the value from the store afterwards.
 //
 //alewife:engine-only
 func (c *Ctrl) Read(ctx *sim.Context, a Addr) {
-	for tk := c.StartMiss(a, Shared); !tk.Hit(); tk = c.StartMiss(a, Shared) {
-		tk.Wait(ctx)
-	}
+	x := Access{A: a, Want: Shared}
+	c.Begin(&x)
+	c.Finish(ctx, &x)
 }
 
 // Write stalls ctx until this node holds the line exclusively; the caller
@@ -281,26 +340,26 @@ func (c *Ctrl) Read(ctx *sim.Context, a Addr) {
 //
 //alewife:engine-only
 func (c *Ctrl) Write(ctx *sim.Context, a Addr) {
-	for tk := c.StartMiss(a, Exclusive); !tk.Hit(); tk = c.StartMiss(a, Exclusive) {
-		tk.Wait(ctx)
-	}
+	x := Access{A: a, Want: Exclusive}
+	c.Begin(&x)
+	c.Finish(ctx, &x)
 }
 
 // AcquireExclusive stalls ctx until a write to a hits exclusively *right
 // now*, so the caller can perform a read-modify-write without any
-// intervening coherence action (the engine runs no events between the
-// return and the caller's next yield).
+// intervening coherence action.
 //
 //alewife:engine-only
 func (c *Ctrl) AcquireExclusive(ctx *sim.Context, a Addr) {
-	for !c.cache.Touch(a, Exclusive) {
-		c.Write(ctx, a)
-	}
+	x := Access{A: a, Want: Exclusive, Atomic: true}
+	c.Begin(&x)
+	c.Finish(ctx, &x)
 }
 
 // FillTicket is StartMiss's handle on what a missed access waits for
 // before it probes the cache again; the zero ticket means the access hit.
-// Sparcle switches contexts between StartMiss and Wait, so a ticket may be
+// Sparcle switches contexts between StartMiss and Wait, and Finish waits
+// on a ticket its processor already parked on (Park), so a ticket may be
 // waited on after its wait is over. A fill ticket carries its pooled
 // record's generation, and Wait returns at once if the fill has retired. A
 // buffer-full ticket waits for a free slot, probes the cache again (a
@@ -328,6 +387,16 @@ const (
 
 // Hit reports that the access needs no wait at all.
 func (tk FillTicket) Hit() bool { return tk.kind == tkHit }
+
+// Park adds ctx as a waiter on the ticket's fill, without blocking it,
+// when that fill is still outstanding, and reports whether it did. Any
+// other ticket (a hit, a prefetch penalty, a full buffer) or a retired
+// fill reports false: the context resumes at once and Finish handles it.
+//
+//alewife:hotpath
+func (tk FillTicket) Park(ctx *sim.Context) bool {
+	return tk.kind == tkFill && tk.t.gen == tk.gen && tk.t.gate.Park(ctx)
+}
 
 // Wait parks ctx until the caller should probe the cache again.
 func (tk FillTicket) Wait(ctx *sim.Context) {

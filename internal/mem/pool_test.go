@@ -391,3 +391,57 @@ func TestPooledRecordsWithFaultInjection(t *testing.T) {
 		})
 	}
 }
+
+// Park waits only on a fill that is still outstanding. A hit, a prefetch
+// penalty, a full transaction buffer or a retired fill reports false, so
+// an AtWake step resumes the processor and Finish handles the ticket.
+func TestTicketParkOnlyOnOutstandingFill(t *testing.T) {
+	h := newHarness(2)
+	ctrl := h.fab.Ctrls[0]
+	addrs := make([]Addr, txnLimit+2)
+	for i := range addrs {
+		addrs[i] = h.fab.Store.AllocOn(1, 4)
+	}
+	h.run(t, func(c *sim.Context) {
+		x := Access{A: addrs[0], Want: Shared}
+		tk := ctrl.Begin(&x)
+		if !tk.Park(c) {
+			t.Fatal("Park refused an outstanding fill")
+		}
+		c.Block() // the fill's gate resumes the context
+		if tk.Park(c) {
+			t.Fatal("Park waited on a retired fill")
+		}
+		ctrl.Finish(c, &x)
+		if hit := ctrl.Begin(&Access{A: addrs[0], Want: Shared}); hit.Park(c) {
+			t.Fatal("Park waited on a hit")
+		}
+
+		// A write after a landed shared prefetch: a timed penalty.
+		ctrl.Prefetch(addrs[1], false)
+		c.Sleep(300)
+		x = Access{A: addrs[1], Want: Exclusive}
+		if ctrl.Begin(&x).Park(c) {
+			t.Fatal("Park waited on a prefetch penalty")
+		}
+		ctrl.Finish(c, &x)
+		if ctrl.LineState(addrs[1]) != Exclusive {
+			t.Fatal("Finish did not complete the penalized write")
+		}
+
+		// A full transaction buffer.
+		for _, a := range addrs[2 : 2+txnLimit] {
+			ctrl.Prefetch(a, false)
+		}
+		x = Access{A: addrs[0], Want: Exclusive, Atomic: true}
+		if tk := ctrl.Begin(&x); tk.kind != tkFull {
+			t.Fatalf("ticket kind %d on a full buffer, want a buffer-full ticket", tk.kind)
+		} else if tk.Park(c) {
+			t.Fatal("Park waited on a full buffer")
+		}
+		ctrl.Finish(c, &x)
+		if ctrl.LineState(addrs[0]) != Exclusive {
+			t.Fatal("Finish did not complete the atomic access")
+		}
+	})
+}

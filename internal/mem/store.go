@@ -41,6 +41,13 @@ const (
 	storeDirWords  = 1 << storeTopShift
 )
 
+// MaxWords bounds the words a store spans, all nodes together. NewStore
+// allocates the top level of the page table up front, one pointer per
+// 2^16 words, so 2^36 words (512 GB of simulated memory) keep it at 8 MB;
+// the default 64-node machine spans 2^26. machine.Config.Validate rejects
+// a machine past the bound.
+const MaxWords = 1 << 36
+
 type (
 	storePage [storePageWords]uint64
 	storeDir  [storeDirPages]*storePage

@@ -36,12 +36,20 @@ type Context struct {
 	gen uint64
 	// blocked is informational: true while parked with no wake event queued.
 	blocked bool
+	// step is SleepThen's pending step, run and cleared by the next wake
+	// that resumes the context (Engine.advance). stepParked records that
+	// the step left the context parked, at parkedAt, so that SleepThen
+	// reports the park to BlockNote once the context resumes.
+	step       AtWake
+	stepParked bool
+	parkedAt   Time
 	// listed is true while the context is on Engine.ctxs, so a reused
 	// context is listed once.
 	listed bool
 
-	// BlockNote, when non-nil, observes every Block on this context: it is
-	// called with the park time and the wake time once the context resumes.
+	// BlockNote, when non-nil, observes every Block on this context, and
+	// every park of a SleepThen step: it is called with the park time and
+	// the wake time once the context resumes.
 	// The metrics layer hangs cycle attribution off it — why the context
 	// woke is known to the caller that parked, so the caller tags the wait
 	// and this hook supplies the measured duration. Nil costs one branch.
@@ -205,6 +213,45 @@ func (c *Context) WaitUntil(t Time) {
 // Sleep advances the context by d cycles.
 func (c *Context) Sleep(d uint64) { c.WaitUntil(c.eng.now + d) }
 
+// AtWake is a step that SleepThen runs at its wake, inside the dispatch
+// loop. It returns true to resume the context there, or false to leave it
+// parked on whatever the step armed (a Gate.Park, an UnblockAt): that
+// wake then costs no coroutine switch.
+type AtWake interface {
+	AtWake(c *Context) bool
+}
+
+// SleepThen sleeps d cycles, then runs w.AtWake(c) inside the dispatch
+// loop, at the wake's own (at, seq) place, and returns once the context
+// resumes. It behaves exactly as
+//
+//	c.Sleep(d)
+//	if !w.AtWake(c) {
+//		c.Block()
+//	}
+//
+// because the step runs what the resumed context would have run before
+// its next park, with nothing dispatched in between; it only saves the
+// two coroutine switches of resuming the context to run the step. The
+// step belongs to the context, not to the wake record: whichever wake
+// resumes the context first runs it (an UnblockAt that cuts the sleep
+// short does), and the sleep's own wake is then stale. A step that parks
+// the context is reported to BlockNote as a Block would be, from the wake
+// to the resume.
+//
+//alewife:hotpath
+func (c *Context) SleepThen(d uint64, w AtWake) {
+	c.step = w
+	c.wakeAt(c.eng.now + d)
+	c.parkAndDispatch()
+	if c.stepParked {
+		c.stepParked = false
+		if c.BlockNote != nil {
+			c.BlockNote(c.parkedAt, c.eng.now)
+		}
+	}
+}
+
 // Block parks the context indefinitely. Some other activity must call
 // Unblock (directly or via a Gate) or the context never runs again; the
 // engine detects total deadlock in Machine-level drivers by the event queue
@@ -254,15 +301,26 @@ func (g *Gate) Fired() bool { return g.fired }
 
 // Wait parks the context until the gate fires (returns at the fire time).
 func (g *Gate) Wait(c *Context) {
+	if g.Park(c) {
+		c.Block()
+	}
+}
+
+// Park adds c as a waiter without blocking it, for an AtWake step that
+// leaves c parked, and reports whether it did: false means the gate has
+// already fired.
+//
+//alewife:hotpath
+func (g *Gate) Park(c *Context) bool {
 	if g.fired {
-		return
+		return false
 	}
 	if g.w0 == nil {
 		g.w0 = c
 	} else {
 		g.waiters = append(g.waiters, c)
 	}
-	c.Block()
+	return true
 }
 
 // Fire releases all waiters, in arrival order, at the current simulation

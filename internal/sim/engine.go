@@ -79,7 +79,34 @@ type Engine struct {
 	chooser   Chooser
 	candBuf   []*event
 	choiceBuf []Choice
+	// work counts what advance dispatched; see Work.
+	work Work
 }
+
+// Work is the engine's dispatch work since NewEngine: a pure function of
+// the run, where its host time is not. Every wake advance pops is a
+// handoff, a self-continue, an absorbed wake or a stale one, which is not
+// counted, and only a handoff costs coroutine switches: two, parker to
+// driver to the resumed context. The counts are plain fields, not
+// stats counters, so that no run's counter snapshot changes with them.
+type Work struct {
+	// Events counts the records advance popped: callbacks, sinks and
+	// wakes, stale ones included. A chooser's run drops stale wakes
+	// without popping them there (nextChosen), and they are not counted.
+	Events uint64
+	// Handoffs counts wakes that resumed a context other than the one
+	// running the dispatch loop.
+	Handoffs uint64
+	// SelfContinues counts wakes that resumed the context running the
+	// loop, which continues inline.
+	SelfContinues uint64
+	// Absorbed counts wakes whose AtWake step left the context parked,
+	// so the loop went on without resuming it (see SleepThen).
+	Absorbed uint64
+}
+
+// Work returns the engine's dispatch counts so far.
+func (e *Engine) Work() Work { return e.work }
 
 type panicValue struct {
 	ctx   string
@@ -283,12 +310,13 @@ func (e *Engine) describe(r *event) Choice {
 func (e *Engine) Halt() { e.halted = true }
 
 // advance is the dispatch loop, and the only code that dispatches an event:
-// it pops events in (at, seq) order, runs callbacks and sinks inline, drops
-// stale wakes, and ends when control must move. self is the parked context
-// running the loop, or nil when the driver runs it. It reports whether
-// self's own wake fired, in which case self continues with no switch;
-// otherwise it ended with the next context to resume in e.handoff, or with
-// e.handoff nil on a stop condition (drained queue, Halt, budget).
+// it pops events in (at, seq) order, runs callbacks, sinks and SleepThen
+// steps inline, drops stale wakes, and ends when control must move. self
+// is the parked context running the loop, or nil when the driver runs it.
+// It reports whether self's own wake fired, in which case self continues
+// with no switch; otherwise it ended with the next context to resume in
+// e.handoff, or with e.handoff nil on a stop condition (drained queue,
+// Halt, budget).
 //
 //alewife:hotpath
 func (e *Engine) advance(self *Context) bool {
@@ -308,6 +336,7 @@ func (e *Engine) advance(self *Context) bool {
 		if e.budgeted {
 			e.budget--
 		}
+		e.work.Events++
 		e.now = r.at
 		if c := r.ctx; c != nil {
 			gen := r.gen
@@ -321,9 +350,22 @@ func (e *Engine) advance(self *Context) bool {
 			// wake still queued for the old one.
 			c.blocked = false
 			c.gen++
+			// A pending SleepThen step runs here, in the wake's place,
+			// as the context would have run it on resuming. When it parks
+			// the context again, no switch happens at all.
+			if w := c.step; w != nil {
+				c.step = nil
+				if !w.AtWake(c) {
+					c.blocked, c.stepParked, c.parkedAt = true, true, e.now
+					e.work.Absorbed++
+					continue
+				}
+			}
 			if c == self {
+				e.work.SelfContinues++
 				return true
 			}
+			e.work.Handoffs++
 			e.handoff = c
 			return false
 		}
