@@ -52,10 +52,6 @@ type Config = machine.Config
 // Proc is the processor interface simulated programs run against.
 type Proc = machine.Proc
 
-// MPContext is one hardware context of a block-multithreaded (Sparcle-
-// style) processor; see Machine.SpawnMulti.
-type MPContext = machine.MPContext
-
 // Addr is a global word address in the shared address space.
 type Addr = mem.Addr
 

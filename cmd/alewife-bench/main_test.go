@@ -105,8 +105,7 @@ func TestNodeRulesExitTwo(t *testing.T) {
 		{[]string{"-experiment", "ablate-limitless", "-nodes", "1", "-quick"}, "ablate-limitless needs at least 2 nodes"},
 		{[]string{"-experiment", "prodcons", "-nodes", "1"}, "prodcons needs at least 2 nodes"},
 		{[]string{"-experiment", "fig11", "-nodes", "3"}, "3x1 processor grid, which does not divide its 32x32"},
-		{[]string{"-experiment", "reduce", "-nodes", "6"}, "3x2 processor grid, which does not divide its 16x16"},
-		{[]string{"-experiment", "traffic", "-nodes", "6", "-quick"}, "traffic: 6 nodes"},
+		{[]string{"-experiment", "fig11", "-nodes", "6", "-quick"}, "3x2 processor grid, which does not divide its 32x32"},
 		{[]string{"-experiment", "fig9", "-nodes", "2", "-quick"}, "fig9 cannot run on 2 nodes: the hybrid scheduler livelocks"},
 		{[]string{"-experiment", "invoke", "-nodes", "2"}, "invoke cannot run on 2 nodes"},
 		{[]string{"-all", "-nodes", "1", "-quick"}, "needs at least 2 nodes"},

@@ -49,15 +49,18 @@ func ExampleDescriptor() {
 	// Output: node 1 received ops: [3 4]
 }
 
-// The combining-tree barrier with a bundled sum reduction.
+// The combining-tree barrier: no node leaves before every node has entered.
 func ExampleBarrier() {
 	rt := alewife.NewRuntime(alewife.NewMachine(4), alewife.Hybrid)
-	totals := make([]uint64, 4)
+	entered := 0
+	seen := make([]int, 4)
 	rt.SPMD(func(p *machine.Proc) {
-		totals[p.ID()] = rt.Barrier().SyncReduce(p, uint64(p.ID()+1))
+		entered++
+		rt.Barrier().Sync(p)
+		seen[p.ID()] = entered
 	})
-	fmt.Println("every node sees:", totals[0], totals[1], totals[2], totals[3])
-	// Output: every node sees: 10 10 10 10
+	fmt.Println("entered when each node left:", seen[0], seen[1], seen[2], seen[3])
+	// Output: entered when each node left: 4 4 4 4
 }
 
 // Remote thread invocation: place work on another processor's queue.

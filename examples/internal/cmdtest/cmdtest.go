@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-// Build compiles pkg (an import path like "alewife/examples/bfs") and
+// Build compiles pkg (an import path like "alewife/examples/barrier") and
 // returns the path of the resulting binary. The Go build cache makes
 // repeat builds within a test run cheap.
 func Build(t *testing.T, pkg string) string {

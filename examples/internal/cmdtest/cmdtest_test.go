@@ -18,7 +18,7 @@ func TestBuildProducesExecutable(t *testing.T) {
 }
 
 func TestRunReportsNonZeroExit(t *testing.T) {
-	out, code := Run(t, "alewife/examples/bfs", "-no-such-flag")
+	out, code := Run(t, "alewife/examples/barrier", "-no-such-flag")
 	if code == 0 {
 		t.Fatalf("unknown flag exited 0:\n%s", out)
 	}

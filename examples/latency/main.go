@@ -1,18 +1,16 @@
-// Latency: one remote traversal, four ways. The same 4 KB remote array is
-// summed by (1) a plain blocking processor, (2) a prefetching loop,
-// (3) a Sparcle-style block-multithreaded processor with two hardware
-// contexts, and (4) a processor whose shared address space is synthesized
-// in software over messages (the paper's Figure 1 strawman). Together they
-// bracket the design space the paper argues over: hardware coherence is
-// the floor everything else builds on, and latency tolerance comes from
-// prefetching or multithreading — not from doing coherence in software.
+// Latency: one remote traversal, three ways. The same 4 KB remote array
+// is summed by (1) a plain blocking processor, (2) a prefetching loop, and
+// (3) a processor whose shared address space is synthesized in software
+// over messages (the paper's Figure 1 strawman). Together they bracket the
+// design space the paper argues over: hardware coherence is the floor
+// everything else builds on, and latency tolerance comes from prefetching
+// — not from doing coherence in software.
 package main
 
 import (
 	"fmt"
 
 	"alewife"
-	"alewife/internal/machine"
 	"alewife/internal/mem"
 	"alewife/internal/swdsm"
 )
@@ -31,7 +29,7 @@ func setup() (*alewife.Machine, alewife.Addr) {
 func expect() uint64 { return words * (words - 1) / 2 }
 
 func main() {
-	fmt.Printf("summing a %d-byte array on the neighbouring node, four ways\n\n", words*8)
+	fmt.Printf("summing a %d-byte array on the neighbouring node, three ways\n\n", words*8)
 
 	// 1. Plain blocking loads.
 	m, arr := setup()
@@ -68,28 +66,7 @@ func main() {
 	m.Run()
 	report("prefetching", sum, cycles)
 
-	// 3. Two Sparcle hardware contexts.
-	m, arr = setup()
-	sums := make([]uint64, 2)
-	bodies := make([]func(*machine.MPContext), 2)
-	for i := range bodies {
-		i := i
-		bodies[i] = func(c *machine.MPContext) {
-			lo := uint64(i) * words / 2
-			hi := lo + words/2
-			var s uint64
-			for w := lo; w < hi; w++ {
-				s += c.Read(arr + alewife.Addr(w))
-				c.Elapse(2)
-			}
-			sums[i] = s
-		}
-	}
-	m.SpawnMulti(0, 0, bodies)
-	m.Run()
-	report("2 hardware contexts", sums[0]+sums[1], m.Eng.Now())
-
-	// 4. Software-synthesized shared address space (Figure 1).
+	// 3. Software-synthesized shared address space (Figure 1).
 	m, arr = setup()
 	d := swdsm.New(m, false)
 	sum = 0

@@ -109,18 +109,6 @@ func TestAttribAQ(t *testing.T) {
 	}
 }
 
-func TestAttribBFS(t *testing.T) {
-	for _, mode := range []core.Mode{core.ModeSharedMemory, core.ModeHybrid} {
-		rt, prof := profiledRT(t, 4, mode)
-		g := NewBFSGraph(rt.M, 64, 4)
-		r := BFS(rt, g, 0)
-		if r.Visited == 0 {
-			t.Fatalf("%v: BFS visited nothing", mode)
-		}
-		finishAttrib(t, rt.M, prof)
-	}
-}
-
 func TestAttribJacobi(t *testing.T) {
 	for _, mode := range []core.Mode{core.ModeSharedMemory, core.ModeHybrid} {
 		rt, prof := profiledRT(t, 4, mode)

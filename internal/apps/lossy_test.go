@@ -111,17 +111,6 @@ func TestLossyAQ(t *testing.T) {
 	}
 }
 
-func TestLossyBFS(t *testing.T) {
-	for _, mode := range []core.Mode{core.ModeSharedMemory, core.ModeHybrid} {
-		rt, prof := lossyRT(t, 4, mode)
-		g := NewBFSGraph(rt.M, 64, 4)
-		if r := BFS(rt, g, 0); r.Visited == 0 {
-			t.Fatalf("%v over loss: BFS visited nothing", mode)
-		}
-		finishLossy(t, rt.M, prof)
-	}
-}
-
 func TestLossyJacobi(t *testing.T) {
 	for _, mode := range []core.Mode{core.ModeSharedMemory, core.ModeHybrid} {
 		rt, prof := lossyRT(t, 4, mode)

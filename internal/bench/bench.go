@@ -92,7 +92,7 @@ func Find(id string) (Experiment, bool) {
 
 // machCfg is the standard machine configuration with the experiment
 // config's wire-fault regime applied; every experiment builds through it so
-// -loss reaches ablations and topology sweeps too.
+// -loss reaches the ablations too.
 func machCfg(cfg Config, nodes int) machine.Config {
 	mc := machine.DefaultConfig(nodes)
 	if cfg.Loss > 0 {

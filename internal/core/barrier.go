@@ -40,9 +40,6 @@ type Barrier struct {
 	harrived []uint64
 	hepoch   []uint64
 	hwait    []*machine.Proc
-
-	// red holds the value-reduction extension state (see reduce.go).
-	red *reduceState
 }
 
 // DefaultMsgArity is the paper's best message tree on 64 nodes (two-level
@@ -210,39 +207,22 @@ func (b *Barrier) release(i int, e uint64, p *machine.Proc, env *cmmu.Env) {
 	}
 }
 
-// onBarArrive accumulates a child's arrival at this tree node. A third
-// operand marks a reducing barrier, whose arrivals carry partial sums.
+// onBarArrive accumulates a child's arrival at this tree node.
 func (c *core) onBarArrive(e *cmmu.Env) {
 	e.ReadOps(len(e.Ops))
 	b := c.rt.barrier
 	i := c.id
 	e.Elapse(barHandlerCycles)
-	reducing := len(e.Ops) == 3 && e.Ops[2] == 1
-	if reducing {
-		b.reduce().hsum[i] += e.Ops[1]
-	}
 	b.harrived[i]++
 	if b.harrived[i] == uint64(b.nchildren(i, b.arity))+1 {
 		b.harrived[i] = 0
-		if reducing {
-			r := b.reduce()
-			sum := r.hsum[i]
-			r.hsum[i] = 0
-			b.completeReduce(i, e.Ops[0], sum, nil, e)
-		} else {
-			b.complete(i, e.Ops[0], nil, e)
-		}
+		b.complete(i, e.Ops[0], nil, e)
 	}
 }
 
-// onBarWake releases this node and forwards the wave; reducing wake-ups
-// carry the total along.
+// onBarWake releases this node and forwards the wave.
 func (c *core) onBarWake(e *cmmu.Env) {
 	e.ReadOps(len(e.Ops))
 	e.Elapse(barHandlerCycles)
-	if len(e.Ops) == 3 && e.Ops[2] == 1 {
-		c.rt.barrier.releaseReduce(c.id, e.Ops[0], e.Ops[1], nil, e)
-		return
-	}
 	c.rt.barrier.release(c.id, e.Ops[0], nil, e)
 }

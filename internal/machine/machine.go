@@ -24,7 +24,6 @@ type Topology int
 // Interconnect topologies.
 const (
 	TopoMesh  Topology = iota // 2-D mesh (Alewife)
-	TopoTorus                 // 2-D torus (wrap-around links)
 	TopoIdeal                 // contention-free constant latency (ablation)
 )
 
@@ -156,15 +155,12 @@ func New(cfg Config) *Machine {
 		panic(err.Error())
 	}
 	m := &Machine{Cfg: cfg, Eng: sim.NewEngine(), St: stats.NewMachine(cfg.Nodes)}
-	w, h := mesh.Dims(cfg.Nodes)
-	switch cfg.Topology {
-	case TopoTorus:
-		m.Net = mesh.NewTorus(m.Eng, w, h, cfg.Net, m.St)
-	case TopoIdeal:
+	if cfg.Topology == TopoIdeal {
 		// Faults apply just as on the mesh, so lossy ablations (and the
 		// schedule explorer) work here too.
 		m.Net = &mesh.Ideal{Eng: m.Eng, N: cfg.Nodes, St: m.St, Fault: cfg.Net.Fault}
-	default:
+	} else {
+		w, h := mesh.Dims(cfg.Nodes)
 		m.Net = mesh.New(m.Eng, w, h, cfg.Net, m.St)
 	}
 	if cfg.Net.Fault.Lossy() || cfg.Reliable {

@@ -80,7 +80,6 @@ func TestMetricsNeverChangeTiming(t *testing.T) {
 		fault *mesh.NetFault
 	}{
 		{"mesh", machine.TopoMesh, nil},
-		{"torus", machine.TopoTorus, nil},
 		{"ideal", machine.TopoIdeal, nil},
 		{"lossy-mesh", machine.TopoMesh, &mesh.NetFault{Seed: 5, Drop: 0.1, Dup: 0.1, Reorder: 0.1}},
 	} {

@@ -25,7 +25,7 @@ func topoRT(t *testing.T, topo machine.Topology, nodes int, mode core.Mode) *cor
 }
 
 func TestAllTopologiesBarrier64(t *testing.T) {
-	for _, topo := range []machine.Topology{machine.TopoMesh, machine.TopoTorus, machine.TopoIdeal} {
+	for _, topo := range []machine.Topology{machine.TopoMesh, machine.TopoIdeal} {
 		for _, mode := range []core.Mode{core.ModeSharedMemory, core.ModeHybrid} {
 			rt := topoRT(t, topo, 64, mode)
 			done := 0
@@ -43,7 +43,7 @@ func TestAllTopologiesBarrier64(t *testing.T) {
 }
 
 func TestAllTopologiesForkJoin(t *testing.T) {
-	for _, topo := range []machine.Topology{machine.TopoMesh, machine.TopoTorus, machine.TopoIdeal} {
+	for _, topo := range []machine.Topology{machine.TopoMesh, machine.TopoIdeal} {
 		for _, mode := range []core.Mode{core.ModeSharedMemory, core.ModeHybrid} {
 			rt := topoRT(t, topo, 8, mode)
 			v, _ := rt.Run(func(tc *core.TC) uint64 {

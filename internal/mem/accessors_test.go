@@ -91,22 +91,22 @@ func TestStartMissDirect(t *testing.T) {
 	a := h.fab.Store.AllocOn(1, 4)
 	h.run(t, func(c *sim.Context) {
 		ctrl := h.fab.Ctrls[0]
-		tk := ctrl.StartMiss(a, Shared)
+		tk := ctrl.startMiss(a, Shared)
 		if tk.Hit() {
-			t.Fatal("cold StartMiss reported a hit")
+			t.Fatal("cold startMiss reported a hit")
 		}
 		tk.Wait(c)
-		if !ctrl.StartMiss(a, Shared).Hit() {
-			t.Fatal("warm shared StartMiss not a hit")
+		if !ctrl.startMiss(a, Shared).Hit() {
+			t.Fatal("warm shared startMiss not a hit")
 		}
 		// Upgrade path.
-		tk = ctrl.StartMiss(a, Exclusive)
+		tk = ctrl.startMiss(a, Exclusive)
 		if tk.Hit() {
-			t.Fatal("upgrade StartMiss reported a hit")
+			t.Fatal("upgrade startMiss reported a hit")
 		}
 		tk.Wait(c)
-		if !ctrl.StartMiss(a, Exclusive).Hit() {
-			t.Fatal("exclusive StartMiss not a hit after upgrade")
+		if !ctrl.startMiss(a, Exclusive).Hit() {
+			t.Fatal("exclusive startMiss not a hit after upgrade")
 		}
 	})
 }
@@ -116,10 +116,10 @@ func TestStartMissJoinsOutstanding(t *testing.T) {
 	a := h.fab.Store.AllocOn(1, 4)
 	h.run(t, func(c *sim.Context) {
 		ctrl := h.fab.Ctrls[0]
-		tk1 := ctrl.StartMiss(a, Shared)
-		tk2 := ctrl.StartMiss(a, Shared)
+		tk1 := ctrl.startMiss(a, Shared)
+		tk2 := ctrl.startMiss(a, Shared)
 		if tk1.Hit() || tk2.t == nil || tk2.t != tk1.t {
-			t.Fatal("second StartMiss did not join the outstanding fill")
+			t.Fatal("second startMiss did not join the outstanding fill")
 		}
 		tk1.Wait(c)
 	})
@@ -134,7 +134,7 @@ func TestStartMissPrefetchPenaltyGate(t *testing.T) {
 		ctrl.Prefetch(a, false)
 		c.Sleep(300)
 		s := c.Now()
-		tk := ctrl.StartMiss(a, Exclusive)
+		tk := ctrl.startMiss(a, Exclusive)
 		if tk.Hit() {
 			t.Fatal("penalized write reported a free hit")
 		}

@@ -285,7 +285,7 @@ type Access struct {
 }
 
 // Begin probes the cache for x and, on a miss, joins or issues the fill
-// (StartMiss), without blocking. It returns the ticket Finish waits on,
+// (startMiss), without blocking. It returns the ticket Finish waits on,
 // which the caller may also Park on.
 //
 //alewife:hotpath
@@ -298,7 +298,7 @@ func (c *Ctrl) Begin(x *Access) FillTicket {
 		}
 		x.recheck = true
 	}
-	x.tk = c.StartMiss(x.A, x.Want)
+	x.tk = c.startMiss(x.A, x.Want)
 	return x.tk
 }
 
@@ -314,12 +314,12 @@ func (c *Ctrl) Finish(ctx *sim.Context, x *Access) {
 	for {
 		for !x.tk.Hit() {
 			x.tk.Wait(ctx)
-			x.tk = c.StartMiss(x.A, x.Want)
+			x.tk = c.startMiss(x.A, x.Want)
 		}
 		if !x.recheck || c.cache.Touch(x.A, Exclusive) {
 			return
 		}
-		x.tk = c.StartMiss(x.A, x.Want)
+		x.tk = c.startMiss(x.A, x.Want)
 	}
 }
 
@@ -356,16 +356,16 @@ func (c *Ctrl) AcquireExclusive(ctx *sim.Context, a Addr) {
 	c.Finish(ctx, &x)
 }
 
-// FillTicket is StartMiss's handle on what a missed access waits for
+// FillTicket is startMiss's handle on what a missed access waits for
 // before it probes the cache again; the zero ticket means the access hit.
-// Sparcle switches contexts between StartMiss and Wait, and Finish waits
-// on a ticket its processor already parked on (Park), so a ticket may be
-// waited on after its wait is over. A fill ticket carries its pooled
-// record's generation, and Wait returns at once if the fill has retired. A
-// buffer-full ticket waits for a free slot, probes the cache again (a
-// sibling context may have filled the line, and for an Exclusive line the
-// home would defer a second request forever), then joins or issues the
-// fill and waits for it. A penalty ticket waits until a fixed time.
+// Finish waits on a ticket its processor may already have parked on
+// (Park), so a ticket may be waited on after its wait is over. A fill
+// ticket carries its pooled record's generation, and Wait returns at once
+// if the fill has retired. A buffer-full ticket waits for a free slot,
+// probes the cache again (another context on the node may have filled the
+// line, and for an Exclusive line the home would defer a second request
+// forever), then joins or issues the fill and waits for it. A penalty
+// ticket waits until a fixed time.
 type FillTicket struct {
 	kind ticketKind
 	t    *txn     // fill: the transaction
@@ -419,15 +419,13 @@ func (tk FillTicket) Wait(ctx *sim.Context) {
 	}
 }
 
-// StartMiss probes this node's cache for the line containing a in state
+// startMiss probes this node's cache for the line containing a in state
 // want. On a miss it counts the miss (or the upgrade) and joins or issues
 // the fill without blocking, and returns the ticket to wait on before
-// probing again; callers loop until a Hit ticket, as Read and Write do.
-// Latency-tolerant processors (Sparcle's block multithreading) switch to
-// another hardware context between StartMiss and Wait instead of stalling.
+// probing again; Begin and Finish loop on it until a Hit ticket.
 //
 //alewife:engine-only
-func (c *Ctrl) StartMiss(a Addr, want LState) FillTicket {
+func (c *Ctrl) startMiss(a Addr, want LState) FillTicket {
 	if c.cache.Touch(a, want) {
 		return FillTicket{}
 	}

@@ -20,8 +20,8 @@ func (m missCounts) since(prev missCounts) missCounts {
 }
 
 // TestMissPathAccounting pins what one access counts and waits for on each
-// of the miss path's detours: Proc and Sparcle contexts count through the
-// same path, so these figures hold for both.
+// of the miss path's detours. Every access counts through the one
+// startMiss path, so these figures hold for all of them.
 func TestMissPathAccounting(t *testing.T) {
 	t.Run("prefetch-write-penalty", func(t *testing.T) {
 		// A write to a line a shared prefetch filled waits exactly the
@@ -110,13 +110,13 @@ func TestMissPathAccounting(t *testing.T) {
 	})
 
 	t.Run("sibling-contexts-through-full-buffer", func(t *testing.T) {
-		// Two hardware contexts of node 0 write one line through a full
-		// buffer, waiting on tickets as Sparcle contexts do. The first slot
-		// to free goes to context A, whose fill of the (local) line lands
-		// before the far prefetches retire; that retirement frees context
-		// B's slot, and B's probe must find the line A filled. Requesting it
-		// again would park B forever: the home defers a request from the
-		// line's owner until a writeback that never comes.
+		// Two contexts of node 0 write one line through a full buffer,
+		// each waiting on its ticket. The first slot to free goes to
+		// context A, whose fill of the (local) line lands before the far
+		// prefetches retire; that retirement frees context B's slot, and
+		// B's probe must find the line A filled. Requesting it again would
+		// park B forever: the home defers a request from the line's owner
+		// until a writeback that never comes.
 		h := newHarness(64)
 		ctrl := h.fab.Ctrls[0]
 		x := h.fab.Store.AllocOn(0, 4)
@@ -126,11 +126,11 @@ func TestMissPathAccounting(t *testing.T) {
 		}
 		done := 0
 		write := func(c *sim.Context) {
-			tk := ctrl.StartMiss(x, Exclusive)
+			tk := ctrl.startMiss(x, Exclusive)
 			if tk.kind != tkFull {
 				t.Errorf("first probe returned ticket kind %d, want a buffer-full ticket", tk.kind)
 			}
-			for ; !tk.Hit(); tk = ctrl.StartMiss(x, Exclusive) {
+			for ; !tk.Hit(); tk = ctrl.startMiss(x, Exclusive) {
 				tk.Wait(c)
 			}
 			done++

@@ -221,9 +221,9 @@ func TestTicketStaleAfterRetire(t *testing.T) {
 	ctrl := h.fab.Ctrls[0]
 	a := h.fab.Store.AllocOn(1, 4)
 	h.run(t, func(c *sim.Context) {
-		tk := ctrl.StartMiss(a, Shared)
+		tk := ctrl.startMiss(a, Shared)
 		if tk.Hit() {
-			t.Fatal("cold StartMiss reported a hit")
+			t.Fatal("cold startMiss reported a hit")
 		}
 		c.Sleep(100000) // fill completes and the record retires meanwhile
 		if tk.t.gen == tk.gen {
@@ -244,7 +244,7 @@ func TestTxnFullTicketStaleness(t *testing.T) {
 	// Fill the transaction buffer, take a buffer-full ticket, and hold it
 	// until every transaction has retired. Wait must find the free slot
 	// without parking, issue the fill and wait for it; the caller's retry
-	// then hits, and the miss was counted once, by StartMiss.
+	// then hits, and the miss was counted once, by startMiss.
 	h := newHarness(2)
 	ctrl := h.fab.Ctrls[0]
 	addrs := make([]Addr, txnLimit+1)
@@ -256,9 +256,9 @@ func TestTxnFullTicketStaleness(t *testing.T) {
 		for i := 0; i < txnLimit; i++ {
 			ctrl.Prefetch(addrs[i], false)
 		}
-		tk := ctrl.StartMiss(last, Exclusive)
+		tk := ctrl.startMiss(last, Exclusive)
 		if tk.kind != tkFull {
-			t.Errorf("StartMiss with %d of %d transactions outstanding returned ticket kind %d, want a buffer-full ticket",
+			t.Errorf("startMiss with %d of %d transactions outstanding returned ticket kind %d, want a buffer-full ticket",
 				len(ctrl.txns), txnLimit, tk.kind)
 			return
 		}
@@ -272,11 +272,11 @@ func TestTxnFullTicketStaleness(t *testing.T) {
 		if ctrl.LineState(last) != Exclusive {
 			t.Error("held buffer-full ticket did not issue its fill")
 		}
-		if !ctrl.StartMiss(last, Exclusive).Hit() {
+		if !ctrl.startMiss(last, Exclusive).Hit() {
 			t.Error("retry after the ticket's fill did not hit")
 		}
 		if got := h.st.Global.Get(stats.CacheMisses); got != misses {
-			t.Errorf("misses went from %d to %d after StartMiss counted the access", misses, got)
+			t.Errorf("misses went from %d to %d after startMiss counted the access", misses, got)
 		}
 	})
 }

@@ -74,13 +74,11 @@ type link struct {
 	freeAt sim.Time
 }
 
-// Mesh is a W×H 2-D mesh with XY routing; with wrap-around links it is a
-// torus (each dimension routes the shorter way around).
+// Mesh is a W×H 2-D mesh with XY routing.
 type Mesh struct {
 	eng  *Engine
 	w, h int
 	p    Params
-	wrap bool
 	// links[dir][node] is the outgoing link from node in direction dir.
 	links [4][]link
 	// The routed path is naturally FIFO (monotone link reservations), but
@@ -155,14 +153,6 @@ func New(eng *Engine, w, h int, p Params, st *stats.Machine) *Mesh {
 // traffic.
 func (m *Mesh) PairStateWords() int { return len(m.last) }
 
-// NewTorus builds a W×H torus: the mesh plus wrap-around links, each
-// dimension routed the shorter way. A 1×N or N×1 torus is a ring.
-func NewTorus(eng *Engine, w, h int, p Params, st *stats.Machine) *Mesh {
-	m := New(eng, w, h, p, st)
-	m.wrap = true
-	return m
-}
-
 // Dims returns a near-square factorization of n for building a mesh that
 // holds n nodes (w >= h, w*h >= n).
 func Dims(n int) (w, h int) {
@@ -188,21 +178,11 @@ func (m *Mesh) Nodes() int { return m.w * m.h }
 
 func (m *Mesh) coord(n int) (x, y int) { return n % m.w, n / m.w }
 
-// Dist returns the Manhattan distance between two nodes (shorter-way-
-// around per dimension on a torus).
+// Dist returns the Manhattan distance between two nodes.
 func (m *Mesh) Dist(src, dst int) int {
 	sx, sy := m.coord(src)
 	dx, dy := m.coord(dst)
-	ddx, ddy := abs(sx-dx), abs(sy-dy)
-	if m.wrap {
-		if alt := m.w - ddx; alt < ddx {
-			ddx = alt
-		}
-		if alt := m.h - ddy; alt < ddy {
-			ddy = alt
-		}
-	}
-	return ddx + ddy
+	return abs(sx-dx) + abs(sy-dy)
 }
 
 func abs(v int) int {
@@ -265,47 +245,27 @@ func (m *Mesh) route(src, dst int, bytes int, at sim.Time, jitter uint64) sim.Ti
 		head += m.p.RouterDelay
 		l.freeAt = head + f*FlitCycles
 	}
-	// X dimension, then Y; on a torus each goes the shorter way around.
-	steps, forward := m.plan(x, dx, m.w)
-	for i := 0; i < steps; i++ {
-		node := y*m.w + x
-		if forward {
-			step(dirEast, node)
-			x = (x + 1) % m.w
+	// X dimension, then Y.
+	for x != dx {
+		if x < dx {
+			step(dirEast, y*m.w+x)
+			x++
 		} else {
-			step(dirWest, node)
-			x = (x - 1 + m.w) % m.w
+			step(dirWest, y*m.w+x)
+			x--
 		}
 	}
-	steps, forward = m.plan(y, dy, m.h)
-	for i := 0; i < steps; i++ {
-		node := y*m.w + x
-		if forward {
-			step(dirSouth, node)
-			y = (y + 1) % m.h
+	for y != dy {
+		if y < dy {
+			step(dirSouth, y*m.w+x)
+			y++
 		} else {
-			step(dirNorth, node)
-			y = (y - 1 + m.h) % m.h
+			step(dirNorth, y*m.w+x)
+			y--
 		}
 	}
 	return m.deliver(src, dst, at0, at, head+f*FlitCycles+EjectDelay,
 		InjectDelay+uint64(m.Dist(src, dst))*m.p.RouterDelay+f*FlitCycles+EjectDelay)
-}
-
-// plan returns the hop count and direction (forward = increasing
-// coordinate) for one dimension from c to d of extent n.
-func (m *Mesh) plan(c, d, n int) (steps int, forward bool) {
-	if !m.wrap {
-		if d >= c {
-			return d - c, true
-		}
-		return c - d, false
-	}
-	fwd := ((d-c)%n + n) % n
-	if back := n - fwd; back < fwd {
-		return back, false
-	}
-	return fwd, true
 }
 
 // Ideal is a contention-free constant-latency network used for ablation

@@ -67,6 +67,28 @@ func deliverTime(t *testing.T, w, h, src, dst, bytes int) sim.Time {
 	return at
 }
 
+// On a fresh mesh a packet's delivery time is the unloaded cost of its
+// route: injection, one router delay per hop of Dist, serialization and
+// ejection. Every pair of a 6×4 and an 8×1 mesh walks route's X and Y legs
+// in all four directions, alone and one after the other.
+func TestRouteMatchesDist(t *testing.T) {
+	const bytes = 16
+	for _, dims := range [][2]int{{6, 4}, {8, 1}} {
+		w, h := dims[0], dims[1]
+		_, m := testMesh(w, h)
+		for src := 0; src < w*h; src++ {
+			for dst := 0; dst < w*h; dst++ {
+				want := sim.Time(InjectDelay + uint64(m.Dist(src, dst))*DefaultParams().RouterDelay +
+					flits(bytes)*FlitCycles + EjectDelay)
+				if got := deliverTime(t, w, h, src, dst, bytes); got != want {
+					t.Errorf("%dx%d mesh: %d->%d delivered at %d, want %d (Dist %d)",
+						w, h, src, dst, got, want, m.Dist(src, dst))
+				}
+			}
+		}
+	}
+}
+
 func TestLatencyScalesWithDistance(t *testing.T) {
 	near := deliverTime(t, 8, 8, 0, 1, 16)
 	far := deliverTime(t, 8, 8, 0, 63, 16)
