@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"alewife/internal/cmmu"
 	"alewife/internal/machine"
 	"alewife/internal/mem"
 	"alewife/internal/metrics"
@@ -15,9 +14,9 @@ import (
 
 // core is one node's scheduler: the idle loop, the ready queues, and the
 // work-stealing machinery. The shared-memory scheduler keeps its queues in
-// coherent shared memory and polls; the hybrid scheduler keeps them local,
-// manipulates them from message handlers, and blocks while a steal request
-// is outstanding.
+// coherent shared memory and polls (loop); the hybrid scheduler keeps them
+// local, manipulates them from message handlers, and parks while a steal
+// request is outstanding (hybridStep).
 type core struct {
 	rt   *RT
 	id   int
@@ -26,9 +25,12 @@ type core struct {
 	schedProc *machine.Proc
 	rng       *rand.Rand
 
-	// parked is true while the scheduler context is blocked waiting for a
-	// message (hybrid idle); wakeIdle only unblocks a parked scheduler.
-	parked bool
+	// parked is true while the hybrid scheduler is parked waiting for a
+	// message, since parkedAt; wakeIdle only unblocks a parked scheduler.
+	parked   bool
+	parkedAt sim.Time
+	// hstate is where the hybrid loop's next step takes it up.
+	hstate uint8
 	// stealPending is true from a steal-request send until its reply
 	// handler runs; it closes the window where the reply lands while the
 	// scheduler is still flushing toward its park.
@@ -55,6 +57,8 @@ type core struct {
 	// scratch is the marshaling buffer a steal reply gathers its
 	// descriptor words from.
 	scratch mem.Addr
+	// stealOps is the steal request's one operand, the thief's id.
+	stealOps [1]uint64
 }
 
 func newCore(rt *RT, id int) *core {
@@ -64,12 +68,17 @@ func newCore(rt *RT, id int) *core {
 		c.wakeq = newSMQueue(rt.M, id, 1024)
 	}
 	c.scratch = rt.M.Store.AllocOn(id, taskWords)
+	c.stealOps[0] = uint64(id)
 	return c
 }
 
-// boot starts the scheduler loop context.
+// boot starts the scheduler context.
 func (c *core) boot() {
-	c.schedProc = c.rt.M.Spawn(c.id, c.rt.M.Eng.Now(), "sched", c.loop)
+	body := c.loop
+	if c.rt.Mode == ModeHybrid {
+		body = c.hybridLoop
+	}
+	c.schedProc = c.rt.M.Spawn(c.id, c.rt.M.Eng.Now(), "sched", body)
 }
 
 // pushLocalBoot seeds the initial task before the schedulers run.
@@ -96,27 +105,23 @@ func (c *core) pushTask(p *machine.Proc, t *Task) {
 // next pops local work: runnable threads first (finish in-flight work),
 // then the newest task (depth-first).
 func (c *core) next(p *machine.Proc) queueItem {
-	if c.rt.Mode == ModeSharedMemory {
-		if !c.wakeq.probeEmpty(p) {
-			if it := c.wakeq.pop(p); !it.empty() {
-				return it
-			}
+	if !c.wakeq.probeEmpty(p) {
+		if it := c.wakeq.pop(p); !it.empty() {
+			return it
 		}
-		if !c.taskq.probeEmpty(p) {
-			return c.taskq.pop(p)
-		}
-		return queueItem{}
 	}
-	if it := c.hwakeq.pop(p); !it.empty() {
-		return it
+	if !c.taskq.probeEmpty(p) {
+		return c.taskq.pop(p)
 	}
-	return c.htaskq.pop(p)
+	return queueItem{}
 }
 
-// loop is the scheduler body. The whole loop runs under an Idle
-// attribution region: queue polling, stealing, backoff and context-switch
-// overhead are scheduler time. The interval a dispatched thread runs is
-// carved out by dispatch (the thread's own processor covers it).
+// loop is the shared-memory scheduler's body. Its queue operations are
+// coherent loads, stores and test-and-sets, any of which can miss, so it
+// runs as a coroutine loop. The whole loop runs under an Idle attribution
+// region: queue polling, stealing, backoff and context-switch overhead are
+// scheduler time. The interval a dispatched thread runs is carved out by
+// dispatch (the thread's own processor covers it).
 func (c *core) loop(p *machine.Proc) {
 	p.PushRegion(metrics.Idle)
 	for !c.rt.done {
@@ -152,21 +157,9 @@ func (c *core) idle(p *machine.Proc, d uint64) {
 	p.Flush()
 }
 
-// park blocks the hybrid scheduler until a message handler wakes it
-// (wakeIdle) or, when d > 0, until d cycles pass; the time parked is idle.
-func (c *core) park(p *machine.Proc, d uint64) {
-	c.parked = true
-	start := p.Ctx.Now()
-	if d > 0 {
-		p.Ctx.UnblockAt(start + d)
-	}
-	p.Ctx.Block()
-	c.parked = false
-	c.rt.M.St.Add(c.id, stats.IdleCycles, int64(p.Ctx.Now()-start))
-}
-
-// dispatch runs one ready item to completion or suspension. It flushes
-// the switch cost, and the flush's wake starts or resumes the thread
+// dispatch runs one ready item to completion or suspension for the
+// shared-memory loop (the hybrid loop dispatches in hsDispatch). It
+// flushes the switch cost, and the flush's wake starts or resumes the thread
 // (AtWake) and leaves the scheduler parked until the thread hands the
 // processor back.
 func (c *core) dispatch(p *machine.Proc, it queueItem) {
@@ -174,10 +167,14 @@ func (c *core) dispatch(p *machine.Proc, it queueItem) {
 	p.Elapse(switchCycles)
 	c.item = it
 	p.FlushThen(c)
-	p.PopRegion()
-	// The thread handed the processor back by suspending or finishing. A
-	// finished thread's body has returned, so its record can serve the
-	// next dispatch.
+	c.handBack()
+}
+
+// handBack takes the processor back from the thread dispatch started or
+// resumed, which suspended or finished. A finished thread's body has
+// returned, so its record can serve the next dispatch.
+func (c *core) handBack() {
+	c.schedProc.PopRegion()
 	th := c.running
 	c.running = nil
 	if th.finished {
@@ -186,9 +183,10 @@ func (c *core) dispatch(p *machine.Proc, it queueItem) {
 }
 
 // AtWake is dispatch's step: it starts or resumes the item's thread and
-// leaves the scheduler parked. The park's interval belongs to the
+// leaves the scheduler parked until the hand-back, where the hybrid loop
+// takes up again (hsHandBack). The park's interval belongs to the
 // thread's processor, so the scheduler's park is unattributed: the step
-// pushes NoBucket, and dispatch pops it once the scheduler resumes.
+// pushes NoBucket, and handBack pops it.
 //
 //alewife:hotpath
 func (c *core) AtWake(ctx *sim.Context) bool {
@@ -206,11 +204,15 @@ func (c *core) AtWake(ctx *sim.Context) bool {
 	}
 	c.item, c.running = queueItem{}, th
 	c.schedProc.PushRegion(metrics.NoBucket)
+	if c.rt.Mode == ModeHybrid {
+		c.hstate = hsHandBack
+		ctx.ThenOnWake((*hybridStep)(c))
+	}
 	return false
 }
 
-// threadYield is called from a thread context when it finishes or
-// suspends: the node's scheduler resumes.
+// threadYield hands the processor back when a thread finishes (threadEnd)
+// or suspends (suspendStep): the node's scheduler resumes.
 func (c *core) threadYield() {
 	c.schedProc.Ctx.Unblock()
 }
@@ -242,14 +244,11 @@ func (c *core) victim(round int) int {
 
 // steal attempts to obtain work from other nodes, then backs off.
 func (c *core) steal(p *machine.Proc) {
-	switch {
-	case c.rt.Cores() == 1:
+	if c.rt.Cores() == 1 {
 		c.idle(p, c.nextBackoff())
-	case c.rt.Mode == ModeSharedMemory:
-		c.stealSM(p)
-	default:
-		c.stealHybrid(p)
+		return
 	}
+	c.stealSM(p)
 }
 
 // stealSM probes victims' queues directly through shared memory: a cheap
@@ -277,29 +276,4 @@ func (c *core) stealSM(p *machine.Proc) {
 	}
 	// Poll period for the local queues.
 	c.idle(p, idleBackoff)
-}
-
-// stealHybrid sends a steal-request message and parks until some message
-// handler wakes the scheduler (task arrival, explicit no-task reply, a
-// wake-up for a local thread, or termination).
-func (c *core) stealHybrid(p *machine.Proc) {
-	c.rt.M.St.Inc(c.id, stats.StealAttempts)
-	c.stealPending = true
-	p.SendMessage(cmmu.Descriptor{
-		Type: msgSteal,
-		Dst:  c.victim(0),
-		Ops:  []uint64{uint64(c.id)},
-	})
-	p.Flush()
-	// The reply (or other work) may have landed during the flush; only park
-	// if it is still outstanding and nothing became runnable.
-	if c.stealPending && len(c.hwakeq.items) == 0 && len(c.htaskq.items) == 0 && !c.rt.done {
-		c.park(p, 0)
-	}
-	// Loop re-checks the queues; after a fruitless round, back off to avoid
-	// hammering victims with request storms. The backoff is a timed park:
-	// any incoming work message cuts it short via wakeIdle.
-	if len(c.hwakeq.items) == 0 && len(c.htaskq.items) == 0 && !c.rt.done {
-		c.park(p, c.nextBackoff())
-	}
 }

@@ -143,19 +143,6 @@ func (q *hybridQueue) push(p *machine.Proc, it queueItem) {
 	p.UnmaskInterrupts()
 }
 
-// pop removes from the tail from processor context.
-func (q *hybridQueue) pop(p *machine.Proc) queueItem {
-	p.MaskInterrupts()
-	p.Elapse(queueOpCycles)
-	var it queueItem
-	if n := len(q.items); n > 0 {
-		it = q.items[n-1]
-		q.items = q.items[:n-1]
-	}
-	p.UnmaskInterrupts()
-	return it
-}
-
 // handlerPush appends from interrupt context (already atomic).
 func (q *hybridQueue) handlerPush(it queueItem) { q.items = append(q.items, it) }
 

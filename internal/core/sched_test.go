@@ -250,19 +250,64 @@ func TestBackoffSMProbeGate(t *testing.T) {
 }
 
 // A hybrid core spends its backoff in a timed park that starts when the
-// victim's no-task reply lands and ends when the backoff runs out.
+// victim's no-task reply lands and ends when the backoff runs out. Node 1's
+// stepped scheduler runs alone against node 0, whose handlers decline
+// every steal; a task invoked on node 1 midway is dispatched and restarts
+// the schedule. The scheduler's BlockNote sees every park of its chain.
 func TestBackoffHybridTimedPark(t *testing.T) {
 	rt := newRT(2, ModeHybrid)
-	buf := rt.M.EnableTrace(64)
-	backoffRounds(t, rt, func(p *machine.Proc) uint64 {
-		rt.cores[1].stealHybrid(p)
-		evs := buf.Events()
-		for i := len(evs) - 1; i >= 0; i-- {
-			if e := evs[i]; e.Node == 1 && e.Kind == trace.KMsgRecv && e.Arg == msgNoTask {
-				return p.Ctx.Now() - e.At
+	buf := rt.M.EnableTrace(4096)
+	c := rt.cores[1]
+	c.boot()
+	type park struct{ at, d uint64 }
+	var parks []park
+	c.schedProc.Ctx.BlockNote = func(parked, woke uint64) { parks = append(parks, park{parked, woke - parked}) }
+	const roundCycles = 12000
+	rt.M.Spawn(0, roundCycles, "invoker", func(p *machine.Proc) {
+		rt.Invoke(p, 1, rt.NewInvokeTask(func(*TC) {}))
+	})
+	rt.M.Eng.At(2*roundCycles, rt.finish)
+	rt.M.Run()
+
+	// A backoff park starts when a no-task reply lands; a dispatch starts
+	// a new round.
+	replies := map[uint64]bool{}
+	var dispatches []uint64
+	for _, e := range buf.Events() {
+		switch {
+		case e.Node == 1 && e.Kind == trace.KMsgRecv && e.Arg == msgNoTask:
+			replies[e.At] = true
+		case e.Node == 1 && e.Kind == trace.KDispatch:
+			dispatches = append(dispatches, e.At)
+		}
+	}
+	if len(dispatches) != 1 {
+		t.Fatalf("%d dispatches on node 1, want 1", len(dispatches))
+	}
+	rounds := make([][]uint64, 2)
+	for _, pk := range parks {
+		if replies[pk.at] {
+			r := 0
+			if pk.at > dispatches[0] {
+				r = 1
+			}
+			rounds[r] = append(rounds[r], pk.d)
+		}
+	}
+	for r, got := range rounds {
+		if len(got) <= len(wantBackoff) {
+			t.Fatalf("round %d: %d backoffs %v, want more than %d", r, len(got), got, len(wantBackoff))
+		}
+		for k, d := range got {
+			want := wantBackoff[len(wantBackoff)-1]
+			if k < len(wantBackoff) {
+				want = wantBackoff[k]
+			}
+			// The last park of a round is cut short by the invocation or
+			// by the runtime's end.
+			if d != want && (k < len(got)-1 || d > want) {
+				t.Errorf("round %d, fruitless steal %d: backoff %d cycles, want %d", r, k, d, want)
 			}
 		}
-		t.Error("no no-task reply landed")
-		return 0
-	})
+	}
 }

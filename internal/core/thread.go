@@ -70,14 +70,46 @@ func (th *Thread) start() {
 	th.P = m.Respawn(th.P, th.core.id, m.Eng.Now(), "thr", th.id, th.body)
 }
 
-// run is the thread's processor body.
+// run is the thread's processor body. Once the task has run, the thread
+// has nothing left to do on its processor but pay its run-ahead, so the
+// body returns at once and its final flush's wake is a threadEnd record;
+// with nothing to flush, the thread ends here.
 func (th *Thread) run(p *machine.Proc) {
 	th.task.run(&th.TC)
-	p.Flush()
+	if !p.FlushFire((*threadEnd)(th)) {
+		th.end()
+	}
+}
+
+// end marks the thread finished and hands the processor back to the
+// node's scheduler.
+//
+//alewife:hotpath
+func (th *Thread) end() {
 	th.finished = true
 	delete(th.RT.threads, th.id)
 	th.core.threadYield()
 }
+
+// threadEnd is the record that ends a thread at its final flush's wake, a
+// type of its own so that Fire is not a method of Thread.
+type threadEnd Thread
+
+// Fire ends the thread.
+//
+//alewife:hotpath
+func (s *threadEnd) Fire(uint32, uint64, uint64) { (*Thread)(s).end() }
+
+// EventInfo implements sim.SinkInfo: the record belongs to the thread's
+// node and touches only that node's scheduler.
+func (s *threadEnd) EventInfo(uint32, uint64, uint64) (int32, uint64) {
+	id := s.core.id
+	return int32(id), uint64(id) | threadEndKeySalt
+}
+
+// threadEndKeySalt keeps threadEnd keys (node ids) apart from other sinks'
+// key spaces, so that no key collision can claim independence.
+const threadEndKeySalt = 3 << 62
 
 // resume continues a suspended thread.
 func (th *Thread) resume() {

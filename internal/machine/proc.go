@@ -70,8 +70,8 @@ func (p *Proc) Flush() {
 // (begin a miss and wait for the fill, hand the processor to a thread): it
 // books the cycles, then sleeps them off with sim.Context.SleepThen, so
 // the step runs at the wake inside the dispatch loop and a step that parks
-// costs no coroutine switch. With nothing to flush, the step runs here,
-// and Block parks the processor when it returns false.
+// costs no coroutine switch. With nothing to flush, the step runs here
+// (sim.Context.RunStep).
 //
 //alewife:hotpath
 func (p *Proc) FlushThen(w sim.AtWake) {
@@ -79,9 +79,39 @@ func (p *Proc) FlushThen(w sim.AtWake) {
 		p.Ctx.SleepThen(d, w)
 		return
 	}
-	if !w.AtWake(p.Ctx) {
-		p.Ctx.Block()
+	p.Ctx.RunStep(w)
+}
+
+// StepFlush is Flush taken inside the processor's running step: it books
+// the cycles and names w as the step for the flush's wake
+// (sim.Context.Then), and the calling step returns false. It reports
+// false, arming nothing, when there was nothing to flush: the step then
+// goes on inline, as the code after a Flush does.
+//
+//alewife:hotpath
+func (p *Proc) StepFlush(w sim.AtWake) bool {
+	d := p.book()
+	if d == 0 {
+		return false
 	}
+	p.Ctx.Then(d, w)
+	return true
+}
+
+// FlushFire is the last Flush of a body that has nothing left to do on its
+// processor: it books the cycles and schedules s.Fire(0, 0, 0) where the
+// flush's wake would be, at the same (at, seq) place, so the body can
+// return at once instead of being resumed only to return. It reports false,
+// scheduling nothing, when there was nothing to flush.
+//
+//alewife:hotpath
+func (p *Proc) FlushFire(s sim.Sink) bool {
+	d := p.book()
+	if d == 0 {
+		return false
+	}
+	p.Node.M.Eng.AtSink(p.Ctx.Now()+d, s, 0, 0, 0)
+	return true
 }
 
 // book takes the cycles a flush retires and returns them: the run-ahead
@@ -292,6 +322,15 @@ func (p *Proc) TestSet(a mem.Addr) uint64 {
 // retires — Tinvoker in the paper's Figure 6.
 func (p *Proc) SendMessage(d cmmu.Descriptor) {
 	p.Flush()
+	p.Launch(d)
+}
+
+// Launch is SendMessage after its flush, for a step that took the flush
+// with StepFlush: the message departs once its describe-and-launch cycles,
+// charged to the processor's run-ahead, have retired.
+//
+//alewife:hotpath
+func (p *Proc) Launch(d cmmu.Descriptor) {
 	cost := p.Node.CMMU.SendCost(d)
 	p.Node.CMMU.Send(d, p.Ctx.Now()+cost)
 	p.ahead += cost
