@@ -25,7 +25,9 @@ func TestEngineWorkCounts(t *testing.T) {
 	// invoke is e2ebench's remote-invocation driver: node 0 invokes 5
 	// threads on node 8 one at a time, and the other nodes' fruitless
 	// steals take the hybrid scheduler through its steal request, its park
-	// until the reply and its timed backoff park.
+	// until the reply and its timed backoff park. On the SM runtime each
+	// invocation writes a remote descriptor and pushes under node 8's
+	// queue lock, and idle SM schedulers sweep their victims.
 	invoke := func(rt *core.RT) {
 		rt.Run(func(tc *core.TC) uint64 {
 			var got uint64
@@ -52,6 +54,8 @@ func TestEngineWorkCounts(t *testing.T) {
 			sim.Work{Events: 113730, Handoffs: 26950, SelfContinues: 3286, Absorbed: 19534}},
 		{"aq-0.05/hybrid", core.ModeHybrid, aq,
 			sim.Work{Events: 44561, Handoffs: 8320, SelfContinues: 1576, Absorbed: 16430}},
+		{"invoke-5/sm", core.ModeSharedMemory, invoke,
+			sim.Work{Events: 8659, Handoffs: 4862, SelfContinues: 6, Absorbed: 863}},
 		{"invoke-5/hybrid", core.ModeHybrid, invoke,
 			sim.Work{Events: 1670, Handoffs: 47, SelfContinues: 36, Absorbed: 1018}},
 	}
