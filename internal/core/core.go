@@ -8,15 +8,14 @@ import (
 	"alewife/internal/mem"
 	"alewife/internal/metrics"
 	"alewife/internal/sim"
-	"alewife/internal/stats"
 	"alewife/internal/trace"
 )
 
 // core is one node's scheduler: the idle loop, the ready queues, and the
 // work-stealing machinery. The shared-memory scheduler keeps its queues in
-// coherent shared memory and polls (loop); the hybrid scheduler keeps them
-// local, manipulates them from message handlers, and parks while a steal
-// request is outstanding (hybridStep).
+// coherent shared memory and polls (smStep); the hybrid scheduler keeps
+// them local, manipulates them from message handlers, and parks while a
+// steal request is outstanding (hybridStep).
 type core struct {
 	rt   *RT
 	id   int
@@ -29,8 +28,10 @@ type core struct {
 	// message, since parkedAt; wakeIdle only unblocks a parked scheduler.
 	parked   bool
 	parkedAt sim.Time
-	// hstate is where the hybrid loop's next step takes it up.
+	// hstate is where the hybrid loop's next step takes it up, and sstate
+	// where the shared-memory loop's does.
 	hstate uint8
+	sstate uint8
 	// stealPending is true from a steal-request send until its reply
 	// handler runs; it closes the window where the reply lands while the
 	// scheduler is still flushing toward its park.
@@ -41,14 +42,20 @@ type core struct {
 	// nextProbe gates remote steal sweeps in the shared-memory idle loop;
 	// the loop keeps polling its own (local, cached) queues in between.
 	nextProbe sim.Time
+	// round is the sweep's next victim probe, and victimID the node it
+	// probes.
+	round    int
+	victimID int
 	// item is the ready item dispatch hands to its step (AtWake), and
 	// running the thread the step started or resumed on it.
 	item    queueItem
 	running *Thread
 
-	// Shared-memory mode queues (in simulated memory).
+	// Shared-memory mode queues (in simulated memory), and the state of the
+	// scheduler's operation on one of its own or a victim's.
 	taskq *smQueue
 	wakeq *smQueue
+	op    queueOp
 
 	// Hybrid mode queues (node-local, handler-shared).
 	htaskq hybridQueue
@@ -74,7 +81,7 @@ func newCore(rt *RT, id int) *core {
 
 // boot starts the scheduler context.
 func (c *core) boot() {
-	body := c.loop
+	body := c.smLoop
 	if c.rt.Mode == ModeHybrid {
 		body = c.hybridLoop
 	}
@@ -95,42 +102,9 @@ func (c *core) pushLocalBoot(t *Task) {
 // pushTask makes a forked task available for execution (and theft).
 func (c *core) pushTask(p *machine.Proc, t *Task) {
 	if c.rt.Mode == ModeSharedMemory {
-		t.materialize(p)
-		c.taskq.push(p, queueItem{task: t})
+		t.publish(p, c.taskq)
 	} else {
 		c.htaskq.push(p, queueItem{task: t})
-	}
-}
-
-// next pops local work: runnable threads first (finish in-flight work),
-// then the newest task (depth-first).
-func (c *core) next(p *machine.Proc) queueItem {
-	if !c.wakeq.probeEmpty(p) {
-		if it := c.wakeq.pop(p); !it.empty() {
-			return it
-		}
-	}
-	if !c.taskq.probeEmpty(p) {
-		return c.taskq.pop(p)
-	}
-	return queueItem{}
-}
-
-// loop is the shared-memory scheduler's body. Its queue operations are
-// coherent loads, stores and test-and-sets, any of which can miss, so it
-// runs as a coroutine loop. The whole loop runs under an Idle attribution
-// region: queue polling, stealing, backoff and context-switch overhead are
-// scheduler time. The interval a dispatched thread runs is carved out by
-// dispatch (the thread's own processor covers it).
-func (c *core) loop(p *machine.Proc) {
-	p.PushRegion(metrics.Idle)
-	for !c.rt.done {
-		it := c.next(p)
-		if it.empty() {
-			c.steal(p)
-			continue
-		}
-		c.dispatch(p, it)
 	}
 }
 
@@ -150,26 +124,6 @@ func (c *core) nextBackoff() uint64 {
 	return d
 }
 
-// idle spends d cycles of idle-loop time on the processor.
-func (c *core) idle(p *machine.Proc, d uint64) {
-	c.rt.M.St.Add(c.id, stats.IdleCycles, int64(d))
-	p.Elapse(d)
-	p.Flush()
-}
-
-// dispatch runs one ready item to completion or suspension for the
-// shared-memory loop (the hybrid loop dispatches in hsDispatch). It
-// flushes the switch cost, and the flush's wake starts or resumes the thread
-// (AtWake) and leaves the scheduler parked until the thread hands the
-// processor back.
-func (c *core) dispatch(p *machine.Proc, it queueItem) {
-	c.idleFails = 0
-	p.Elapse(switchCycles)
-	c.item = it
-	p.FlushThen(c)
-	c.handBack()
-}
-
 // handBack takes the processor back from the thread dispatch started or
 // resumed, which suspended or finished. A finished thread's body has
 // returned, so its record can serve the next dispatch.
@@ -183,10 +137,10 @@ func (c *core) handBack() {
 }
 
 // AtWake is dispatch's step: it starts or resumes the item's thread and
-// leaves the scheduler parked until the hand-back, where the hybrid loop
-// takes up again (hsHandBack). The park's interval belongs to the
-// thread's processor, so the scheduler's park is unattributed: the step
-// pushes NoBucket, and handBack pops it.
+// leaves the scheduler parked until the hand-back, where the scheduler's
+// loop takes up again (hsHandBack, ssHandBack). The park's interval
+// belongs to the thread's processor, so the scheduler's park is
+// unattributed: the step pushes NoBucket, and handBack pops it.
 //
 //alewife:hotpath
 func (c *core) AtWake(ctx *sim.Context) bool {
@@ -207,12 +161,15 @@ func (c *core) AtWake(ctx *sim.Context) bool {
 	if c.rt.Mode == ModeHybrid {
 		c.hstate = hsHandBack
 		ctx.ThenOnWake((*hybridStep)(c))
+	} else {
+		c.sstate = ssHandBack
+		ctx.ThenOnWake((*smStep)(c))
 	}
 	return false
 }
 
 // threadYield hands the processor back when a thread finishes (threadEnd)
-// or suspends (suspendStep): the node's scheduler resumes.
+// or suspends (suspendStep): the wake runs the scheduler's hand-back step.
 func (c *core) threadYield() {
 	c.schedProc.Ctx.Unblock()
 }
@@ -240,40 +197,4 @@ func (c *core) victim(round int) int {
 		v++
 	}
 	return v
-}
-
-// steal attempts to obtain work from other nodes, then backs off.
-func (c *core) steal(p *machine.Proc) {
-	if c.rt.Cores() == 1 {
-		c.idle(p, c.nextBackoff())
-		return
-	}
-	c.stealSM(p)
-}
-
-// stealSM probes victims' queues directly through shared memory: a cheap
-// head/tail read, then the locked steal — every access a remote coherence
-// transaction. Remote sweeps back off exponentially while the idle loop
-// keeps polling its own queues at the base period (local cached reads).
-func (c *core) stealSM(p *machine.Proc) {
-	if p.Ctx.Now() >= c.nextProbe {
-		for i := 0; i < maxProbes && !c.rt.done; i++ {
-			v := c.rt.cores[c.victim(i)]
-			c.rt.M.St.Inc(c.id, stats.StealAttempts)
-			var it queueItem
-			if !v.taskq.probeEmpty(p) {
-				it = v.taskq.stealPop(p)
-			}
-			if it.empty() {
-				c.rt.M.St.Inc(c.id, stats.StealFailures)
-				continue
-			}
-			c.rt.M.St.Event(c.id, stats.ThreadsStolen, p.Ctx.Now(), trace.KSteal, uint64(v.id))
-			c.dispatch(p, it)
-			return
-		}
-		c.nextProbe = p.Ctx.Now() + c.nextBackoff()
-	}
-	// Poll period for the local queues.
-	c.idle(p, idleBackoff)
 }

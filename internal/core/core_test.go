@@ -342,7 +342,7 @@ func TestSpinLockMutualExclusion(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		m.Spawn(i, uint64(i), "locker", func(p *machine.Proc) {
 			for k := 0; k < 20; k++ {
-				l.Acquire(p)
+				l.acquire(p)
 				v := p.Read(counter)
 				p.Elapse(3)
 				p.Write(counter, v+1)

@@ -46,10 +46,18 @@ func (f *Future) Resolved() bool { return f.done }
 // Value returns the resolved value (host-side observation).
 func (f *Future) Value() uint64 { return f.val }
 
+// acquire takes f's lock for the thread running tc, as a chain of steps
+// whose state is the thread's op; its body resumes once the lock is held.
+func (f *Future) acquire(tc *TC) {
+	o := &tc.thread.op.lk
+	o.start(tc.P, f.lock.addr, nil)
+	tc.P.Ctx.RunStep((*lockStep)(o))
+}
+
 // Resolve stores v and wakes every waiter. Must be called exactly once.
 func (f *Future) Resolve(tc *TC, v uint64) {
 	p := tc.P
-	f.lock.Acquire(p)
+	f.acquire(tc)
 	p.Write(f.cell+1, v)
 	p.Write(f.cell, 1)
 	f.val = v
@@ -70,7 +78,9 @@ func (f *Future) Resolve(tc *TC, v uint64) {
 		} else {
 			// Make the waiter runnable by remote-writing its node's wake
 			// queue through shared memory.
-			th.core.wakeq.push(p, queueItem{thread: th})
+			o := &tc.thread.op
+			o.start(p, th.core.wakeq, qsPush, queueItem{thread: th}, nil)
+			p.Ctx.RunStep((*queueStep)(o))
 		}
 	}
 }
@@ -87,16 +97,16 @@ func (f *Future) Touch(tc *TC) uint64 {
 	// charged: while this thread is suspended the node's scheduler runs
 	// other work (and records Idle if there is none), so charging the
 	// park here would double-count the node's wall clock.
-	p.PushRegion(metrics.SyncWait)
-	defer p.PopRegion()
-	f.lock.Acquire(p)
-	if p.Read(f.cell) == 1 {
-		f.lock.Release(p)
-		return p.Read(f.cell + 1)
-	}
 	th := tc.thread
 	if th == nil {
 		panic("core: Touch of unresolved future outside a thread")
+	}
+	p.PushRegion(metrics.SyncWait)
+	defer p.PopRegion()
+	f.acquire(tc)
+	if p.Read(f.cell) == 1 {
+		f.lock.Release(p)
+		return p.Read(f.cell + 1)
 	}
 	f.waiters = append(f.waiters, th)
 	// The waiter record itself is a store into the future's memory.

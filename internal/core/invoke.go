@@ -30,10 +30,10 @@ func (rt *RT) Invoke(p *machine.Proc, dst int, t *Task) {
 	}
 }
 
-// invokeSM enqueues through coherent shared memory.
+// invokeSM enqueues through coherent shared memory: the descriptor, then
+// the push on dst's task queue, as one chain of steps.
 func (rt *RT) invokeSM(p *machine.Proc, dst int, t *Task) {
-	t.materialize(p)
-	rt.cores[dst].taskq.push(p, queueItem{task: t})
+	t.publish(p, rt.cores[dst].taskq)
 }
 
 // invokeMP marshals the task into one message.

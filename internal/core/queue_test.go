@@ -27,6 +27,37 @@ func (h *queueHarness) drive(node int, fn func(p *machine.Proc)) {
 
 func mkTask(id uint64) *Task { return &Task{id: id} }
 
+// The queue operations and the spin lock run as chains of steps; these
+// helpers run one from a test body with RunStep, as the runtime's
+// coroutine callers do, each with a state record of its own.
+
+// queueOp runs one operation on q from p's body and returns its state.
+func (q *smQueue) queueOp(p *machine.Proc, state uint8, it queueItem) *queueOp {
+	o := new(queueOp)
+	o.start(p, q, state, it, nil)
+	p.Ctx.RunStep((*queueStep)(o))
+	return o
+}
+
+func (q *smQueue) push(p *machine.Proc, it queueItem) { q.queueOp(p, qsPush, it) }
+
+func (q *smQueue) pop(p *machine.Proc) queueItem { return q.queueOp(p, qsPop, queueItem{}).it }
+
+func (q *smQueue) stealPop(p *machine.Proc) queueItem {
+	return q.queueOp(p, qsSteal, queueItem{}).it
+}
+
+func (q *smQueue) probeEmpty(p *machine.Proc) bool {
+	return q.queueOp(p, qsProbe, queueItem{}).empty()
+}
+
+// acquire takes l from p's body.
+func (l *SpinLock) acquire(p *machine.Proc) {
+	o := new(lockOp)
+	o.start(p, l.addr, nil)
+	p.Ctx.RunStep((*lockStep)(o))
+}
+
 func TestSMQueuePushPopLIFO(t *testing.T) {
 	h := newQueueHarness()
 	h.drive(0, func(p *machine.Proc) {
@@ -249,13 +280,13 @@ func TestSpinLockBackoffCounters(t *testing.T) {
 	m := machine.New(machine.DefaultConfig(2))
 	l := NewSpinLock(m, 0)
 	m.Spawn(0, 0, "holder", func(p *machine.Proc) {
-		l.Acquire(p)
+		l.acquire(p)
 		p.Elapse(500)
 		p.Flush()
 		l.Release(p)
 	})
 	m.Spawn(1, 10, "waiter", func(p *machine.Proc) {
-		l.Acquire(p)
+		l.acquire(p)
 		l.Release(p)
 	})
 	m.Run()
@@ -264,5 +295,90 @@ func TestSpinLockBackoffCounters(t *testing.T) {
 	}
 	if m.St.Global.Get(stats.LockSpins) == 0 {
 		t.Fatal("contended acquire recorded no spins")
+	}
+}
+
+// An SM queue operation runs as a chain of steps on its own state record,
+// and on a warmed machine it allocates nothing, on the hit path or the
+// miss path: nodes 0 and 1 take turns on node 0's queue, so each one's
+// accesses miss on the lines the other took.
+func TestSMQueueOpAllocs(t *testing.T) {
+	m := machine.New(machine.DefaultConfig(2))
+	q := newSMQueue(m, 0, 1024)
+	task := &Task{id: 1, desc: m.Store.AllocOn(0, taskWords)}
+	type runner struct {
+		p     *machine.Proc
+		o     queueOp
+		state uint8
+	}
+	var rs [2]runner
+	stop := false
+	for node := range rs {
+		r := &rs[node]
+		r.p = m.Spawn(node, 0, "q", func(p *machine.Proc) {
+			for p.Ctx.Block(); !stop; p.Ctx.Block() {
+				r.o.start(p, q, r.state, queueItem{task: task}, nil)
+				p.Ctx.RunStep((*queueStep)(&r.o))
+			}
+		})
+	}
+	op := func(node int, state uint8) {
+		rs[node].state = state
+		rs[node].p.Ctx.Unblock()
+		m.Eng.Run()
+	}
+	cycle := func() {
+		op(1, qsPush)
+		op(0, qsProbe)
+		op(0, qsPop)
+		op(1, qsPush)
+		op(1, qsProbe)
+		op(0, qsPop)
+	}
+	m.Eng.Run()
+	for k := 0; k < 10; k++ {
+		cycle()
+	}
+	misses := m.St.Global.Get(stats.CacheMisses) + m.St.Global.Get(stats.CacheUpgrades)
+	const runs = 50
+	if allocs := testing.AllocsPerRun(runs, cycle); allocs != 0 {
+		t.Errorf("%.2f allocations per push, probe and pop, want 0", allocs/6)
+	}
+	if m.St.Global.Get(stats.CacheMisses)+m.St.Global.Get(stats.CacheUpgrades) == misses {
+		t.Error("no queue operation missed")
+	}
+	if len(q.items) != 0 || rs[0].o.it.task != task {
+		t.Fatalf("%d items left, last pop took %+v: the pops did not take the pushes", len(q.items), rs[0].o.it)
+	}
+
+	// Steals take the head, so fill the queue first: the mirror only
+	// shrinks while they run. A steal is the first reader of the slot a
+	// push wrote, and a line's first sharing grows its directory entry's
+	// sharer list, so one pass over every slot warms the queue first.
+	q = newSMQueue(m, 0, 128)
+	steal := func() {
+		op(1, qsSteal)
+		op(0, qsSteal)
+	}
+	for k := 0; k < int(q.cap); k++ {
+		op(k%2, qsPush)
+	}
+	for k := 0; k < int(q.cap)/2; k++ {
+		steal()
+	}
+	for k := 0; k < 2*(runs+1); k++ {
+		op(k%2, qsPush)
+	}
+	if allocs := testing.AllocsPerRun(runs, steal); allocs != 0 {
+		t.Errorf("%.2f allocations per steal, want 0", allocs/2)
+	}
+	if len(q.items) != 0 || rs[0].o.it.task != task {
+		t.Fatalf("%d items left after the steals", len(q.items))
+	}
+	stop = true
+	op(0, qsProbe)
+	op(1, qsProbe)
+	if m.Eng.Live() != 0 {
+		t.Fatal("a queue runner did not finish")
 	}
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"alewife/internal/machine"
+	"alewife/internal/sim"
 	"alewife/internal/stats"
 	"alewife/internal/trace"
 )
@@ -208,45 +210,88 @@ func TestStolenCyclesChargedToVictim(t *testing.T) {
 // per fruitless steal round, capped at 32 times it.
 var wantBackoff = []uint64{50, 100, 200, 400, 800, 1600, 1600, 1600}
 
-// backoffRounds drives node 1 of a fresh 2-node runtime as its scheduler
-// through two rounds of fruitless steals, with a dispatch between them that
-// must restart the schedule, and checks the backoff fruitless measures for
-// each steal.
-func backoffRounds(t *testing.T, rt *RT, fruitless func(p *machine.Proc) uint64) {
-	t.Helper()
-	c := rt.cores[1]
-	rt.M.Spawn(1, 0, "sched", func(p *machine.Proc) {
-		c.schedProc = p
-		for round := 0; round < 2; round++ {
-			for k, want := range wantBackoff {
-				if got := fruitless(p); got != want {
-					t.Errorf("round %d, fruitless steal %d: backoff %d cycles, want %d", round, k, got, want)
-				}
-			}
-			c.dispatch(p, queueItem{task: rt.newTask(func(*TC) {})})
-		}
-	})
-	rt.M.Run()
+// sweepRecorder is the random source of node 1's victim choices in
+// TestBackoffSMProbeGate. Every victim choice draws once, so it records
+// each of the sweep's probes: the clock and the probe gate in effect.
+type sweepRecorder struct {
+	eng   *sim.Engine
+	c     *core
+	draws []struct{ at, gate sim.Time }
 }
 
+func (r *sweepRecorder) Int63() int64 {
+	r.draws = append(r.draws, struct{ at, gate sim.Time }{r.eng.Now(), r.c.nextProbe})
+	return 0
+}
+
+func (r *sweepRecorder) Seed(int64) {}
+
 // An SM core spends its backoff behind the probe gate: after a fruitless
-// sweep it polls its own queues once per idleBackoff cycles until the gate
-// opens, so the polls up to the next sweep count the backoff.
+// sweep it polls its own queues until the gate opens, idleBackoff doubled
+// per fruitless sweep, capped at 32 times it. Node 1's stepped scheduler
+// runs alone against node 0, whose queues stay empty; a task invoked on
+// node 1 midway is dispatched and restarts the schedule. A sweep's last
+// probe hits node 0's cached queue line, so the sweep ends, and sets the
+// next gate, in that probe's step; the next sweep's first probe finds the
+// gate. The dispatch leaves the gate armed (CHANGES.md, FOUND at PR 21):
+// the first sweep after it still waits out the gate the last one before it
+// set.
 func TestBackoffSMProbeGate(t *testing.T) {
 	rt := newRT(2, ModeSharedMemory)
+	buf := rt.M.EnableTrace(4096)
 	c := rt.cores[1]
-	sweep := func(p *machine.Proc) (calls uint64) {
-		for a := rt.M.St.Node[1].Get(stats.StealAttempts); rt.M.St.Node[1].Get(stats.StealAttempts) == a; calls++ {
-			c.stealSM(p)
-		}
-		return calls
-	}
-	backoffRounds(t, rt, func(p *machine.Proc) uint64 {
-		if c.idleFails == 0 {
-			sweep(p) // the first fruitless sweep since boot or the dispatch
-		}
-		return sweep(p) * idleBackoff
+	rec := &sweepRecorder{eng: rt.M.Eng, c: c}
+	c.rng = rand.New(rec)
+	c.boot()
+	const roundCycles = 12000
+	rt.M.Spawn(0, roundCycles, "invoker", func(p *machine.Proc) {
+		rt.Invoke(p, 1, rt.NewInvokeTask(func(*TC) {}))
 	})
+	rt.M.Eng.At(2*roundCycles, rt.finish)
+	rt.M.Run()
+
+	var dispatches []uint64
+	for _, e := range buf.Events() {
+		if e.Node == 1 && e.Kind == trace.KDispatch {
+			dispatches = append(dispatches, e.At)
+		}
+	}
+	if len(dispatches) != 1 {
+		t.Fatalf("%d dispatches on node 1, want 1", len(dispatches))
+	}
+	if len(rec.draws)%maxProbes != 0 {
+		t.Fatalf("%d victim choices, not whole sweeps of %d", len(rec.draws), maxProbes)
+	}
+	// Each sweep but the last sets a gate the next one finds.
+	var rounds [2][]uint64
+	for k := maxProbes; k < len(rec.draws); k += maxProbes {
+		end, next := rec.draws[k-1], rec.draws[k]
+		r := 0
+		if end.at > dispatches[0] {
+			r = 1
+		} else if next.at > dispatches[0] {
+			// The first sweep after the dispatch.
+			if next.gate <= dispatches[0] || next.at < next.gate {
+				t.Errorf("the gate at %d that the last sweep before the dispatch at %d set was cleared, or the first sweep after it at %d did not wait it out",
+					next.gate, dispatches[0], next.at)
+			}
+		}
+		rounds[r] = append(rounds[r], next.gate-end.at)
+	}
+	for r, got := range rounds {
+		if len(got) <= len(wantBackoff) {
+			t.Fatalf("round %d: %d gates %v, want more than %d", r, len(got), got, len(wantBackoff))
+		}
+		for k, d := range got {
+			want := wantBackoff[len(wantBackoff)-1]
+			if k < len(wantBackoff) {
+				want = wantBackoff[k]
+			}
+			if d != want {
+				t.Errorf("round %d, fruitless sweep %d: gate %d cycles, want %d", r, k, d, want)
+			}
+		}
+	}
 }
 
 // A hybrid core spends its backoff in a timed park that starts when the

@@ -3,6 +3,7 @@ package core
 import (
 	"alewife/internal/machine"
 	"alewife/internal/mem"
+	"alewife/internal/sim"
 )
 
 // Task is an unstarted unit of work: a body plus a descriptor in the
@@ -20,6 +21,9 @@ type Task struct {
 	fut   *Future          // nil unless forked
 	desc  mem.Addr         // taskWords descriptor words in the creating node's memory
 	home  int              // creating node
+	// op publishes the task on the shared-memory runtime: the descriptor's
+	// writes, then the push that makes it stealable (see publish).
+	op queueOp
 }
 
 // newTask registers a closure as a schedulable task without allocating its
@@ -62,18 +66,51 @@ func (t *Task) run(tc *TC) {
 	t.fn(tc)
 }
 
-// materialize writes the task descriptor into node-local memory, charging
-// the creating processor; needed before a task can be stolen through
-// shared memory.
-func (t *Task) materialize(p *machine.Proc) {
-	if t.desc != 0 {
-		return
+// publish makes t available through shared memory from p's body: it writes
+// the task descriptor into p's node-local memory, charging p, unless t has
+// one, then pushes t on q. Both run as one chain of steps (descStep, then
+// the push's queueStep) whose state is t.op, so p's body is resumed at
+// most once, when the chain has parked.
+func (t *Task) publish(p *machine.Proc, q *smQueue) {
+	t.op.p, t.op.q, t.op.next = p, q, nil
+	t.op.w = taskWords
+	if t.desc == 0 {
+		t.home = p.ID()
+		t.desc = p.Store().AllocOn(t.home, taskWords)
+		t.op.w = 0
 	}
-	t.home = p.ID()
-	t.desc = p.Store().AllocOn(t.home, taskWords)
-	for w := 0; w < taskWords; w++ {
-		p.Write(t.desc+mem.Addr(w), t.id)
+	p.Ctx.RunStep((*descStep)(t))
+}
+
+// descStep writes a task's descriptor, a word a step, then pushes the
+// task; a type of its own so that AtWake is not a method of Task.
+type descStep Task
+
+// run writes the descriptor words from t.op.w on, then runs the push, and
+// reports true when it armed a wait.
+//
+//alewife:hotpath
+func (s *descStep) run() bool {
+	t := (*Task)(s)
+	o := &t.op
+	for o.w < taskWords {
+		o.w++
+		if o.p.StepWrite(t.desc+mem.Addr(o.w-1), t.id, s) {
+			return true
+		}
 	}
+	return o.run(o.p, o.q, qsPush, queueItem{task: t}, o.next)
+}
+
+// AtWake takes the descriptor's writes on from its wake; the push that
+// follows runs the chain's end.
+//
+//alewife:hotpath
+func (s *descStep) AtWake(c *sim.Context) bool {
+	if s.run() {
+		return false
+	}
+	return then(s.op.next, c)
 }
 
 // TC is the thread context handed to every task body: the processor it is

@@ -29,6 +29,11 @@ type Thread struct {
 	hasWakeVal bool
 
 	finished bool
+
+	// op is the state of the chains of steps the thread runs on a future:
+	// acquiring its lock (op.lk) and, in shared-memory mode, pushing each
+	// of its waiters on their wake queues.
+	op queueOp
 }
 
 // getThread readies a thread record for task t on core c, reusing one from

@@ -16,9 +16,12 @@ import (
 // in a park (a miss, a dispatch, a suspension) runs its step inside the
 // dispatch loop (Proc.FlushThen), the hybrid scheduler runs as a chain of
 // such steps (hybridStep), and a thread's final flush ends it with a record
-// instead of a resume (Thread.run). Before the last two, these five runs
-// took 4,045, 1,806, 27,944, 16,978 and 850 handoffs, with the same
-// events.
+// instead of a resume (Thread.run). An access that waits is a chain of
+// steps too (Proc.StepRead and friends), and so are the shared-memory
+// scheduler (smStep), its queue operations and spin locks (queueStep,
+// lockStep) and a fork's task descriptor (descStep). Before those, these
+// six runs took 3,996, 486, 26,950, 8,320, 4,862 and 47 handoffs, with the
+// same events.
 func TestEngineWorkCounts(t *testing.T) {
 	grain := func(rt *core.RT) { apps.GrainParallel(rt, 6, 0) }
 	aq := func(rt *core.RT) { apps.AQParallel(rt, 0.05) }
@@ -47,17 +50,17 @@ func TestEngineWorkCounts(t *testing.T) {
 		want sim.Work
 	}{
 		{"grain-d6/sm", core.ModeSharedMemory, grain,
-			sim.Work{Events: 12668, Handoffs: 3996, SelfContinues: 81, Absorbed: 1789}},
+			sim.Work{Events: 12668, Handoffs: 422, SelfContinues: 143, Absorbed: 5301}},
 		{"grain-d6/hybrid", core.ModeHybrid, grain,
-			sim.Work{Events: 3714, Handoffs: 486, SelfContinues: 64, Absorbed: 1710}},
+			sim.Work{Events: 3714, Handoffs: 481, SelfContinues: 65, Absorbed: 1714}},
 		{"aq-0.05/sm", core.ModeSharedMemory, aq,
-			sim.Work{Events: 113730, Handoffs: 26950, SelfContinues: 3286, Absorbed: 19534}},
+			sim.Work{Events: 113730, Handoffs: 8500, SelfContinues: 1474, Absorbed: 39796}},
 		{"aq-0.05/hybrid", core.ModeHybrid, aq,
-			sim.Work{Events: 44561, Handoffs: 8320, SelfContinues: 1576, Absorbed: 16430}},
+			sim.Work{Events: 44561, Handoffs: 8310, SelfContinues: 1574, Absorbed: 16442}},
 		{"invoke-5/sm", core.ModeSharedMemory, invoke,
-			sim.Work{Events: 8659, Handoffs: 4862, SelfContinues: 6, Absorbed: 863}},
+			sim.Work{Events: 8659, Handoffs: 43, SelfContinues: 42, Absorbed: 5646}},
 		{"invoke-5/hybrid", core.ModeHybrid, invoke,
-			sim.Work{Events: 1670, Handoffs: 47, SelfContinues: 36, Absorbed: 1018}},
+			sim.Work{Events: 1670, Handoffs: 45, SelfContinues: 36, Absorbed: 1020}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

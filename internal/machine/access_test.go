@@ -6,6 +6,7 @@ import (
 
 	"alewife/internal/machine"
 	"alewife/internal/mem"
+	"alewife/internal/sim"
 	"alewife/internal/stats"
 )
 
@@ -136,14 +137,67 @@ func coroutineAccess(kind accessKind) func(p *machine.Proc, a mem.Addr) uint64 {
 	}
 }
 
+// chainAccess is a chain of steps that takes one step-form access
+// (Proc.StepRead, StepWrite, StepTestSet) and resumes the processor once
+// it is done.
+type chainAccess struct {
+	p       *machine.Proc
+	kind    accessKind
+	a       mem.Addr
+	started bool
+	val     uint64
+}
+
+func (s *chainAccess) AtWake(*sim.Context) bool {
+	if !s.started {
+		s.started = true
+		var armed bool
+		switch s.kind {
+		case kindRead:
+			armed = s.p.StepRead(s.a, s)
+		case kindWrite:
+			armed = s.p.StepWrite(s.a, 7, s)
+		default:
+			armed = s.p.StepTestSet(s.a, s)
+		}
+		if armed {
+			return false
+		}
+	}
+	if s.kind != kindWrite {
+		s.val = s.p.Val()
+	}
+	return true
+}
+
+// chainedAccess takes the case's access as a step-form access inside a
+// chain a body starts with RunStep.
+func chainedAccess(kind accessKind) func(p *machine.Proc, a mem.Addr) uint64 {
+	return func(p *machine.Proc, a mem.Addr) uint64 {
+		s := &chainAccess{p: p, kind: kind, a: a}
+		p.Ctx.RunStep(s)
+		return s.val
+	}
+}
+
 // TestAccessForms pins what each kind of access does: its value, cycles,
-// counters and parks.
+// counters and parks. Loads, stores and test-and-sets run both ways, as a
+// coroutine access and as a step-form access inside a chain; the wants
+// were captured from the coroutine forms before the chain was the one miss
+// path, when Ctrl.Finish waited out the miss on the processor's coroutine.
 func TestAccessForms(t *testing.T) {
 	for _, tc := range accessCases {
 		t.Run(tc.name, func(t *testing.T) {
 			got := runAccessCase(t, tc.sc, tc.setup, coroutineAccess(tc.kind))
 			if !reflect.DeepEqual(got, tc.want) {
 				t.Errorf("coroutine access: %+v, want %+v", got, tc.want)
+			}
+			if tc.kind > kindTestSet {
+				return // no step form
+			}
+			got = runAccessCase(t, tc.sc, tc.setup, chainedAccess(tc.kind))
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("access in a chain: %+v, want %+v", got, tc.want)
 			}
 		})
 	}

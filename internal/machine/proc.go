@@ -44,10 +44,30 @@ type Proc struct {
 	body  func(*Proc)
 	entry func(*sim.Context)
 
-	// acc is the access on the miss path, begun by missStep at the wake
-	// of the flush before it and finished when the Proc resumes.
-	acc mem.Access
+	// The access on the miss path (any access that missed its fast path,
+	// and every atomic one), run as a chain of steps (accessStep): acc is
+	// its memory side, op and the operands v and v2 say what it does once
+	// its probe hits, probe that the fast path of a load or store is still
+	// to be tried, next the step that runs once it is done (nil resumes
+	// the processor), and val its result.
+	acc   mem.Access
+	op    accOp
+	v, v2 uint64
+	probe bool
+	next  sim.AtWake
+	val   uint64
 }
+
+// accOp is what an access does once its probe hits.
+type accOp uint8
+
+const (
+	opRead accOp = iota
+	opWrite
+	opTestSet
+	opFetchAdd
+	opCompareSwap
+)
 
 // Elapse charges n cycles of local computation.
 func (p *Proc) Elapse(n uint64) { p.ahead += n }
@@ -67,7 +87,7 @@ func (p *Proc) Flush() {
 
 // FlushThen is Flush followed by w's step, where the step is what the
 // processor does first once its clock is synchronized and ends in a park
-// (begin a miss and wait for the fill, hand the processor to a thread): it
+// (take an access to its fill, hand the processor to a thread): it
 // books the cycles, then sleeps them off with sim.Context.SleepThen, so
 // the step runs at the wake inside the dispatch loop and a step that parks
 // costs no coroutine switch. With nothing to flush, the step runs here
@@ -217,54 +237,197 @@ func (p *Proc) sync() {
 func (p *Proc) Read(a mem.Addr) uint64 {
 	p.sync()
 	if p.Node.Ctrl.FastRead(a) {
-		p.ahead += mem.CacheHit
-		p.aheadHit += mem.CacheHit
+		p.hit()
 		return p.Node.M.Store.Read(a)
 	}
-	p.access(a, mem.Shared, false)
-	p.ahead += mem.FillToUse + mem.CacheHit
-	p.aheadMiss += mem.FillToUse
-	p.aheadHit += mem.CacheHit
-	return p.Node.M.Store.Read(a)
+	p.miss(a, opRead, 0, 0)
+	return p.val
 }
 
 // Write performs a shared-memory store.
 func (p *Proc) Write(a mem.Addr, v uint64) {
 	p.sync()
 	if p.Node.Ctrl.FastWrite(a) {
-		p.ahead += mem.CacheHit
-		p.aheadHit += mem.CacheHit
+		p.hit()
 		p.Node.M.Store.Write(a, v)
 		return
 	}
-	p.access(a, mem.Exclusive, false)
+	p.miss(a, opWrite, v, 0)
+}
+
+// hit charges a fast-path hit.
+func (p *Proc) hit() {
+	p.ahead += mem.CacheHit
+	p.aheadHit += mem.CacheHit
+}
+
+// miss takes an access through its chain of steps from the processor's
+// body: the flush's wake begins it (FlushThen), and the processor resumes
+// once the chain has completed it.
+func (p *Proc) miss(a mem.Addr, op accOp, v, v2 uint64) {
+	p.setAccess(a, op, v, v2, nil)
+	p.FlushThen((*accessStep)(p))
+}
+
+// setAccess makes the access to a the processor's pending one.
+//
+//alewife:hotpath
+func (p *Proc) setAccess(a mem.Addr, op accOp, v, v2 uint64, next sim.AtWake) {
+	p.acc = mem.Access{A: a, Want: mem.Exclusive, Atomic: op > opWrite}
+	if op == opRead {
+		p.acc.Want = mem.Shared
+	}
+	p.op, p.v, p.v2, p.next, p.probe = op, v, v2, next, false
+}
+
+// StepRead is Read taken inside the processor's running step, for a chain
+// of steps. It reports false when the load completed inline, a fast-path
+// hit, and the step goes on; otherwise it armed the load's chain, the
+// calling step returns false, and w runs once the load is done, at the
+// wake whose probe hit. Either way Val then returns the word.
+//
+//alewife:hotpath
+func (p *Proc) StepRead(a mem.Addr, w sim.AtWake) bool {
+	return p.stepAccess(a, opRead, 0, w)
+}
+
+// StepWrite is Write taken inside the processor's running step, reporting
+// as StepRead does.
+//
+//alewife:hotpath
+func (p *Proc) StepWrite(a mem.Addr, v uint64, w sim.AtWake) bool {
+	return p.stepAccess(a, opWrite, v, w)
+}
+
+// StepTestSet is TestSet taken inside the processor's running step,
+// reporting as StepRead does; Val then returns the word's old value.
+//
+//alewife:hotpath
+func (p *Proc) StepTestSet(a mem.Addr, w sim.AtWake) bool {
+	return p.stepAccess(a, opTestSet, 0, w)
+}
+
+// Val returns the result of the processor's last access taken as a chain:
+// the word a load read, or the old word of a test-and-set or fetch-and-add.
+func (p *Proc) Val() uint64 { return p.val }
+
+// stepAccess starts an access inside the running step. A load or store
+// tries its fast path first, after the flush sequential consistency puts
+// before every access; an atomic access flushes and goes straight to the
+// miss path, as its coroutine form does.
+//
+//alewife:hotpath
+func (p *Proc) stepAccess(a mem.Addr, op accOp, v uint64, w sim.AtWake) bool {
+	p.setAccess(a, op, v, 0, w)
+	if op <= opWrite {
+		p.probe = true
+		if p.Node.M.Cfg.SeqConsistent && p.StepFlush((*accessStep)(p)) {
+			return true
+		}
+	} else if p.StepFlush((*accessStep)(p)) {
+		return true
+	}
+	return p.take()
+}
+
+// take runs the pending access from where it stands, inside the running
+// step, to its end or to its next wait: the fast path's probe when it is
+// still to be tried, the flush before the miss path, then the miss path
+// (mem.Ctrl.Step), whose last probe and the data operation and its cycles
+// (apply) come in one step. It reports true when it armed a wait, whose
+// wake runs accessStep.
+//
+//alewife:hotpath
+func (p *Proc) take() bool {
+	if p.probe {
+		p.probe = false
+		if p.fast() {
+			return false
+		}
+		if p.StepFlush((*accessStep)(p)) {
+			return true
+		}
+	}
+	if !p.Node.Ctrl.Step(p.Ctx, &p.acc, (*accessStep)(p)) {
+		return true
+	}
+	p.apply()
+	return false
+}
+
+// fast takes a load's or a store's fast path, and reports false on a
+// miss.
+//
+//alewife:hotpath
+func (p *Proc) fast() bool {
+	a := p.acc.A
+	if p.op == opRead {
+		if !p.Node.Ctrl.FastRead(a) {
+			return false
+		}
+		p.val = p.Node.M.Store.Read(a)
+	} else {
+		if !p.Node.Ctrl.FastWrite(a) {
+			return false
+		}
+		p.Node.M.Store.Write(a, p.v)
+	}
+	p.hit()
+	return true
+}
+
+// apply does the data operation of an access whose miss path just ended
+// on a hit, and charges its cycles: a load or store pays the fill's
+// FillToUse and a hit, and an atomic sequence two hits.
+//
+//alewife:hotpath
+func (p *Proc) apply() {
+	a, st := p.acc.A, p.Node.M.Store
+	switch p.op {
+	case opRead:
+		p.val = st.Read(a)
+	case opWrite:
+		st.Write(a, p.v)
+	default:
+		old := st.Read(a)
+		p.val = old
+		switch p.op {
+		case opTestSet:
+			st.Write(a, 1)
+		case opFetchAdd:
+			st.Write(a, old+p.v)
+		case opCompareSwap:
+			p.val = 0
+			if old == p.v {
+				st.Write(a, p.v2)
+				p.val = 1
+			}
+		}
+		p.ahead += 2 * mem.CacheHit
+		p.aheadHit += 2 * mem.CacheHit
+		return
+	}
 	p.ahead += mem.FillToUse + mem.CacheHit
 	p.aheadMiss += mem.FillToUse
 	p.aheadHit += mem.CacheHit
-	p.Node.M.Store.Write(a, v)
 }
 
-// access flushes and takes an access through the node's miss path: a load
-// or store that missed its fast path, or any atomic access. The flush's
-// wake begins the access (missStep) and parks the processor on the fill
-// there; Finish runs once it resumes.
-func (p *Proc) access(a mem.Addr, want mem.LState, atomic bool) {
-	p.acc = mem.Access{A: a, Want: want, Atomic: atomic}
-	p.FlushThen((*missStep)(p))
-	p.Node.Ctrl.Finish(p.Ctx, &p.acc)
-}
+// accessStep is the step of the pending access's chain, a type of its own
+// so that the step is not a method of Proc's API.
+type accessStep Proc
 
-// missStep is Proc.access's AtWake step, a type of its own so that the
-// step is not a method of Proc's API.
-type missStep Proc
-
-// AtWake begins the pending access and leaves the processor parked on its
-// fill when one is outstanding; any other ticket resumes the processor.
+// AtWake takes the access on from its wake; once the access is done it
+// runs the step the access names next, or resumes the processor.
 //
 //alewife:hotpath
-func (s *missStep) AtWake(c *sim.Context) bool {
+func (s *accessStep) AtWake(c *sim.Context) bool {
 	p := (*Proc)(s)
-	return !p.Node.Ctrl.Begin(&p.acc).Park(c)
+	if p.take() {
+		return false
+	}
+	w := p.next
+	p.next = nil
+	return w == nil || w.AtWake(c)
 }
 
 // ReadF and WriteF are float64 views of Read/Write.
@@ -284,37 +447,22 @@ func (p *Proc) Prefetch(a mem.Addr, excl bool) {
 // FetchAdd atomically adds delta to the word at a, returning the old value.
 // It models Sparcle's atomic sequences over an exclusively held line.
 func (p *Proc) FetchAdd(a mem.Addr, delta uint64) uint64 {
-	p.access(a, mem.Exclusive, true)
-	old := p.Node.M.Store.Read(a)
-	p.Node.M.Store.Write(a, old+delta)
-	p.ahead += 2 * mem.CacheHit
-	p.aheadHit += 2 * mem.CacheHit
-	return old
+	p.miss(a, opFetchAdd, delta, 0)
+	return p.val
 }
 
 // CompareSwap atomically replaces old with new at a when it matches,
 // reporting success.
 func (p *Proc) CompareSwap(a mem.Addr, old, new uint64) bool {
-	p.access(a, mem.Exclusive, true)
-	cur := p.Node.M.Store.Read(a)
-	p.ahead += 2 * mem.CacheHit
-	p.aheadHit += 2 * mem.CacheHit
-	if cur != old {
-		return false
-	}
-	p.Node.M.Store.Write(a, new)
-	return true
+	p.miss(a, opCompareSwap, old, new)
+	return p.val != 0
 }
 
 // TestSet atomically sets the word at a to 1, returning the previous value
 // (0 means the caller won the lock).
 func (p *Proc) TestSet(a mem.Addr) uint64 {
-	p.access(a, mem.Exclusive, true)
-	old := p.Node.M.Store.Read(a)
-	p.Node.M.Store.Write(a, 1)
-	p.ahead += 2 * mem.CacheHit
-	p.aheadHit += 2 * mem.CacheHit
-	return old
+	p.miss(a, opTestSet, 0, 0)
+	return p.val
 }
 
 // SendMessage describes and launches a message (a few user-level

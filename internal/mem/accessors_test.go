@@ -95,7 +95,7 @@ func TestStartMissDirect(t *testing.T) {
 		if tk.Hit() {
 			t.Fatal("cold startMiss reported a hit")
 		}
-		tk.Wait(c)
+		ctrl.waitTicket(c, tk, a, Shared)
 		if !ctrl.startMiss(a, Shared).Hit() {
 			t.Fatal("warm shared startMiss not a hit")
 		}
@@ -104,7 +104,7 @@ func TestStartMissDirect(t *testing.T) {
 		if tk.Hit() {
 			t.Fatal("upgrade startMiss reported a hit")
 		}
-		tk.Wait(c)
+		ctrl.waitTicket(c, tk, a, Exclusive)
 		if !ctrl.startMiss(a, Exclusive).Hit() {
 			t.Fatal("exclusive startMiss not a hit after upgrade")
 		}
@@ -121,7 +121,7 @@ func TestStartMissJoinsOutstanding(t *testing.T) {
 		if tk1.Hit() || tk2.t == nil || tk2.t != tk1.t {
 			t.Fatal("second startMiss did not join the outstanding fill")
 		}
-		tk1.Wait(c)
+		ctrl.waitTicket(c, tk1, a, Shared)
 	})
 }
 
@@ -138,7 +138,7 @@ func TestStartMissPrefetchPenaltyGate(t *testing.T) {
 		if tk.Hit() {
 			t.Fatal("penalized write reported a free hit")
 		}
-		tk.Wait(c)
+		ctrl.waitTicket(c, tk, a, Exclusive)
 		if c.Now()-s != prefetchWritePenalty {
 			t.Fatalf("penalty ticket waited %d, want %d", c.Now()-s, prefetchWritePenalty)
 		}

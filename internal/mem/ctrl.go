@@ -261,119 +261,125 @@ func (c *Ctrl) FastWrite(a Addr) bool {
 }
 
 // ---------------------------------------------------------------------------
-// Slow (miss) paths, called on a processor context already synchronized
-// with engine time.
+// Slow (miss) paths, run inside a processor's step once its clock is
+// synchronized with engine time.
 
 // Access is one processor access on the miss path: the word, the state it
-// needs, and the ticket of its last probe. Begin starts it and Finish
-// waits it out, and Read, Write and AcquireExclusive are the two in a
-// row. Between them, the processor can park on the fill inside the
-// dispatch loop, as an AtWake step of the flush before the access (see
-// machine.Proc.FlushThen), which saves the switches of resuming it only
-// to begin the access.
+// needs, and where its chain of steps stands. Step takes it from there to
+// its next wait or to its end, so the processor waits inside the dispatch
+// loop as a chain of steps (see machine.Proc) instead of a coroutine that
+// is resumed only to probe again.
 type Access struct {
 	A    Addr
 	Want LState
 	// Atomic asks for the line held exclusively right now, for a
-	// read-modify-write (AcquireExclusive); Want must be Exclusive.
+	// read-modify-write; Want must be Exclusive.
 	Atomic bool
 
-	tk FillTicket
+	tk    FillTicket
+	stage accStage
 	// recheck: an atomic access whose first probe missed probes once
 	// more when its miss loop ends.
 	recheck bool
 }
 
-// Begin probes the cache for x and, on a miss, joins or issues the fill
-// (startMiss), without blocking. It returns the ticket Finish waits on,
-// which the caller may also Park on.
+// The points of an access's chain that Step takes up.
+type accStage uint8
+
+const (
+	accBegin accStage = iota // the first probe: join or issue the fill
+	accRetry                 // a wait is over: probe again
+	accSlot                  // waiting for a free transaction slot
+)
+
+// Step takes x, the access of ctx's running step, from where its last wait
+// left it, and reports true once the access is complete: its last probe
+// hit, so the caller reads or writes the word in the same step, with no
+// event between the probe and it. An atomic access ends only on a hit of
+// one more probe, as it always has. Otherwise Step armed the access's next
+// wait, naming w as the step for its wake, and w calls Step again:
+//
+//   - a fill still outstanding parks ctx on it, a park the wake reports to
+//     BlockNote (sim.Context.ThenOnWake);
+//   - a prefetch penalty is a chained sleep (sim.Context.Then), which
+//     reports nothing, as the WaitUntil it replaces did not;
+//   - a full transaction buffer parks ctx until a transaction retires,
+//     then probes again and joins or issues the fill and waits for it.
+//
+// A fill that retired before the wait was armed is no wait at all: the
+// access probes again at once.
 //
 //alewife:hotpath
-func (c *Ctrl) Begin(x *Access) FillTicket {
-	x.recheck = false
-	if x.Atomic {
-		if c.cache.Touch(x.A, Exclusive) {
-			x.tk = FillTicket{}
-			return x.tk
-		}
-		x.recheck = true
-	}
-	x.tk = c.startMiss(x.A, x.Want)
-	return x.tk
-}
-
-// Finish stalls ctx until the access Begin started can complete: it waits
-// on the ticket and probes again until the probe hits. A ticket parked on
-// and since retired returns at once. An atomic access ends only on a hit
-// of one more probe, so that no coherence action comes between it and the
-// caller's read-modify-write (the engine runs no events between Finish's
-// return and the caller's next yield).
-//
-//alewife:engine-only
-func (c *Ctrl) Finish(ctx *sim.Context, x *Access) {
+func (c *Ctrl) Step(ctx *sim.Context, x *Access, w sim.AtWake) bool {
 	for {
-		for !x.tk.Hit() {
-			x.tk.Wait(ctx)
+		switch x.stage {
+		case accBegin:
+			x.tk, x.recheck = FillTicket{}, false
+			if !x.Atomic || !c.cache.Touch(x.A, Exclusive) {
+				x.recheck = x.Atomic
+				x.tk = c.startMiss(x.A, x.Want)
+			}
+		case accRetry:
 			x.tk = c.startMiss(x.A, x.Want)
 		}
-		if !x.recheck || c.cache.Touch(x.A, Exclusive) {
-			return
+		if x.tk.Hit() {
+			if !x.recheck || c.cache.Touch(x.A, Exclusive) {
+				return true
+			}
+			x.stage = accRetry
+			continue
 		}
-		x.tk = c.startMiss(x.A, x.Want)
+		if c.await(ctx, x, w) {
+			return false
+		}
 	}
 }
 
-// Read stalls ctx until the line containing a is readable in this node's
-// cache. The caller loads the value from the store afterwards.
+// await arms what x's ticket waits for, with w as its wake's step, and
+// reports whether it did; either way x's next stage is set. A buffer-full
+// ticket waits for a free slot, probes the cache again (another context on
+// the node may have filled the line, and for an Exclusive line the home
+// would defer a second request forever), then joins or issues the fill and
+// waits for that.
 //
-//alewife:engine-only
-func (c *Ctrl) Read(ctx *sim.Context, a Addr) {
-	x := Access{A: a, Want: Shared}
-	c.Begin(&x)
-	c.Finish(ctx, &x)
-}
-
-// Write stalls ctx until this node holds the line exclusively; the caller
-// then stores through to the Store. The exclusivity can in principle be
-// lost again in the same cycle; plain stores don't care (their value is
-// carried by the protocol), atomic sequences use AcquireExclusive.
-//
-//alewife:engine-only
-func (c *Ctrl) Write(ctx *sim.Context, a Addr) {
-	x := Access{A: a, Want: Exclusive}
-	c.Begin(&x)
-	c.Finish(ctx, &x)
-}
-
-// AcquireExclusive stalls ctx until a write to a hits exclusively *right
-// now*, so the caller can perform a read-modify-write without any
-// intervening coherence action.
-//
-//alewife:engine-only
-func (c *Ctrl) AcquireExclusive(ctx *sim.Context, a Addr) {
-	x := Access{A: a, Want: Exclusive, Atomic: true}
-	c.Begin(&x)
-	c.Finish(ctx, &x)
+//alewife:hotpath
+func (c *Ctrl) await(ctx *sim.Context, x *Access, w sim.AtWake) bool {
+	x.stage = accRetry
+	switch x.tk.kind {
+	case tkFill:
+		if t := x.tk.t; t.gen == x.tk.gen && t.gate.Park(ctx) {
+			ctx.ThenOnWake(w)
+			return true
+		}
+	case tkPenalty:
+		ctx.Then(x.tk.at-ctx.Now(), w)
+		return true
+	case tkFull:
+		if len(c.txns) >= txnLimit {
+			x.stage = accSlot
+			c.txnFreedArmed = true
+			c.txnFreed.Park(ctx)
+			ctx.ThenOnWake(w)
+			return true
+		}
+		if !c.cache.Touch(x.A, x.Want) {
+			x.tk = c.fill(x.A.Line(), x.Want)
+			return c.await(ctx, x, w)
+		}
+	}
+	return false
 }
 
 // FillTicket is startMiss's handle on what a missed access waits for
 // before it probes the cache again; the zero ticket means the access hit.
-// Finish waits on a ticket its processor may already have parked on
-// (Park), so a ticket may be waited on after its wait is over. A fill
-// ticket carries its pooled record's generation, and Wait returns at once
-// if the fill has retired. A buffer-full ticket waits for a free slot,
-// probes the cache again (another context on the node may have filled the
-// line, and for an Exclusive line the home would defer a second request
-// forever), then joins or issues the fill and waits for it. A penalty
-// ticket waits until a fixed time.
+// A fill ticket carries its pooled record's generation, so a ticket whose
+// fill has retired waits for nothing. A buffer-full ticket waits for a
+// free slot (await). A penalty ticket waits until a fixed time.
 type FillTicket struct {
 	kind ticketKind
 	t    *txn     // fill: the transaction
 	gen  uint64   // fill: t's generation at issue
 	at   sim.Time // penalty: when the access may probe again
-	c    *Ctrl    // buffer full: the controller, and the access to fill
-	a    Addr
-	want LState
 }
 
 type ticketKind uint8
@@ -388,41 +394,10 @@ const (
 // Hit reports that the access needs no wait at all.
 func (tk FillTicket) Hit() bool { return tk.kind == tkHit }
 
-// Park adds ctx as a waiter on the ticket's fill, without blocking it,
-// when that fill is still outstanding, and reports whether it did. Any
-// other ticket (a hit, a prefetch penalty, a full buffer) or a retired
-// fill reports false: the context resumes at once and Finish handles it.
-//
-//alewife:hotpath
-func (tk FillTicket) Park(ctx *sim.Context) bool {
-	return tk.kind == tkFill && tk.t.gen == tk.gen && tk.t.gate.Park(ctx)
-}
-
-// Wait parks ctx until the caller should probe the cache again.
-func (tk FillTicket) Wait(ctx *sim.Context) {
-	switch tk.kind {
-	case tkFill:
-		if tk.t.gen == tk.gen {
-			tk.t.gate.Wait(ctx)
-		}
-	case tkPenalty:
-		ctx.WaitUntil(tk.at)
-	case tkFull:
-		c := tk.c
-		for len(c.txns) >= txnLimit {
-			c.txnFreedArmed = true
-			c.txnFreed.Wait(ctx)
-		}
-		if !c.cache.Touch(tk.a, tk.want) {
-			c.fill(tk.a.Line(), tk.want).Wait(ctx)
-		}
-	}
-}
-
 // startMiss probes this node's cache for the line containing a in state
 // want. On a miss it counts the miss (or the upgrade) and joins or issues
 // the fill without blocking, and returns the ticket to wait on before
-// probing again; Begin and Finish loop on it until a Hit ticket.
+// probing again; Step loops on it until a hit.
 //
 //alewife:engine-only
 func (c *Ctrl) startMiss(a Addr, want LState) FillTicket {
@@ -444,7 +419,7 @@ func (c *Ctrl) startMiss(a Addr, want LState) FillTicket {
 	line := a.Line()
 	if len(c.txns) >= txnLimit && c.findTxn(line) == nil {
 		// The miss is counted here once, however long the ticket waits.
-		return FillTicket{kind: tkFull, c: c, a: a, want: want}
+		return FillTicket{kind: tkFull}
 	}
 	return c.fill(line, want)
 }

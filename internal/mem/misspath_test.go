@@ -131,7 +131,7 @@ func TestMissPathAccounting(t *testing.T) {
 				t.Errorf("first probe returned ticket kind %d, want a buffer-full ticket", tk.kind)
 			}
 			for ; !tk.Hit(); tk = ctrl.startMiss(x, Exclusive) {
-				tk.Wait(c)
+				ctrl.waitTicket(c, tk, x, Exclusive)
 			}
 			done++
 		}

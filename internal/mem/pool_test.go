@@ -230,7 +230,7 @@ func TestTicketStaleAfterRetire(t *testing.T) {
 			t.Fatal("transaction did not retire during the sleep")
 		}
 		before := c.Now()
-		tk.Wait(c) // must return immediately
+		ctrl.waitTicket(c, tk, a, Shared) // must return immediately
 		if c.Now() != before {
 			t.Fatal("stale ticket waited on a recycled gate")
 		}
@@ -268,7 +268,7 @@ func TestTxnFullTicketStaleness(t *testing.T) {
 			t.Errorf("%d transactions still outstanding after the drain", len(ctrl.txns))
 			return
 		}
-		tk.Wait(c) // parking on the empty buffer would deadlock the run
+		ctrl.waitTicket(c, tk, last, Exclusive) // parking on the empty buffer would deadlock the run
 		if ctrl.LineState(last) != Exclusive {
 			t.Error("held buffer-full ticket did not issue its fill")
 		}
@@ -392,56 +392,78 @@ func TestPooledRecordsWithFaultInjection(t *testing.T) {
 	}
 }
 
-// Park waits only on a fill that is still outstanding. A hit, a prefetch
-// penalty, a full transaction buffer or a retired fill reports false, so
-// an AtWake step resumes the processor and Finish handles the ticket.
-func TestTicketParkOnlyOnOutstandingFill(t *testing.T) {
+// stepRec runs an access's chain from a test body and records the time of
+// each of its steps.
+type stepRec struct {
+	c     *Ctrl
+	x     Access
+	steps []sim.Time
+}
+
+func (s *stepRec) AtWake(ctx *sim.Context) bool {
+	s.steps = append(s.steps, ctx.Now())
+	return s.c.Step(ctx, &s.x, s)
+}
+
+// An access's chain waits on each kind of ticket in its own park form: a
+// hit waits for nothing, an outstanding fill is a park that BlockNote
+// sees, a prefetch penalty is a chained sleep of exactly the penalty that
+// it does not see, and a full transaction buffer is a park until a
+// transaction retires, then the fill's park.
+func TestStepParkForms(t *testing.T) {
 	h := newHarness(2)
 	ctrl := h.fab.Ctrls[0]
-	addrs := make([]Addr, txnLimit+2)
+	addrs := make([]Addr, txnLimit+3)
 	for i := range addrs {
 		addrs[i] = h.fab.Store.AllocOn(1, 4)
 	}
 	h.run(t, func(c *sim.Context) {
-		x := Access{A: addrs[0], Want: Shared}
-		tk := ctrl.Begin(&x)
-		if !tk.Park(c) {
-			t.Fatal("Park refused an outstanding fill")
-		}
-		c.Block() // the fill's gate resumes the context
-		if tk.Park(c) {
-			t.Fatal("Park waited on a retired fill")
-		}
-		ctrl.Finish(c, &x)
-		if hit := ctrl.Begin(&Access{A: addrs[0], Want: Shared}); hit.Park(c) {
-			t.Fatal("Park waited on a hit")
+		var notes [][2]sim.Time
+		c.BlockNote = func(parked, woke sim.Time) { notes = append(notes, [2]sim.Time{parked, woke}) }
+		access := func(x Access) []sim.Time {
+			notes = nil
+			s := &stepRec{c: ctrl, x: x}
+			c.RunStep(s)
+			if c.Now() != s.steps[len(s.steps)-1] {
+				t.Errorf("%v: resumed at %d, after its last step at %d", x, c.Now(), s.steps[len(s.steps)-1])
+			}
+			return s.steps
 		}
 
-		// A write after a landed shared prefetch: a timed penalty.
+		steps := access(Access{A: addrs[0], Want: Shared})
+		if len(steps) != 2 || len(notes) != 1 || notes[0] != [2]sim.Time{steps[0], steps[1]} {
+			t.Errorf("clean miss: steps at %v, parks %v: want one park, on the fill, reported", steps, notes)
+		}
+		if steps := access(Access{A: addrs[0], Want: Shared}); len(steps) != 1 || len(notes) != 0 {
+			t.Errorf("hit: steps at %v, parks %v: want one step and no park", steps, notes)
+		}
+
+		// A write after a landed shared prefetch: a timed penalty, then the
+		// upgrade's fill.
 		ctrl.Prefetch(addrs[1], false)
 		c.Sleep(300)
-		x = Access{A: addrs[1], Want: Exclusive}
-		if ctrl.Begin(&x).Park(c) {
-			t.Fatal("Park waited on a prefetch penalty")
+		steps = access(Access{A: addrs[1], Want: Exclusive})
+		if len(steps) != 3 || steps[1]-steps[0] != prefetchWritePenalty ||
+			len(notes) != 1 || notes[0] != [2]sim.Time{steps[1], steps[2]} {
+			t.Errorf("penalized write: steps at %v, parks %v: want a %d-cycle sleep BlockNote does not see, then a reported park",
+				steps, notes, prefetchWritePenalty)
 		}
-		ctrl.Finish(c, &x)
 		if ctrl.LineState(addrs[1]) != Exclusive {
-			t.Fatal("Finish did not complete the penalized write")
+			t.Error("the penalized write did not complete")
 		}
 
-		// A full transaction buffer.
-		for _, a := range addrs[2 : 2+txnLimit] {
+		// An atomic access on a full transaction buffer.
+		for _, a := range addrs[3 : 3+txnLimit] {
 			ctrl.Prefetch(a, false)
 		}
-		x = Access{A: addrs[0], Want: Exclusive, Atomic: true}
-		if tk := ctrl.Begin(&x); tk.kind != tkFull {
-			t.Fatalf("ticket kind %d on a full buffer, want a buffer-full ticket", tk.kind)
-		} else if tk.Park(c) {
-			t.Fatal("Park waited on a full buffer")
+		steps = access(Access{A: addrs[2], Want: Exclusive, Atomic: true})
+		if len(steps) != 3 || len(notes) != 2 ||
+			notes[0] != [2]sim.Time{steps[0], steps[1]} || notes[1] != [2]sim.Time{steps[1], steps[2]} {
+			t.Errorf("atomic on a full buffer: steps at %v, parks %v: want a park for a slot, then one on the fill, both reported",
+				steps, notes)
 		}
-		ctrl.Finish(c, &x)
-		if ctrl.LineState(addrs[0]) != Exclusive {
-			t.Fatal("Finish did not complete the atomic access")
+		if ctrl.LineState(addrs[2]) != Exclusive {
+			t.Error("the atomic access did not complete")
 		}
 	})
 }
