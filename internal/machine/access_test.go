@@ -76,6 +76,8 @@ var accessCases = []struct {
 		accessResult{word: 9, val: 1, clock: 43, now: 45, misses: 1, busy: 5, notes: [][2]uint64{{5, 43}}}},
 	{"seq-consistent", true, nil, kindRead,
 		accessResult{word: 42, val: 42, clock: 43, now: 45, misses: 1, busy: 5, notes: [][2]uint64{{5, 43}}}},
+	{"seq-consistent-hit", true, func(p *machine.Proc, a mem.Addr, _ []mem.Addr) { p.Read(a) }, kindRead,
+		accessResult{word: 42, val: 42, clock: 5, now: 6, hits: 1, busy: 5}},
 }
 
 // runAccessCase runs one case on a fresh machine, taking the measured

@@ -273,7 +273,7 @@ func (p *Proc) miss(a mem.Addr, op accOp, v, v2 uint64) {
 //
 //alewife:hotpath
 func (p *Proc) setAccess(a mem.Addr, op accOp, v, v2 uint64, next sim.AtWake) {
-	p.acc = mem.Access{A: a, Want: mem.Exclusive, Atomic: op > opWrite}
+	p.acc = mem.Access{A: a, Want: mem.Exclusive}
 	if op == opRead {
 		p.acc.Want = mem.Shared
 	}

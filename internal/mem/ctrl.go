@@ -272,32 +272,19 @@ func (c *Ctrl) FastWrite(a Addr) bool {
 type Access struct {
 	A    Addr
 	Want LState
-	// Atomic asks for the line held exclusively right now, for a
-	// read-modify-write; Want must be Exclusive.
-	Atomic bool
 
-	tk    FillTicket
-	stage accStage
-	// recheck: an atomic access whose first probe missed probes once
-	// more when its miss loop ends.
-	recheck bool
+	tk FillTicket
+	// slot: the access waits for a free transaction slot, not to probe
+	// again.
+	slot bool
 }
-
-// The points of an access's chain that Step takes up.
-type accStage uint8
-
-const (
-	accBegin accStage = iota // the first probe: join or issue the fill
-	accRetry                 // a wait is over: probe again
-	accSlot                  // waiting for a free transaction slot
-)
 
 // Step takes x, the access of ctx's running step, from where its last wait
 // left it, and reports true once the access is complete: its last probe
 // hit, so the caller reads or writes the word in the same step, with no
-// event between the probe and it. An atomic access ends only on a hit of
-// one more probe, as it always has. Otherwise Step armed the access's next
-// wait, naming w as the step for its wake, and w calls Step again:
+// event between the probe and it, and a read-modify-write holds the line
+// exclusively throughout. Otherwise Step armed the access's next wait,
+// naming w as the step for its wake, and w calls Step again:
 //
 //   - a fill still outstanding parks ctx on it, a park the wake reports to
 //     BlockNote (sim.Context.ThenOnWake);
@@ -312,22 +299,10 @@ const (
 //alewife:hotpath
 func (c *Ctrl) Step(ctx *sim.Context, x *Access, w sim.AtWake) bool {
 	for {
-		switch x.stage {
-		case accBegin:
-			x.tk, x.recheck = FillTicket{}, false
-			if !x.Atomic || !c.cache.Touch(x.A, Exclusive) {
-				x.recheck = x.Atomic
-				x.tk = c.startMiss(x.A, x.Want)
-			}
-		case accRetry:
-			x.tk = c.startMiss(x.A, x.Want)
-		}
-		if x.tk.Hit() {
-			if !x.recheck || c.cache.Touch(x.A, Exclusive) {
+		if !x.slot {
+			if x.tk = c.startMiss(x.A, x.Want); x.tk.Hit() {
 				return true
 			}
-			x.stage = accRetry
-			continue
 		}
 		if c.await(ctx, x, w) {
 			return false
@@ -336,15 +311,14 @@ func (c *Ctrl) Step(ctx *sim.Context, x *Access, w sim.AtWake) bool {
 }
 
 // await arms what x's ticket waits for, with w as its wake's step, and
-// reports whether it did; either way x's next stage is set. A buffer-full
-// ticket waits for a free slot, probes the cache again (another context on
-// the node may have filled the line, and for an Exclusive line the home
-// would defer a second request forever), then joins or issues the fill and
-// waits for that.
+// reports whether it did. A buffer-full ticket waits for a free slot
+// (x.slot), probes the cache again (another context on the node may have
+// filled the line, and for an Exclusive line the home would defer a second
+// request forever), then joins or issues the fill and waits for that.
 //
 //alewife:hotpath
 func (c *Ctrl) await(ctx *sim.Context, x *Access, w sim.AtWake) bool {
-	x.stage = accRetry
+	x.slot = false
 	switch x.tk.kind {
 	case tkFill:
 		if t := x.tk.t; t.gen == x.tk.gen && t.gate.Park(ctx) {
@@ -356,7 +330,7 @@ func (c *Ctrl) await(ctx *sim.Context, x *Access, w sim.AtWake) bool {
 		return true
 	case tkFull:
 		if len(c.txns) >= txnLimit {
-			x.stage = accSlot
+			x.slot = true
 			c.txnFreedArmed = true
 			c.txnFreed.Park(ctx)
 			ctx.ThenOnWake(w)

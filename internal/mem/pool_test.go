@@ -452,18 +452,18 @@ func TestStepParkForms(t *testing.T) {
 			t.Error("the penalized write did not complete")
 		}
 
-		// An atomic access on a full transaction buffer.
+		// An exclusive access on a full transaction buffer.
 		for _, a := range addrs[3 : 3+txnLimit] {
 			ctrl.Prefetch(a, false)
 		}
-		steps = access(Access{A: addrs[2], Want: Exclusive, Atomic: true})
+		steps = access(Access{A: addrs[2], Want: Exclusive})
 		if len(steps) != 3 || len(notes) != 2 ||
 			notes[0] != [2]sim.Time{steps[0], steps[1]} || notes[1] != [2]sim.Time{steps[1], steps[2]} {
-			t.Errorf("atomic on a full buffer: steps at %v, parks %v: want a park for a slot, then one on the fill, both reported",
+			t.Errorf("exclusive access on a full buffer: steps at %v, parks %v: want a park for a slot, then one on the fill, both reported",
 				steps, notes)
 		}
 		if ctrl.LineState(addrs[2]) != Exclusive {
-			t.Error("the atomic access did not complete")
+			t.Error("the exclusive access did not complete")
 		}
 	})
 }

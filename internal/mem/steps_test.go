@@ -23,10 +23,9 @@ func (c *Ctrl) Read(ctx *sim.Context, a Addr) { c.run(ctx, Access{A: a, Want: Sh
 func (c *Ctrl) Write(ctx *sim.Context, a Addr) { c.run(ctx, Access{A: a, Want: Exclusive}) }
 
 // AcquireExclusive stalls ctx until a write to a hits exclusively right
-// now, for a read-modify-write with no coherence action in between.
-func (c *Ctrl) AcquireExclusive(ctx *sim.Context, a Addr) {
-	c.run(ctx, Access{A: a, Want: Exclusive, Atomic: true})
-}
+// now, for a read-modify-write with no coherence action in between: an
+// access ends in the step whose probe hit, so this is Write.
+func (c *Ctrl) AcquireExclusive(ctx *sim.Context, a Addr) { c.Write(ctx, a) }
 
 // ticketWait waits out one ticket of an access for a test body, through
 // the park forms the access's chain uses (Ctrl.await), and stops before
@@ -38,7 +37,7 @@ type ticketWait struct {
 }
 
 func (s *ticketWait) AtWake(ctx *sim.Context) bool {
-	if s.armed && s.x.stage == accRetry {
+	if s.armed && !s.x.slot {
 		return true
 	}
 	s.armed = true
