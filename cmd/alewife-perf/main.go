@@ -99,25 +99,36 @@ func measure(name, unit string, fn func() int64) Metric {
 	return m
 }
 
-// eventChurn drives a standing population of self-rescheduling timers — the
-// engine's purest hot path — for total events.
+// churnPeriods are the periods of eventChurn's timers.
+var churnPeriods = [...]uint64{1, 2, 3, 5, 7, 11, 13, 1024}
+
+// churn is eventChurn's timer population, one sink for all of it: a
+// timer's op indexes its period. It halts the engine once remaining
+// events have fired.
+type churn struct {
+	e         *sim.Engine
+	remaining int64
+}
+
+// Fire implements sim.Sink: one timer fires and reschedules itself.
+func (s *churn) Fire(op uint32, _, _ uint64) {
+	s.remaining--
+	if s.remaining > 0 {
+		s.e.AtSink(s.e.Now()+churnPeriods[op], s, op, 0, 0)
+	} else {
+		s.e.Halt()
+	}
+}
+
+// eventChurn drives a standing population of self-rescheduling timers —
+// the engine's purest hot path — for total sink events.
 func eventChurn(total int64) int64 {
 	e := sim.NewEngine()
+	s := &churn{e: e, remaining: total}
 	const standing = 512
-	periods := [...]uint64{1, 2, 3, 5, 7, 11, 13, 1024}
-	remaining := total
 	for i := 0; i < standing; i++ {
-		d := periods[i%len(periods)]
-		var fn func()
-		fn = func() {
-			remaining--
-			if remaining > 0 {
-				e.After(d, fn)
-			} else {
-				e.Halt()
-			}
-		}
-		e.After(d, fn)
+		op := uint32(i % len(churnPeriods))
+		e.AtSink(churnPeriods[op], s, op, 0, 0)
 	}
 	e.Run()
 	return total

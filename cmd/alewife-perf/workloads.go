@@ -97,10 +97,11 @@ type satDriver struct {
 // Packet sizes cycle through control- and data-sized payloads.
 var satSizes = [...]int{8, 8, 24, 8, 96}
 
-// Fire implements sim.Sink: one delivery; p0 is the arriving packet's
-// destination (the next source), p1 its hop count.
+// Fire implements sim.Sink: one launch from node p0 as hop p1, for a
+// delivery (p0 the arriving packet's destination, p1 its hop count plus
+// one) or a standing packet's first launch.
 func (s *satDriver) Fire(op uint32, p0, p1 uint64) {
-	s.launch(int(p0), int(p1)+1)
+	s.launch(int(p0), int(p1))
 }
 
 func (s *satDriver) launch(src, hop int) {
@@ -112,7 +113,7 @@ func (s *satDriver) launch(src, hop int) {
 	// A fixed co-prime stride visits every (src,dst) pair class.
 	dst := (src + 13 + hop%7) % s.n
 	s.net.SendMsg(src, dst, satSizes[hop%len(satSizes)], s.eng.Now(),
-		s, 0, uint64(dst), uint64(hop))
+		s, 0, uint64(dst), uint64(hop+1))
 }
 
 // saturate drives the standing packet population over any network.
@@ -120,8 +121,7 @@ func saturate(eng *sim.Engine, net mesh.Network, total int64) int64 {
 	s := &satDriver{eng: eng, net: net, n: net.Nodes(), remaining: total}
 	const standing = 64
 	for i := 0; i < standing; i++ {
-		i := i
-		eng.At(0, func() { s.launch(i, i) })
+		eng.AtSink(0, s, 0, uint64(i), uint64(i))
 	}
 	eng.Run()
 	return total - s.remaining

@@ -86,10 +86,11 @@ func (e *Env) Storeback(base mem.Addr, words []uint64) {
 }
 
 // Reply sends a message from inside the handler (interrupt level), charging
-// the describe/launch cost to the handler.
+// the describe/launch cost to the handler. It validates the descriptor as
+// Send does.
 func (e *Env) Reply(d Descriptor) {
 	e.cycles += e.cm.sendCost(d)
-	e.cm.inject(d, e.cm.eng.Now()+e.cycles)
+	e.cm.Send(d, e.cm.eng.Now()+e.cycles)
 }
 
 // Now returns the current simulation time.
@@ -202,10 +203,6 @@ func (c *CMMU) Send(d Descriptor, at sim.Time) {
 	if d.Dst < 0 || d.Dst >= c.net.Nodes() {
 		panic(fmt.Sprintf("cmmu: bad destination %d", d.Dst))
 	}
-	c.inject(d, at)
-}
-
-func (c *CMMU) inject(d Descriptor, at sim.Time) {
 	dst := c.peers[d.Dst]
 	env := dst.getEnv()
 	env.Type, env.Src = d.Type, c.node

@@ -1,6 +1,8 @@
 package cmmu_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"alewife/internal/cmmu"
@@ -64,7 +66,6 @@ func TestSenderFreeAfterLaunch(t *testing.T) {
 		senderDone = p.Ctx.Now()
 	})
 	m.Nodes[3].CMMU.Register(mtBulk, func(e *cmmu.Env) {})
-	m.Eng.At(0, func() {}) // ensure engine has work
 	m.Run()
 	delivered = m.Eng.Now()
 	if senderDone == 0 || senderDone > 30 {
@@ -249,6 +250,34 @@ func TestDescriptorLimits(t *testing.T) {
 		p.SendMessage(cmmu.Descriptor{Type: mtPing, Dst: 1, Ops: ops})
 	})
 	m.Run()
+}
+
+// A handler's reply is checked as a send is: too many operands, or a
+// destination outside the machine, fails with the cmmu's own message.
+func TestReplyDescriptorChecked(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		reply cmmu.Descriptor
+		want  string
+	}{
+		{"operands", cmmu.Descriptor{Type: mtPong, Dst: 0, Ops: make([]uint64, 17)}, "cmmu: 17 operands exceeds descriptor limit 16"},
+		{"destination", cmmu.Descriptor{Type: mtPong, Dst: 9}, "cmmu: bad destination 9"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newM(2)
+			m.Nodes[0].CMMU.Register(mtPong, func(*cmmu.Env) {})
+			m.Nodes[1].CMMU.Register(mtPing, func(e *cmmu.Env) { e.Reply(tc.reply) })
+			m.Spawn(0, 0, "s", func(p *machine.Proc) {
+				p.SendMessage(cmmu.Descriptor{Type: mtPing, Dst: 1})
+			})
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, tc.want) {
+					t.Errorf("panic %q, want %q", msg, tc.want)
+				}
+			}()
+			m.Run()
+		})
+	}
 }
 
 func TestDuplicateHandlerPanics(t *testing.T) {

@@ -169,7 +169,7 @@ func (c *core) AtWake(ctx *sim.Context) bool {
 }
 
 // threadYield hands the processor back when a thread finishes (threadEnd)
-// or suspends (suspendStep): the wake runs the scheduler's hand-back step.
+// or suspends (yieldStep): the wake runs the scheduler's hand-back step.
 func (c *core) threadYield() {
 	c.schedProc.Ctx.Unblock()
 }

@@ -226,6 +226,11 @@ func (r *sweepRecorder) Int63() int64 {
 
 func (r *sweepRecorder) Seed(int64) {}
 
+// fnSink adapts a function to sim.Sink: a test's callback event.
+type fnSink func()
+
+func (f fnSink) Fire(uint32, uint64, uint64) { f() }
+
 // An SM core spends its backoff behind the probe gate: after a fruitless
 // sweep it polls its own queues until the gate opens, idleBackoff doubled
 // per fruitless sweep, capped at 32 times it. Node 1's stepped scheduler
@@ -247,7 +252,7 @@ func TestBackoffSMProbeGate(t *testing.T) {
 	rt.M.Spawn(0, roundCycles, "invoker", func(p *machine.Proc) {
 		rt.Invoke(p, 1, rt.NewInvokeTask(func(*TC) {}))
 	})
-	rt.M.Eng.At(2*roundCycles, rt.finish)
+	rt.M.Eng.AtSink(2*roundCycles, fnSink(rt.finish), 0, 0, 0)
 	rt.M.Run()
 
 	var dispatches []uint64
@@ -311,7 +316,7 @@ func TestBackoffHybridTimedPark(t *testing.T) {
 	rt.M.Spawn(0, roundCycles, "invoker", func(p *machine.Proc) {
 		rt.Invoke(p, 1, rt.NewInvokeTask(func(*TC) {}))
 	})
-	rt.M.Eng.At(2*roundCycles, rt.finish)
+	rt.M.Eng.AtSink(2*roundCycles, fnSink(rt.finish), 0, 0, 0)
 	rt.M.Run()
 
 	// A backoff park starts when a no-task reply lands; a dispatch starts

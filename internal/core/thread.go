@@ -125,22 +125,38 @@ func (th *Thread) resume() {
 }
 
 // suspend parks the calling thread and gives the processor back to the
-// node's scheduler, at the wake of its flush (suspendStep); the thread
+// node's scheduler, as a chain of two steps: the thread's flush
+// (suspendStep), then, at its wake, the hand-back (yieldStep). The thread
 // becomes runnable again when something enqueues it on its core's wake
 // queue.
 func (th *Thread) suspend() {
-	th.P.FlushThen((*suspendStep)(th))
+	th.P.Ctx.RunStep((*suspendStep)(th))
 }
 
-// suspendStep is Thread.suspend's AtWake step, a type of its own so that
-// the step is not a method of Thread.
-type suspendStep Thread
+// suspendStep and yieldStep are Thread.suspend's steps, types of their own
+// so that the steps are not methods of Thread.
+type (
+	suspendStep Thread
+	yieldStep   Thread
+)
+
+// AtWake flushes the thread's run-ahead and hands the processor back once
+// it has retired.
+//
+//alewife:hotpath
+func (s *suspendStep) AtWake(c *sim.Context) bool {
+	th := (*Thread)(s)
+	if th.P.StepFlush((*yieldStep)(th)) {
+		return false
+	}
+	return (*yieldStep)(th).AtWake(c)
+}
 
 // AtWake hands the processor back to the scheduler and leaves the thread
 // parked.
 //
 //alewife:hotpath
-func (s *suspendStep) AtWake(c *sim.Context) bool {
+func (s *yieldStep) AtWake(c *sim.Context) bool {
 	th := (*Thread)(s)
 	th.RT.M.St.Emit(c.Now(), th.core.id, trace.KSuspend, th.id)
 	th.core.threadYield()

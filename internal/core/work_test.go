@@ -13,11 +13,13 @@ import (
 // counts are exact: a change that adds or removes one handoff anywhere on
 // these paths fails here, and says by how much. Handoffs are the host cost
 // the counts exist for: each is two coroutine switches. A flush that ends
-// in a park (a miss, a dispatch, a suspension) runs its step inside the
-// dispatch loop (Proc.FlushThen), the hybrid scheduler runs as a chain of
-// such steps (hybridStep), and a thread's final flush ends it with a record
-// instead of a resume (Thread.run). An access that waits is a chain of
-// steps too (Proc.StepRead and friends), and so are the shared-memory
+// in a park (a miss, a dispatch, a suspension) is the first step of a
+// chain whose next step runs inside the dispatch loop (Proc.StepFlush),
+// the hybrid scheduler runs as a chain of such steps (hybridStep), and a
+// thread's final flush ends it with a record instead of a resume
+// (Thread.run). An access that waits is a chain of steps too, entered from
+// a body with RunStep (Proc.Read and friends) or inside a step
+// (Proc.StepRead and friends), and so are the shared-memory
 // scheduler (smStep), its queue operations and spin locks (queueStep,
 // lockStep) and a fork's task descriptor (descStep). Before those, these
 // six runs took 3,996, 486, 26,950, 8,320, 4,862 and 47 handoffs, with the

@@ -456,8 +456,9 @@ func (r *runner) stateDigest() uint64 {
 // them in either order reaches the same state and enables the same
 // continuations. The approximation is deliberately conservative — only
 // keyed protocol messages (ChoiceSink with a known node) on different
-// nodes AND different resources qualify; context wakes, callbacks and any
-// event its sink declared opaque (node -1) are dependent with everything.
+// nodes AND different resources qualify; context wakes and any opaque sink
+// event (node -1: declared so, or from a sink that does not implement
+// sim.SinkInfo) are dependent with everything.
 func independent(a, b sim.Choice) bool {
 	return a.Kind == sim.ChoiceSink && b.Kind == sim.ChoiceSink &&
 		a.Node >= 0 && b.Node >= 0 && a.Node != b.Node && a.Key != b.Key

@@ -3,6 +3,8 @@ package explore
 import (
 	"strings"
 	"testing"
+
+	"alewife/internal/sim"
 )
 
 // A clean protocol must survive every schedule the explorer can reach: no
@@ -181,6 +183,30 @@ func TestShrinkTrace(t *testing.T) {
 
 // The stress-layer glue: the explorer must leave the caller's config
 // intact (it copies before installing hooks) and force the ideal network.
+// Only keyed sink events on different nodes and different keys commute:
+// an opaque sink event (node -1) and a context wake are dependent with
+// every candidate, themselves included.
+func TestIndependenceRule(t *testing.T) {
+	keyed := func(node int32, key uint64) sim.Choice {
+		return sim.Choice{Kind: sim.ChoiceSink, Node: node, Key: key}
+	}
+	opaque := sim.Choice{Kind: sim.ChoiceSink, Node: -1}
+	wake := sim.Choice{Kind: sim.ChoiceWake, Node: 1}
+	if !independent(keyed(0, 1), keyed(1, 2)) {
+		t.Error("keyed events on different nodes and keys do not commute")
+	}
+	for _, c := range []sim.Choice{keyed(0, 1), keyed(1, 2), keyed(0, 2), opaque, wake} {
+		for _, dep := range []sim.Choice{opaque, wake} {
+			if independent(c, dep) || independent(dep, c) {
+				t.Errorf("%+v and %+v treated as commuting", c, dep)
+			}
+		}
+	}
+	if independent(keyed(0, 1), keyed(0, 2)) || independent(keyed(0, 1), keyed(1, 1)) {
+		t.Error("keyed events sharing a node or a key treated as commuting")
+	}
+}
+
 func TestExploreDoesNotMutateConfig(t *testing.T) {
 	cfg := Config{MaxRuns: 5}
 	cfg.Stress.Seed = 3

@@ -9,14 +9,15 @@ import (
 	"alewife/internal/stats"
 )
 
-// An access that flushes run-ahead cycles and then misses takes the fused
-// path: the flush's wake begins the miss inside the dispatch loop and parks
-// the processor on the fill (Proc.FlushThen). On a warmed 2-node machine
-// that path, with the protocol traffic the miss sets off, allocates
-// nothing. Three lines homed on node 1 share one 2-way set of node 0's
-// cache, so every access misses; the kind of access rotates over loads,
-// stores and fetch-and-adds.
-func TestFlushThenMissAllocs(t *testing.T) {
+// An access that flushes run-ahead cycles and then misses runs as a chain
+// of steps from the processor's body (Proc.miss, sim.Context.RunStep): its
+// first step takes the flush, and the flush's wake begins the miss inside
+// the dispatch loop and parks the processor on the fill. On a warmed
+// 2-node machine that path, with the protocol traffic the miss sets off,
+// allocates nothing. Three lines homed on node 1 share one 2-way set of
+// node 0's cache, so every access misses; the kind of access rotates over
+// loads, stores and fetch-and-adds.
+func TestMissChainAllocs(t *testing.T) {
 	cfg := machine.DefaultConfig(2)
 	m := machine.New(cfg)
 	stride := mem.Addr(cfg.CacheSets * mem.LineWords)
@@ -95,7 +96,7 @@ func (s *stepMiss) AtWake(*sim.Context) bool {
 // A step-form access that misses runs its whole chain inside the dispatch
 // loop, from the flush before the miss to the step whose probe hits, and
 // on a warmed machine it allocates nothing either. The lines and the
-// rotation are TestFlushThenMissAllocs's.
+// rotation are TestMissChainAllocs's.
 func TestStepAccessMissAllocs(t *testing.T) {
 	cfg := machine.DefaultConfig(2)
 	m := machine.New(cfg)

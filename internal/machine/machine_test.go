@@ -213,7 +213,7 @@ func deadlockReport(m *machine.Machine) (msg string) {
 func TestDeadlockDetected(t *testing.T) {
 	m := machine.New(machine.DefaultConfig(1))
 	m.Spawn(0, 0, "stuck", func(p *machine.Proc) {
-		p.Block() // nobody will wake it
+		p.Ctx.Block() // nobody will wake it
 	})
 	msg := deadlockReport(m)
 	if msg == "" {
@@ -232,7 +232,7 @@ func TestRespawnedProcPrintsThreadName(t *testing.T) {
 	m.Spawn(1, 0, "respawner", func(p *machine.Proc) {
 		p.Elapse(20)
 		p.Flush()
-		if again := m.Respawn(first, 2, p.Now(), "thr", 1234, func(p *machine.Proc) { p.Block() }); again != first {
+		if again := m.Respawn(first, 2, p.Now(), "thr", 1234, func(p *machine.Proc) { p.Ctx.Block() }); again != first {
 			t.Error("Respawn built a new Proc instead of reusing the finished one")
 		}
 	})

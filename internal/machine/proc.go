@@ -47,12 +47,14 @@ type Proc struct {
 	// The access on the miss path (any access that missed its fast path,
 	// and every atomic one), run as a chain of steps (accessStep): acc is
 	// its memory side, op and the operands v and v2 say what it does once
-	// its probe hits, probe that the fast path of a load or store is still
-	// to be tried, next the step that runs once it is done (nil resumes
-	// the processor), and val its result.
+	// its probe hits, flush that the flush before it is still to be taken,
+	// probe that the fast path of a load or store is still to be tried,
+	// next the step that runs once it is done (nil resumes the processor),
+	// and val its result.
 	acc   mem.Access
 	op    accOp
 	v, v2 uint64
+	flush bool
 	probe bool
 	next  sim.AtWake
 	val   uint64
@@ -83,23 +85,6 @@ func (p *Proc) Flush() {
 	if d := p.book(); d > 0 {
 		p.Ctx.Sleep(d)
 	}
-}
-
-// FlushThen is Flush followed by w's step, where the step is what the
-// processor does first once its clock is synchronized and ends in a park
-// (take an access to its fill, hand the processor to a thread): it
-// books the cycles, then sleeps them off with sim.Context.SleepThen, so
-// the step runs at the wake inside the dispatch loop and a step that parks
-// costs no coroutine switch. With nothing to flush, the step runs here
-// (sim.Context.RunStep).
-//
-//alewife:hotpath
-func (p *Proc) FlushThen(w sim.AtWake) {
-	if d := p.book(); d > 0 {
-		p.Ctx.SleepThen(d, w)
-		return
-	}
-	p.Ctx.RunStep(w)
 }
 
 // StepFlush is Flush taken inside the processor's running step: it books
@@ -262,11 +247,12 @@ func (p *Proc) hit() {
 }
 
 // miss takes an access through its chain of steps from the processor's
-// body: the flush's wake begins it (FlushThen), and the processor resumes
-// once the chain has completed it.
+// body, flush first, and the processor resumes once the chain has
+// completed it.
 func (p *Proc) miss(a mem.Addr, op accOp, v, v2 uint64) {
 	p.setAccess(a, op, v, v2, nil)
-	p.FlushThen((*accessStep)(p))
+	p.flush = true
+	p.Ctx.RunStep((*accessStep)(p))
 }
 
 // setAccess makes the access to a the processor's pending one.
@@ -277,7 +263,7 @@ func (p *Proc) setAccess(a mem.Addr, op accOp, v, v2 uint64, next sim.AtWake) {
 	if op == opRead {
 		p.acc.Want = mem.Shared
 	}
-	p.op, p.v, p.v2, p.next, p.probe = op, v, v2, next, false
+	p.op, p.v, p.v2, p.next, p.flush, p.probe = op, v, v2, next, false, false
 }
 
 // StepRead is Read taken inside the processor's running step, for a chain
@@ -319,26 +305,27 @@ func (p *Proc) Val() uint64 { return p.val }
 //alewife:hotpath
 func (p *Proc) stepAccess(a mem.Addr, op accOp, v uint64, w sim.AtWake) bool {
 	p.setAccess(a, op, v, 0, w)
-	if op <= opWrite {
-		p.probe = true
-		if p.Node.M.Cfg.SeqConsistent && p.StepFlush((*accessStep)(p)) {
-			return true
-		}
-	} else if p.StepFlush((*accessStep)(p)) {
-		return true
-	}
+	p.probe = op <= opWrite
+	p.flush = !p.probe || p.Node.M.Cfg.SeqConsistent
 	return p.take()
 }
 
 // take runs the pending access from where it stands, inside the running
-// step, to its end or to its next wait: the fast path's probe when it is
-// still to be tried, the flush before the miss path, then the miss path
-// (mem.Ctrl.Step), whose last probe and the data operation and its cycles
-// (apply) come in one step. It reports true when it armed a wait, whose
-// wake runs accessStep.
+// step, to its end or to its next wait: the flush before it when that is
+// still to be taken, the fast path's probe when it is still to be tried,
+// the flush before the miss path, then the miss path (mem.Ctrl.Step),
+// whose last probe and the data operation and its cycles (apply) come in
+// one step. It reports true when it armed a wait, whose wake runs
+// accessStep.
 //
 //alewife:hotpath
 func (p *Proc) take() bool {
+	if p.flush {
+		p.flush = false
+		if p.StepFlush((*accessStep)(p)) {
+			return true
+		}
+	}
 	if p.probe {
 		p.probe = false
 		if p.fast() {
@@ -493,13 +480,6 @@ func (p *Proc) MaskInterrupts() { p.Node.CMMU.MaskInterrupts() }
 func (p *Proc) UnmaskInterrupts() {
 	p.Flush()
 	p.Node.CMMU.UnmaskInterrupts()
-}
-
-// Block parks the processor context (the runtime's idle/suspend path);
-// run-ahead is flushed first so wake-ups see a consistent clock.
-func (p *Proc) Block() {
-	p.Flush()
-	p.Ctx.Block()
 }
 
 // Machine returns the owning machine.

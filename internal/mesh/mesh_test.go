@@ -165,9 +165,9 @@ func TestOppositeDirectionsDoNotContend(t *testing.T) {
 func TestSendInPastClamped(t *testing.T) {
 	eng, m := testMesh(2, 1)
 	fired := sim.Time(0)
-	eng.At(100, func() {
+	eng.AtSink(100, sinkFunc(func() {
 		send(m, 0, 1, 8, 5, func() { fired = eng.Now() }) // departure in the past
-	})
+	}), 0, 0, 0)
 	eng.Run()
 	if fired <= 100 {
 		t.Fatalf("packet delivered at %d, before its send at 100", fired)

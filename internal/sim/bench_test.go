@@ -7,17 +7,41 @@ import "testing"
 // before/after evidence for the pooled ladder queue (EXPERIMENTS.md §perf).
 // Run with -benchmem: steady-state scheduling must be 0 allocs/op.
 
-// BenchmarkSchedule measures one push+pop round trip: schedule an event one
-// cycle ahead, drain it. This is the minimal At/Run cycle every simulated
-// latency pays.
+// nopSink is a sink event that does nothing.
+type nopSink struct{}
+
+func (nopSink) Fire(uint32, uint64, uint64) {}
+
+// BenchmarkSchedule measures one push+pop round trip: schedule a sink event
+// one cycle ahead, drain it. This is the minimal AtSink/Run cycle every
+// simulated latency pays.
 func BenchmarkSchedule(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
-	nop := func() {}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.At(e.Now()+1, nop)
+		e.AtSink(e.Now()+1, nopSink{}, 0, 0, 0)
 		e.Run()
+	}
+}
+
+// churnPeriods are the periods of a churn population's timers.
+var churnPeriods = [...]uint64{1, 2, 3, 5, 7, 11, 13, 1024}
+
+// churn is a standing population of self-rescheduling timers, one sink
+// for all of them: a timer's op indexes its period. It halts the engine
+// once remaining events have fired.
+type churn struct {
+	e         *Engine
+	remaining int
+}
+
+func (s *churn) Fire(op uint32, _, _ uint64) {
+	s.remaining--
+	if s.remaining > 0 {
+		s.e.AtSink(s.e.Now()+churnPeriods[op], s, op, 0, 0)
+	} else {
+		s.e.Halt()
 	}
 }
 
@@ -27,21 +51,10 @@ func BenchmarkSchedule(b *testing.B) {
 func BenchmarkRunChurn(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
-	const standing = 512
-	remaining := b.N
-	periods := [...]uint64{1, 2, 3, 5, 7, 11, 13, 1024}
-	for i := 0; i < standing; i++ {
-		d := periods[i%len(periods)]
-		var fn func()
-		fn = func() {
-			remaining--
-			if remaining > 0 {
-				e.After(d, fn)
-			} else {
-				e.Halt()
-			}
-		}
-		e.After(d, fn)
+	s := &churn{e: e, remaining: b.N}
+	for i := 0; i < 512; i++ {
+		op := uint32(i % len(churnPeriods))
+		e.AtSink(churnPeriods[op], s, op, 0, 0)
 	}
 	b.ResetTimer()
 	e.Run()
@@ -67,10 +80,9 @@ func BenchmarkContextSwitch(b *testing.B) {
 func BenchmarkScheduleFar(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
-	nop := func() {}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.At(e.Now()+100_000, nop)
+		e.AtSink(e.Now()+100_000, nopSink{}, 0, 0, 0)
 		e.Run()
 	}
 }

@@ -17,7 +17,7 @@ func TestChooserReversesSameCycleOrder(t *testing.T) {
 		var order []int
 		for i := 0; i < 4; i++ {
 			i := i
-			e.At(5, func() { order = append(order, i) })
+			callAt(e, 5, func() { order = append(order, i) })
 		}
 		if pickLast {
 			e.SetChooser(pickFn(func(_ Time, cands []Choice) int { return len(cands) - 1 }))
@@ -42,8 +42,8 @@ func TestChooserPickZeroMatchesDefault(t *testing.T) {
 		var order []int
 		for i := 0; i < 3; i++ {
 			i := i
-			e.At(2, func() { order = append(order, i) })
-			e.At(7, func() { order = append(order, 10+i) })
+			callAt(e, 2, func() { order = append(order, i) })
+			callAt(e, 7, func() { order = append(order, 10+i) })
 		}
 		if install {
 			e.SetChooser(pickFn(func(_ Time, _ []Choice) int { return 0 }))
@@ -63,8 +63,9 @@ func TestChooserPickZeroMatchesDefault(t *testing.T) {
 }
 
 // Candidates are only offered when more than one live event shares the
-// minimum cycle; descriptors carry the right kinds, and a context's Node
-// shows up in its wake descriptor.
+// minimum cycle; descriptors carry the right kinds, a sink that does not
+// describe its events is opaque (node -1), and a context's Node shows up
+// in its wake descriptor.
 func TestChooserDescriptors(t *testing.T) {
 	e := NewEngine()
 	var seen [][]Choice
@@ -73,7 +74,7 @@ func TestChooserDescriptors(t *testing.T) {
 		seen = append(seen, cp)
 		return 0
 	}))
-	e.At(3, func() {})
+	callAt(e, 3, func() {})
 	ctx := e.Spawn("p", 3, func(c *Context) {})
 	ctx.Node = 5
 	e.Run()
@@ -84,8 +85,8 @@ func TestChooserDescriptors(t *testing.T) {
 	if len(cands) != 2 {
 		t.Fatalf("candidates: %v", cands)
 	}
-	if cands[0].Kind != ChoiceFn || cands[0].Node != -1 {
-		t.Errorf("fn descriptor: %+v", cands[0])
+	if cands[0].Kind != ChoiceSink || cands[0].Node != -1 {
+		t.Errorf("opaque sink descriptor: %+v", cands[0])
 	}
 	if cands[1].Kind != ChoiceWake || cands[1].Node != 5 {
 		t.Errorf("wake descriptor: %+v", cands[1])
@@ -114,11 +115,11 @@ func TestChooserStaleWakesNotOffered(t *testing.T) {
 	ctx := e.Spawn("sleeper", 0, func(c *Context) {
 		c.WaitUntil(100) // woken early at cycle 10; the 100-cycle record goes stale
 	})
-	e.At(10, func() { ctx.UnblockAt(10) })
+	callAt(e, 10, func() { ctx.UnblockAt(10) })
 	// Two events at cycle 100 alongside the stale wake record: the chooser
 	// must see exactly these two, not three.
-	e.At(100, func() {})
-	e.At(100, func() {})
+	callAt(e, 100, func() {})
+	callAt(e, 100, func() {})
 	e.Run()
 	if points == 0 {
 		t.Fatal("no choice point reached — test is vacuous")
@@ -136,13 +137,13 @@ func TestChooserStaleWakesKeepClock(t *testing.T) {
 			e.SetChooser(pickFn(func(_ Time, _ []Choice) int { return 0 }))
 		}
 		a := e.Spawn("a", 0, func(c *Context) { c.Sleep(10) })
-		e.At(5, func() { a.UnblockAt(100) }) // stale once a wakes at 10 and ends
+		callAt(e, 5, func() { a.UnblockAt(100) }) // stale once a wakes at 10 and ends
 		e.Run()
 		end := e.Now()
 		var fired []Time
-		e.At(end+1, func() {
+		callAt(e, end+1, func() {
 			for _, d := range []Time{5 + ladderWindow, 5} {
-				e.At(e.Now()+d, func() { fired = append(fired, e.Now()) })
+				callAt(e, e.Now()+d, func() { fired = append(fired, e.Now()) })
 			}
 		})
 		e.Run()
@@ -162,8 +163,8 @@ func TestChooserStaleWakesKeepClock(t *testing.T) {
 func TestChooserBadIndexPanics(t *testing.T) {
 	e := NewEngine()
 	e.SetChooser(pickFn(func(_ Time, cands []Choice) int { return len(cands) }))
-	e.At(1, func() {})
-	e.At(1, func() {})
+	callAt(e, 1, func() {})
+	callAt(e, 1, func() {})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-range pick did not panic")

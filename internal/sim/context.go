@@ -14,10 +14,10 @@ import (
 
 // Context is a simulated sequential agent (a processor, a thread). Its body
 // is a coroutine resumed by the Run goroutine: it runs only between a
-// resume and the next call into WaitUntil/Sleep/Block, during which no
-// other context or event runs. While parked, a context runs the dispatch
-// loop (advance) itself and yields to the driver only when another context
-// is due next or the run stops.
+// resume and the next call into WaitUntil/Sleep/Block/RunStep, during
+// which no other context or event runs. While parked, a context runs the
+// dispatch loop (advance) itself and yields to the driver only when
+// another context is due next or the run stops.
 type Context struct {
 	eng *Engine
 	// name and id make up the debug name, formatted only when printed
@@ -36,11 +36,11 @@ type Context struct {
 	gen uint64
 	// blocked is informational: true while parked with no wake event queued.
 	blocked bool
-	// step is the pending step of SleepThen, Then or ThenOnWake, run and
-	// cleared by the next wake that resumes the context (Engine.advance).
-	// stepParked records that a step left the context parked, at
-	// parkedAt, and the park is reported to BlockNote when the context
-	// runs again: its successor step, or the body once it resumes.
+	// step is the pending step of Then or ThenOnWake, run and cleared by
+	// the next wake that resumes the context (Engine.advance).
+	// stepParked records that a Block or a step left the context parked,
+	// at parkedAt, and notePark reports the park to BlockNote when the
+	// context runs again: its successor step, or the body once it resumes.
 	step       AtWake
 	stepParked bool
 	parkedAt   Time
@@ -215,46 +215,23 @@ func (c *Context) WaitUntil(t Time) {
 // Sleep advances the context by d cycles.
 func (c *Context) Sleep(d uint64) { c.WaitUntil(c.eng.now + d) }
 
-// AtWake is a step that SleepThen runs at its wake, inside the dispatch
-// loop. It returns true to resume the context there, or false to leave it
-// parked: on whatever the step armed (a Gate.Park, an UnblockAt), or on
-// the successor it named with Then or ThenOnWake, which the next wake runs
-// in turn. Either way that wake costs no coroutine switch.
+// AtWake is a step: what a context does next, run by RunStep on the
+// context's own coroutine or, once a step named it as its successor (Then,
+// ThenOnWake), at the context's next wake inside the dispatch loop. It
+// returns true to resume the context, or false to leave it parked: on
+// whatever the step armed (a Gate.Park, an UnblockAt), or on the successor
+// it named, which the next wake runs in turn. Either way that wake costs no
+// coroutine switch.
 type AtWake interface {
 	AtWake(c *Context) bool
-}
-
-// SleepThen sleeps d cycles, then runs w.AtWake(c) inside the dispatch
-// loop, at the wake's own (at, seq) place, and returns once the context
-// resumes. It behaves exactly as
-//
-//	c.Sleep(d)
-//	if !w.AtWake(c) {
-//		c.Block()
-//	}
-//
-// because the step runs what the resumed context would have run before
-// its next park, with nothing dispatched in between; it only saves the
-// two coroutine switches of resuming the context to run the step. The
-// step belongs to the context, not to the wake record: whichever wake
-// resumes the context first runs it (an UnblockAt that cuts the sleep
-// short does), and the sleep's own wake is then stale. A step that parks
-// the context is reported to BlockNote as a Block would be, from the wake
-// to the resume.
-//
-//alewife:hotpath
-func (c *Context) SleepThen(d uint64, w AtWake) {
-	c.step = w
-	c.wakeAt(c.eng.now + d)
-	c.parkAndDispatch()
-	c.notePark()
 }
 
 // RunStep runs w.AtWake(c) now, on the context's own coroutine, and
 // returns once the context resumes: at once when the step returns true,
 // otherwise when a wake resumes it, through the chain of successors the
-// step named (Then, ThenOnWake) when it named one. A body starts a chain
-// of steps with it. A step that names no successor makes it behave as
+// step named (Then, ThenOnWake) when it named one. It is the only way a
+// body starts a chain of steps. A step that names no successor makes it
+// behave as
 //
 //	if !w.AtWake(c) {
 //		c.Block()
@@ -307,7 +284,7 @@ func (c *Context) Then(d uint64, w AtWake) {
 //alewife:hotpath
 func (c *Context) ThenOnWake(w AtWake) {
 	c.chain(w)
-	c.blocked, c.stepParked, c.parkedAt = true, true, c.eng.now
+	c.markParked()
 }
 
 // chain makes w the pending step, from inside the context's running step.
@@ -333,7 +310,7 @@ func (c *Context) chain(w AtWake) {
 func (c *Context) stepped(resume bool) bool {
 	c.eng.stepping = nil
 	if !resume && c.step == nil {
-		c.blocked, c.stepParked, c.parkedAt = true, true, c.eng.now
+		c.markParked()
 	}
 	return resume
 }
@@ -346,8 +323,14 @@ func (c *Context) checkResume() {
 	}
 }
 
-// notePark reports a park a step left the context in to BlockNote, now
-// that the context runs again.
+// markParked records that the context parks now, for notePark to report.
+func (c *Context) markParked() {
+	c.blocked, c.stepParked, c.parkedAt = true, true, c.eng.now
+}
+
+// notePark reports the park a Block or a step left the context in to
+// BlockNote, now that the context runs again. It is the only caller of
+// BlockNote.
 func (c *Context) notePark() {
 	if c.stepParked {
 		c.stepParked = false
@@ -360,20 +343,17 @@ func (c *Context) notePark() {
 // Block parks the context indefinitely. Some other activity must call
 // Unblock (directly or via a Gate) or the context never runs again; the
 // engine detects total deadlock in Machine-level drivers by the event queue
-// draining while contexts remain.
+// draining while contexts remain. Block records its park as a step that
+// leaves the context parked does, and notePark reports it to BlockNote
+// once the context resumes.
 func (c *Context) Block() {
-	c.blocked = true
-	if c.BlockNote != nil {
-		t0 := c.eng.now
-		c.parkAndDispatch()
-		c.BlockNote(t0, c.eng.now)
-		return
-	}
+	c.markParked()
 	c.parkAndDispatch()
+	c.notePark()
 }
 
 // Unblock schedules the context to resume at the current time. It must be
-// called from engine execution (an event callback or another context), never
+// called from engine execution (a sink event or another context), never
 // from outside a running simulation.
 func (c *Context) Unblock() { c.UnblockAt(c.eng.now) }
 

@@ -28,7 +28,7 @@ func TestSpawnFromContext(t *testing.T) {
 func TestSpawnFromEvent(t *testing.T) {
 	e := NewEngine()
 	ran := false
-	e.At(50, func() {
+	callAt(e, 50, func() {
 		e.Spawn("late", e.Now(), func(c *Context) {
 			c.Sleep(7)
 			ran = true
@@ -143,7 +143,7 @@ func TestHaltLeavesContextsResumable(t *testing.T) {
 			steps++
 		}
 	})
-	e.At(25, func() { e.Halt() })
+	callAt(e, 25, func() { e.Halt() })
 	e.Run()
 	if steps >= 5 {
 		t.Fatal("halt did not stop mid-run")

@@ -1,11 +1,11 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
-// The engine owns virtual time. Work is expressed either as plain callback
-// events (Engine.At / Engine.After) or as coroutine contexts (Engine.Spawn)
-// that model sequential agents such as processors. At any instant exactly one
-// logical activity runs — one event callback or one context — so simulation
-// state never needs locking and runs are fully deterministic: events at equal
-// times fire in scheduling order.
+// The engine owns virtual time. Work is expressed either as sink events
+// (Engine.AtSink), pooled typed records a subsystem fires through its Sink,
+// or as coroutine contexts (Engine.Spawn) that model sequential agents such
+// as processors. At any instant exactly one logical activity runs — one sink
+// event or one context — so simulation state never needs locking and runs
+// are fully deterministic: events at equal times fire in scheduling order.
 //
 // Control transfer is coroutine switching. Context bodies run on runtime
 // coroutines (iter.Pull): resuming one is a direct goroutine switch on the
@@ -93,9 +93,9 @@ type Engine struct {
 // driver to the resumed context. The counts are plain fields, not
 // stats counters, so that no run's counter snapshot changes with them.
 type Work struct {
-	// Events counts the records advance popped: callbacks, sinks and
-	// wakes, stale ones included. A chooser's run drops stale wakes
-	// without popping them there (nextChosen), and they are not counted.
+	// Events counts the records advance popped: sinks and wakes, stale
+	// ones included. A chooser's run drops stale wakes without popping
+	// them there (nextChosen), and they are not counted.
 	Events uint64
 	// Handoffs counts wakes that resumed a context other than the one
 	// running the dispatch loop.
@@ -103,9 +103,9 @@ type Work struct {
 	// SelfContinues counts wakes that resumed the context running the
 	// loop, which continues inline.
 	SelfContinues uint64
-	// Absorbed counts wakes whose AtWake step left the context parked,
-	// or named its successor, so the loop went on without resuming it
-	// (see SleepThen and Then).
+	// Absorbed counts wakes whose pending step, named with Then or
+	// ThenOnWake, left the context parked or named its successor, so the
+	// loop went on without resuming it.
 	Absorbed uint64
 }
 
@@ -126,20 +126,6 @@ func NewEngine() *Engine {
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
 
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// it would silently corrupt causality.
-//
-//alewife:engine-only
-func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
-	}
-	e.seq++
-	r := e.q.get()
-	r.at, r.seq, r.fn = t, e.seq, fn
-	e.q.push(r)
-}
-
 // atWake schedules a closure-free context wake-up record: the start of
 // every context, and every Sleep, WaitUntil and Unblock.
 //
@@ -154,22 +140,19 @@ func (e *Engine) atWake(t Time, c *Context, gen uint64) {
 	e.q.push(r)
 }
 
-// After schedules fn to run d cycles from now.
-//
-//alewife:engine-only
-func (e *Engine) After(d uint64, fn func()) { e.At(e.now+d, fn) }
-
-// Sink receives pooled closure-free events scheduled with AtSink. The
-// meaning of op/p0/p1 is the sink's own; the engine just carries them.
-// Subsystems with per-message traffic (the coherence protocol, the network,
-// the message unit) implement Sink once and encode each message kind in op,
-// replacing a closure allocation per event with a pooled typed record.
+// Sink receives pooled closure-free events scheduled with AtSink, the
+// engine's only events besides context wakes. The meaning of op/p0/p1 is
+// the sink's own; the engine just carries them. Subsystems with
+// per-message traffic (the coherence protocol, the network, the message
+// unit) implement Sink once and encode each message kind in op, so every
+// event is a pooled typed record and none allocates a closure.
 type Sink interface {
 	Fire(op uint32, p0, p1 uint64)
 }
 
 // AtSink schedules s.Fire(op, p0, p1) at absolute time t using a pooled
-// record — the closure-free analogue of At for subsystem hot paths.
+// record. Scheduling in the past panics: it would silently corrupt
+// causality.
 //
 //alewife:engine-only
 func (e *Engine) AtSink(t Time, s Sink, op uint32, p0, p1 uint64) {
@@ -187,14 +170,12 @@ func (e *Engine) Pending() int { return e.q.size }
 
 // Choice kinds: what sort of pending event a candidate descriptor denotes.
 const (
-	// ChoiceFn is a plain callback event (opaque: nothing is known about
-	// what it touches).
-	ChoiceFn uint8 = iota
 	// ChoiceWake resumes a context; Node identifies the processor when the
 	// context set one.
-	ChoiceWake
+	ChoiceWake uint8 = iota
 	// ChoiceSink is a pooled subsystem event; Node/Key come from the sink's
-	// EventInfo when it implements SinkInfo.
+	// EventInfo when it implements SinkInfo, and a sink that does not is
+	// opaque (Node -1).
 	ChoiceSink
 )
 
@@ -293,18 +274,14 @@ func (e *Engine) nextChosen() *event {
 
 // describe builds the Choice descriptor for one pending record.
 func (e *Engine) describe(r *event) Choice {
-	switch {
-	case r.ctx != nil:
+	if r.ctx != nil {
 		return Choice{Seq: r.seq, Kind: ChoiceWake, Node: r.ctx.Node}
-	case r.sink != nil:
-		if si, ok := r.sink.(SinkInfo); ok {
-			node, key := si.EventInfo(r.op, r.p0, r.gen)
-			return Choice{Seq: r.seq, Kind: ChoiceSink, Node: node, Key: key}
-		}
-		return Choice{Seq: r.seq, Kind: ChoiceSink, Node: -1}
-	default:
-		return Choice{Seq: r.seq, Kind: ChoiceFn, Node: -1}
 	}
+	if si, ok := r.sink.(SinkInfo); ok {
+		node, key := si.EventInfo(r.op, r.p0, r.gen)
+		return Choice{Seq: r.seq, Kind: ChoiceSink, Node: node, Key: key}
+	}
+	return Choice{Seq: r.seq, Kind: ChoiceSink, Node: -1}
 }
 
 // Halt stops the run loop after the current event completes. Used by drivers
@@ -314,11 +291,11 @@ func (e *Engine) describe(r *event) Choice {
 func (e *Engine) Halt() { e.halted = true }
 
 // advance is the dispatch loop, and the only code that dispatches an event:
-// it pops events in (at, seq) order, runs callbacks, sinks and pending
-// steps inline, drops stale wakes, and ends when control must move. self
-// is the parked context running the loop, or nil when the driver runs it.
-// It reports whether self's own wake fired, in which case self continues
-// with no switch; otherwise it ended with the next context to resume in
+// it pops events in (at, seq) order, runs sinks and pending steps inline,
+// drops stale wakes, and ends when control must move. self is the parked
+// context running the loop, or nil when the driver runs it. It reports
+// whether self's own wake fired, in which case self continues with no
+// switch; otherwise it ended with the next context to resume in
 // e.handoff, or with e.handoff nil on a stop condition (drained queue,
 // Halt, budget).
 //
@@ -376,15 +353,9 @@ func (e *Engine) advance(self *Context) bool {
 			e.handoff = c
 			return false
 		}
-		if s := r.sink; s != nil {
-			op, p0, p1 := r.op, r.p0, r.gen
-			e.q.put(r)
-			s.Fire(op, p0, p1)
-			continue
-		}
-		fn := r.fn
+		s, op, p0, p1 := r.sink, r.op, r.p0, r.gen
 		e.q.put(r)
-		fn()
+		s.Fire(op, p0, p1)
 	}
 }
 

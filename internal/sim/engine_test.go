@@ -5,12 +5,20 @@ import (
 	"testing/quick"
 )
 
+// fnSink adapts a closure to Sink: the tests' callback event.
+type fnSink func()
+
+func (f fnSink) Fire(uint32, uint64, uint64) { f() }
+
+// callAt schedules fn as a sink event at t.
+func callAt(e *Engine, t Time, fn func()) { e.AtSink(t, fnSink(fn), 0, 0, 0) }
+
 func TestEventOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.At(30, func() { order = append(order, 3) })
-	e.At(10, func() { order = append(order, 1) })
-	e.At(20, func() { order = append(order, 2) })
+	callAt(e, 30, func() { order = append(order, 3) })
+	callAt(e, 10, func() { order = append(order, 1) })
+	callAt(e, 20, func() { order = append(order, 2) })
 	e.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("events out of order: %v", order)
@@ -25,7 +33,7 @@ func TestSameTimeFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 100; i++ {
 		i := i
-		e.At(5, func() { order = append(order, i) })
+		callAt(e, 5, func() { order = append(order, i) })
 	}
 	e.Run()
 	for i, v := range order {
@@ -38,9 +46,9 @@ func TestSameTimeFIFO(t *testing.T) {
 func TestAfterAndNesting(t *testing.T) {
 	e := NewEngine()
 	var times []Time
-	e.At(10, func() {
+	callAt(e, 10, func() {
 		times = append(times, e.Now())
-		e.After(5, func() { times = append(times, e.Now()) })
+		callAt(e, e.Now()+5, func() { times = append(times, e.Now()) })
 	})
 	e.Run()
 	if len(times) != 2 || times[0] != 10 || times[1] != 15 {
@@ -50,13 +58,13 @@ func TestAfterAndNesting(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(10, func() {
+	callAt(e, 10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic scheduling in the past")
 			}
 		}()
-		e.At(5, func() {})
+		callAt(e, 5, func() {})
 	})
 	e.Run()
 }
@@ -64,8 +72,8 @@ func TestSchedulingInPastPanics(t *testing.T) {
 func TestHalt(t *testing.T) {
 	e := NewEngine()
 	ran := 0
-	e.At(10, func() { ran++; e.Halt() })
-	e.At(20, func() { ran++ })
+	callAt(e, 10, func() { ran++; e.Halt() })
+	callAt(e, 20, func() { ran++ })
 	e.Run()
 	if ran != 1 {
 		t.Fatalf("Halt did not stop the loop: ran=%d", ran)
@@ -191,7 +199,7 @@ func TestGateDoubleFire(t *testing.T) {
 		g.Wait(c)
 		n++
 	})
-	e.At(5, func() { g.Fire(); g.Fire() })
+	callAt(e, 5, func() { g.Fire(); g.Fire() })
 	e.Run()
 	if n != 1 {
 		t.Fatalf("waiter ran %d times", n)

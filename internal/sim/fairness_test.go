@@ -53,7 +53,7 @@ func fairnessScript() string {
 			rec(name, c.Now())
 		})
 	}
-	e.At(35, func() { rec("fire", e.Now()); g.Fire() })
+	callAt(e, 35, func() { rec("fire", e.Now()); g.Fire() })
 
 	// Two blocked contexts unblocked to the same cycle from different
 	// sources, racing the sleepers' round at 50.
@@ -63,16 +63,16 @@ func fairnessScript() string {
 			c.Block()
 			rec(name, c.Now())
 		})
-		e.At(Time(20+i*7), func() { c.UnblockAt(50) })
+		callAt(e, Time(20+i*7), func() { c.UnblockAt(50) })
 	}
 
 	// Callbacks sharing cycles with the wake storms, plus a short-lived
 	// context spawned mid-run that finishes while others are still parked.
 	for _, t := range []Time{10, 35, 50, 90} {
 		t := t
-		e.At(t, func() { rec("ev", t) })
+		callAt(e, t, func() { rec("ev", t) })
 	}
-	e.At(60, func() {
+	callAt(e, 60, func() {
 		e.Spawn("late", 60, func(c *Context) {
 			c.Sleep(10)
 			rec("late", c.Now())

@@ -18,7 +18,7 @@ import "math/bits"
 // enter the bucket in ascending seq. Direct pushes do so because simulation
 // is single-threaded; migrated records do so because the overflow heap pops
 // in (at, seq) order and migration is drained eagerly — before any direct
-// near-tier push (see At) and at the top of every pop — so a direct push can
+// near-tier push (see push) and at the top of every pop — so a direct push can
 // never slip in ahead of a lower-seq record still parked in overflow.
 
 const (
@@ -30,16 +30,14 @@ const (
 	ladderMask   = ladderWindow - 1
 )
 
-// event is one pooled scheduler record. Exactly one of fn/ctx/sink is set:
-// fn for plain callbacks, ctx+gen for context wake-ups (kept typed and
-// closure-free because Sleep/WaitUntil arm one of these per context switch),
-// sink+op+p0 (with gen reused as the second payload word) for subsystem
-// events delivered through the Sink interface — the protocol and network
-// hot paths schedule one of these per message instead of a closure.
+// event is one pooled scheduler record, a wake or a sink event: exactly one
+// of ctx/sink is set. ctx+gen is a context wake-up (Sleep/WaitUntil arm
+// one per park); sink+op+p0, with gen reused as the second payload word,
+// is a subsystem event delivered through the Sink interface — the protocol
+// and network hot paths schedule one per message.
 type event struct {
 	at   Time
 	seq  uint64
-	fn   func()
 	ctx  *Context
 	sink Sink
 	op   uint32
@@ -89,9 +87,8 @@ func (l *ladder) get() *event {
 }
 
 // put recycles a record, dropping payload references so pooled records never
-// pin dead closures or contexts.
+// pin dead sinks or contexts.
 func (l *ladder) put(r *event) {
-	r.fn = nil
 	r.ctx = nil
 	r.sink = nil
 	r.next = l.free

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // TestLadderWindowWrap schedules events across several near-window laps so
@@ -17,10 +18,10 @@ func TestLadderWindowWrap(t *testing.T) {
 		got = append(got, e.Now())
 		hops++
 		if hops < 10 {
-			e.After(ladderWindow-1, chain)
+			callAt(e, e.Now()+ladderWindow-1, chain)
 		}
 	}
-	e.After(1, chain)
+	callAt(e, e.Now()+1, chain)
 	e.Run()
 	if len(got) != 10 {
 		t.Fatalf("ran %d hops, want 10", len(got))
@@ -40,13 +41,13 @@ func TestLadderOverflowMigration(t *testing.T) {
 	e := NewEngine()
 	var order []int
 	const far = ladderWindow * 3
-	e.At(far, func() { order = append(order, 0) }) // overflow tier
-	e.At(far-ladderWindow+10, func() {
+	callAt(e, far, func() { order = append(order, 0) }) // overflow tier
+	callAt(e, far-ladderWindow+10, func() {
 		// The cursor is now close enough that `far` is inside the near
 		// window, but the lower-seq record is still parked in overflow.
 		// This push must drain it into the bucket first (eager migration)
 		// so the two fire in seq order.
-		e.At(far, func() { order = append(order, 1) })
+		callAt(e, far, func() { order = append(order, 1) })
 	})
 	e.Run()
 	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
@@ -62,7 +63,7 @@ func TestLadderOverflowMigration(t *testing.T) {
 func TestLadderEmptyJump(t *testing.T) {
 	e := NewEngine()
 	fired := Time(0)
-	e.At(10*ladderWindow+7, func() { fired = e.Now() })
+	callAt(e, 10*ladderWindow+7, func() { fired = e.Now() })
 	e.Run()
 	if fired != 10*ladderWindow+7 {
 		t.Fatalf("fired at %d", fired)
@@ -102,7 +103,7 @@ func TestLadderReferenceModel(t *testing.T) {
 				id := seq
 				seq++
 				want = append(want, rec{at, id})
-				e.At(at, func() {
+				callAt(e, at, func() {
 					got = append(got, rec{e.Now(), id})
 					if depth < 2 && rng.Intn(3) == 0 {
 						schedule(depth + 1)
@@ -133,10 +134,10 @@ func TestLadderPoolReuse(t *testing.T) {
 	tick = func() {
 		n++
 		if n < 10000 {
-			e.After(3, tick)
+			callAt(e, e.Now()+3, tick)
 		}
 	}
-	e.After(1, tick)
+	callAt(e, e.Now()+1, tick)
 	e.Run()
 	free := 0
 	for r := e.q.free; r != nil; r = r.next {
@@ -237,5 +238,16 @@ func TestLadderPeekOverflowOnly(t *testing.T) {
 	}
 	if l.size != 0 {
 		t.Fatalf("size %d after the drain", l.size)
+	}
+}
+
+// A pooled record is a wake or a sink event, with no third kind's field:
+// 72 bytes on a 64-bit host.
+func TestEventRecordSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("record layout pinned for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(event{}); got != 72 {
+		t.Errorf("event record is %d bytes, want 72", got)
 	}
 }

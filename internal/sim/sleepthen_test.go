@@ -6,11 +6,12 @@ import (
 	"testing"
 )
 
-// stepHarness runs one SleepThen scenario and logs what it observes:
-// callbacks, sink fires, steps, context resumes and BlockNote pairs, each
-// with its cycle. sleepThen and runStep are the forms under test:
-// SleepThen and RunStep themselves, with chained steps, or the two-park
-// form they must be equivalent to, where the context resumes at each step.
+// stepHarness runs one scenario of a sleep then a step and logs what it
+// observes: callbacks, sink fires, steps, context resumes and BlockNote
+// pairs, each with its cycle. sleepThen and runStep are the forms under
+// test: RunStep, of the step itself or of a thenStep that sleeps before
+// it, with chained steps, or the two-park form they must be equivalent
+// to, where the context resumes at each step.
 type stepHarness struct {
 	e         *Engine
 	log       []string
@@ -106,7 +107,7 @@ func (s *gateSink) Fire(op uint32, _, _ uint64) {
 // parkOn returns a step action that parks the context on g.
 func parkOn(g *Gate) func(c *Context) bool { return g.Park }
 
-// The scenarios of the SleepThen equivalence table.
+// The scenarios of the sleep-then-step equivalence table.
 var stepScenarios = []struct {
 	name string
 	run  func(h *stepHarness)
@@ -127,7 +128,7 @@ var stepScenarios = []struct {
 				h.rec("resume b")
 			}
 		})
-		h.e.At(10, func() { h.rec("cb") })
+		callAt(h.e, 10, func() { h.rec("cb") })
 	}, false, false},
 	{"park-on-gate-fired-by-sink", func(h *stepHarness) {
 		g := &Gate{}
@@ -153,7 +154,7 @@ var stepScenarios = []struct {
 			}})
 			h.rec("resume a")
 		})
-		h.e.At(10, func() { h.rec("cb") })
+		callAt(h.e, 10, func() { h.rec("cb") })
 	}, true, true},
 	{"unblock-cuts-sleep-short", func(h *stepHarness) {
 		g := &Gate{}
@@ -176,7 +177,7 @@ var stepScenarios = []struct {
 		})
 		// The gate fires after the sleep's own wake at 100, which the
 		// early wake made stale: it must not resume a.
-		h.e.At(150, func() { h.rec("cb"); g.Fire() })
+		callAt(h.e, 150, func() { h.rec("cb"); g.Fire() })
 	}, true, true},
 	{"park-on-fired-gate", func(h *stepHarness) {
 		g := &Gate{}
@@ -217,8 +218,8 @@ var stepScenarios = []struct {
 				h.rec("resume b")
 			}
 		})
-		h.e.At(15, func() { h.rec("cb") })
-		h.e.At(22, func() { h.rec("cb") })
+		callAt(h.e, 15, func() { h.rec("cb") })
+		callAt(h.e, 22, func() { h.rec("cb") })
 	}, true, false},
 	{"chain-sleep-park-sleep", func(h *stepHarness) {
 		g := &Gate{}
@@ -291,12 +292,12 @@ var stepScenarios = []struct {
 			h.rec("resume a")
 		})
 		h.e.AtSink(20, &gateSink{h: h, g: g}, 5, 0, 0)
-		h.e.At(25, func() { h.rec("cb") })
+		callAt(h.e, 25, func() { h.rec("cb") })
 	}, true, true},
 }
 
 // sameCycleScript mixes eight same-cycle sleepers, half of them in
-// SleepThen steps that alternately resume at once and park on a gate,
+// sleep-then-step chains that alternately resume at once and park on a gate,
 // with plain sleepers, gate waiters and callbacks, as the fairness golden
 // does.
 func sameCycleScript(h *stepHarness) {
@@ -323,7 +324,7 @@ func sameCycleScript(h *stepHarness) {
 	}
 	for r := 1; r <= rounds; r++ {
 		g := gates[r]
-		h.e.At(Time(r*10+5), func() { h.rec("fire"); g.Fire() })
+		callAt(h.e, Time(r*10+5), func() { h.rec("fire"); g.Fire() })
 	}
 	for i := 0; i < 3; i++ {
 		name := fmt.Sprintf("g%d", i)
@@ -335,7 +336,7 @@ func sameCycleScript(h *stepHarness) {
 		})
 	}
 	for _, t := range []Time{10, 25, 30, 50} {
-		h.e.At(t, func() { h.rec("cb") })
+		callAt(h.e, t, func() { h.rec("cb") })
 	}
 }
 
@@ -344,7 +345,7 @@ func sameCycleScript(h *stepHarness) {
 func runStepScenario(run func(*stepHarness), fused bool) (string, Work, int) {
 	h := &stepHarness{e: NewEngine()}
 	if fused {
-		h.sleepThen = func(c *Context, d uint64, w *testStep) { c.SleepThen(d, w) }
+		h.sleepThen = func(c *Context, d uint64, w *testStep) { c.RunStep(&thenStep{d, w}) }
 		h.runStep = func(c *Context, w *testStep) { c.RunStep(w) }
 	} else {
 		h.sleepThen = func(c *Context, d uint64, w *testStep) {
@@ -359,7 +360,8 @@ func runStepScenario(run func(*stepHarness), fused bool) (string, Work, int) {
 	return strings.Join(h.log, "\n"), h.e.Work(), h.e.Live()
 }
 
-// SleepThen is the two-park form with the resume before the step taken
+// A sleep then a step, taken as a body's RunStep of a step that names it
+// with Then, is the two-park form with the resume before the step taken
 // out, and a chained step (Then, ThenOnWake) the form with the resume
 // before each link taken out: every scenario logs the same callbacks,
 // sinks, steps, resumes and BlockNote pairs, in the same order at the same
@@ -372,7 +374,7 @@ func TestSleepThenMatchesTwoParkForm(t *testing.T) {
 			want, wantWork, _ := runStepScenario(sc.run, false)
 			got, gotWork, live := runStepScenario(sc.run, true)
 			if got != want {
-				t.Fatalf("SleepThen diverged from the two-park form\n--- SleepThen ---\n%s\n--- two-park ---\n%s", got, want)
+				t.Fatalf("the step form diverged from the two-park form\n--- steps ---\n%s\n--- two-park ---\n%s", got, want)
 			}
 			if live != 0 {
 				t.Errorf("%d contexts left parked at the end:\n%s", live, got)
@@ -381,17 +383,17 @@ func TestSleepThenMatchesTwoParkForm(t *testing.T) {
 				t.Errorf("no BlockNote logged: the scenario parks no step")
 			}
 			if gotWork.Events != wantWork.Events {
-				t.Errorf("SleepThen dispatched %d events, the two-park form %d", gotWork.Events, wantWork.Events)
+				t.Errorf("the step form dispatched %d events, the two-park form %d", gotWork.Events, wantWork.Events)
 			}
 			if wantWork.Absorbed != 0 {
 				t.Errorf("the two-park form absorbed %d wakes, want 0", wantWork.Absorbed)
 			}
 			resumed := func(w Work) uint64 { return w.Handoffs + w.SelfContinues }
 			if resumed(gotWork)+gotWork.Absorbed != resumed(wantWork) {
-				t.Errorf("wakes differ: SleepThen %+v, two-park %+v", gotWork, wantWork)
+				t.Errorf("wakes differ: steps %+v, two-park %+v", gotWork, wantWork)
 			}
 			if (gotWork.Absorbed > 0) != sc.absorbs {
-				t.Errorf("SleepThen absorbed %d wakes, want absorbing %v", gotWork.Absorbed, sc.absorbs)
+				t.Errorf("the step form absorbed %d wakes, want absorbing %v", gotWork.Absorbed, sc.absorbs)
 			}
 		})
 	}
@@ -409,10 +411,10 @@ func successorMisuse(t *testing.T, name string, then func(c *Context)) {
 		"another step": func(e *Engine) {
 			victim := e.Spawn("victim", 0, func(c *Context) { c.Sleep(100) })
 			e.Spawn("other", 0, func(c *Context) {
-				c.SleepThen(5, stepFunc(func(*Context) bool {
+				c.RunStep(&thenStep{5, stepFunc(func(*Context) bool {
 					then(victim)
 					return true
-				}))
+				})})
 			})
 		},
 	}
@@ -436,6 +438,18 @@ type stepFunc func(c *Context) bool
 
 func (f stepFunc) AtWake(c *Context) bool { return f(c) }
 
+// thenStep sleeps d cycles and names w as the step for the sleep's wake:
+// how a body enters a chain that begins with a sleep.
+type thenStep struct {
+	d uint64
+	w AtWake
+}
+
+func (s *thenStep) AtWake(c *Context) bool {
+	c.Then(s.d, s.w)
+	return false
+}
+
 func TestThenOutsideStepPanics(t *testing.T) {
 	successorMisuse(t, "Then", func(c *Context) { c.Then(5, stepFunc(func(*Context) bool { return true })) })
 }
@@ -453,7 +467,7 @@ func TestStepResumingWithSuccessorPanics(t *testing.T) {
 		return true
 	})
 	for site, body := range map[string]func(c *Context){
-		"wake":    func(c *Context) { c.SleepThen(5, bad) },
+		"wake":    func(c *Context) { c.RunStep(&thenStep{5, bad}) },
 		"RunStep": func(c *Context) { c.RunStep(bad) },
 	} {
 		t.Run(site, func(t *testing.T) {

@@ -64,7 +64,7 @@ func TestPanicAfterContextToContextHandoff(t *testing.T) {
 func TestCallbackPanicOnFinishingContext(t *testing.T) {
 	e := NewEngine()
 	e.Spawn("finisher", 0, func(c *Context) { c.Sleep(1) })
-	e.At(5, func() { panic("event boom") })
+	callAt(e, 5, func() { panic("event boom") })
 	defer func() {
 		if r := recover(); r == nil || !strings.Contains(r.(string), "event boom") {
 			t.Fatalf("panic = %v, want event boom", r)
@@ -84,7 +84,7 @@ func TestPanicDoesNotLeakIntoNextRun(t *testing.T) {
 		e.Run()
 	}()
 	ran := false
-	e.At(e.Now()+1, func() { ran = true })
+	callAt(e, e.Now()+1, func() { ran = true })
 	e.Run() // must not re-raise
 	if !ran {
 		t.Fatal("engine dead after recovered panic")
@@ -127,7 +127,7 @@ func TestSoloFastPathYieldsToSameTimeEvents(t *testing.T) {
 	e := NewEngine()
 	var order []string
 	e.Spawn("ctx", 0, func(c *Context) {
-		e.At(c.Now()+1, func() { order = append(order, "event") })
+		callAt(e, c.Now()+1, func() { order = append(order, "event") })
 		c.Sleep(1)
 		order = append(order, "ctx")
 	})
@@ -214,7 +214,7 @@ func TestFinishedContextsLeaveNoGoroutines(t *testing.T) {
 	}{
 		{"after-halt-stop", func(t *testing.T, e *Engine) {
 			e.Spawn("sleeper", 0, func(c *Context) { c.Sleep(100) })
-			e.At(50, e.Halt)
+			callAt(e, 50, e.Halt)
 			e.Run()
 			if e.Now() != 50 || e.Live() != 1 {
 				t.Fatalf("Halt at 50 left clock %d and %d live contexts, want 50 and the sleeper", e.Now(), e.Live())
